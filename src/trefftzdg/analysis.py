@@ -7,6 +7,10 @@ the boundary condition. The discrete energy identity decomposes the
 final energy into the data energy minus quadratic losses; its audit is
 a strong consistency check of solver, assembly, and quadrature at
 once.
+
+dg_error, dg_norm, energy_budget and the discrete energies share one
+batched trace evaluator: per face kind and side, one basis evaluation
+per element signature and one reference trace on all the points.
 """
 
 import math
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .assembly import DIRICHLET, PEC, ROBIN
+from .assembly import ROBIN
 from .basis import BasisSpec, element_basis, embedding_indices
 from .errors import (
     AmbiguousTrace,
@@ -25,7 +29,8 @@ from .errors import (
     NonpositiveError,
     UnsupportedBC,
 )
-from .quadrature import gauss_rule, map_to_segment
+from .mesh import FaceKind
+from .quadrature import gauss_rule
 from .reference import ZeroField
 from .solver import SolutionField
 
@@ -86,33 +91,153 @@ def l2_relative_error(sol, reference, quad_order=None):
     return math.sqrt(num / den)
 
 
-def _sol_edge(sol, element_index, xq, vertical_side):
-    """Discrete trace on a horizontal edge; vertical_side +-1 selects top/bottom."""
-    e = sol.mesh.elements[element_index]
-    basis = sol.basis_for(element_index)
-    dx = xq - 0.5 * (e.x0 + e.x1)
-    dt = np.full_like(dx, vertical_side * 0.5 * e.ht)
-    f = basis.eval_local(dx, dt)
-    c = sol.element_coefficients(element_index)
-    return c @ f["E"], c @ f["H"]
+# Face kinds in the order the DG norm sums them: whether they run along x,
+# and per adjacent element its Face field, the sign of the edge's offset
+# from the element centre and the side a reference is traced from.
+_KINDS = {
+    FaceKind.HOR_INTERNAL: (True, (("below", +1, "below"), ("above", -1, "above"))),
+    FaceKind.BOTTOM: (True, (("element", -1, "above"),)),
+    FaceKind.TOP: (True, (("element", +1, "below"),)),
+    FaceKind.VER_INTERNAL: (False, (("left", +1, "left"), ("right", -1, "right"))),
+    FaceKind.LEFT: (False, (("element", -1, "right"),)),
+    FaceKind.RIGHT: (False, (("element", +1, "left"),)),
+}
+
+#: functions x points per eval_local call: bounds its six-field tables at 0.75 MB
+_CHUNK = 1 << 14
 
 
-def _sol_side(sol, element_index, tq, horizontal_side):
-    """Discrete trace on a vertical edge; horizontal_side +-1 selects right/left."""
-    e = sol.mesh.elements[element_index]
-    basis = sol.basis_for(element_index)
-    tc = 0.5 * (e.t0 + e.t1)
-    dt = tq - tc
-    dx = np.full_like(dt, horizontal_side * 0.5 * e.hx)
-    f = basis.eval_local(dx, dt)
-    c = sol.element_coefficients(element_index)
-    return c @ f["E"], c @ f["H"]
+def _running_sum(terms):
+    """Sum in order, term by term, as a loop accumulating a float does."""
+    return float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
 
 
-def _ref_trace(reference, x, t, side):
-    if hasattr(reference, "trace"):
-        return reference.trace(x, t, side=side)
-    return reference.evaluate(x, t)
+@dataclass
+class _Faces:
+    """Gauss points X, T and weights W of skeleton pieces, their E and H
+    weights and factor, and per side the traces (E, H, reference side)."""
+
+    X: np.ndarray
+    T: np.ndarray
+    W: np.ndarray
+    weight_e: np.ndarray
+    weight_h: np.ndarray
+    factor: float
+    sides: list
+
+    def terms(self, a, b):
+        """Per piece, factor * W @ (weight_e a^2 + weight_h b^2), one BLAS dot each."""
+        v = self.weight_e[:, None] * a**2 + self.weight_h[:, None] * b**2
+        return self.factor * np.matmul(self.W[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+class _Skeleton:
+    """Batched traces of one discrete field on element edges.
+
+    Pieces whose elements share the signature (hx, ht, eps, mu, p) share
+    one eval_local call on their stacked points; a stacked matrix product
+    contracts each piece's traces. Each piece sees the operations it would
+    see alone, so sums repeat a face-by-face loop bit for bit.
+    """
+
+    def __init__(self, sol, flux=None, elements=None):
+        self.sol, self.flux = sol, flux
+        es = sol.mesh.elements
+        ids = range(len(es)) if elements is None else elements
+        # columns: xc, tc, hx, ht, eps, mu, p; filled for the elements to trace
+        self.geo = np.empty((len(es), 7))
+        self.geo[list(ids)] = [(*es[i].center, es[i].hx, es[i].ht, es[i].eps, es[i].mu,
+                                sol.spec.degree_for(i)) for i in ids]
+        self.starts = np.empty(len(es), dtype=int)
+        bases = np.cumsum([0] + [len(c) for c in sol.coefficients])
+        for base, offsets in zip(bases, sol.offsets):
+            self.starts[list(offsets)] = base + np.fromiter(offsets.values(), dtype=int)
+        self.flat = np.concatenate(sol.coefficients)
+
+    def traces(self, ids, dx, dt):
+        """(E, H) at offsets dx, dt from the centres of the elements ids."""
+        order = np.lexsort(self.geo[ids, 2:].T)
+        breaks = np.flatnonzero(np.any(np.diff(self.geo[ids[order], 2:], axis=0) != 0, axis=1))
+        E, H = np.empty(dx.shape), np.empty(dx.shape)
+        for group in np.split(order, breaks + 1):
+            basis = self.sol.basis_for(ids[group[0]])
+            size = max(1, _CHUNK // (basis.n * dx.shape[1]))
+            for rows in (group[i:i + size] for i in range(0, len(group), size)):
+                f = basis.eval_local(dx[rows].ravel(), dt[rows].ravel())
+                C = self.flat[self.starts[ids[rows]][:, None] + np.arange(basis.n)][:, None, :]
+                # one gemv per piece: the BLAS call of c @ F for a single piece
+                for out, name in ((E, "E"), (H, "H")):
+                    F = f[name].reshape(basis.n, len(rows), -1).transpose(1, 0, 2)
+                    out[rows] = np.matmul(C, np.ascontiguousarray(F))[:, 0, :]
+        return E, H
+
+    def faces(self, horizontal, pos, mid, half, sides, n, weights, factor):
+        """Pieces mid +- half at pos with n Gauss points each; sides lists
+        (element ids, their edge's offset from the centres, reference side)."""
+        xi, w = gauss_rule(n)
+        along = mid[:, None] + half[:, None] * xi
+        fixed = np.broadcast_to(pos[:, None], along.shape)
+        traced = []
+        for ids, across, side in sides:
+            local = along - self.geo[ids, 0 if horizontal else 1][:, None]
+            normal = np.broadcast_to(across[:, None], along.shape)
+            dx, dt = (local, normal) if horizontal else (normal, local)
+            traced.append((*self.traces(ids, dx, dt), side))
+        X, T = (along, fixed) if horizontal else (fixed, along)
+        return _Faces(X, T, half[:, None] * w, *weights, factor, traced)
+
+    def kind(self, kind, n):
+        """The faces of one kind with n Gauss points each, or None if there are none."""
+        mesh, flux = self.sol.mesh, self.flux
+        horizontal, sides = _KINDS[kind]
+        faces = [f for f in mesh.faces if f.kind is kind]
+        if not faces:
+            return None
+        pos, lo, hi = np.array([(f.pos, f.lo, f.hi) for f in faces]).T
+        stacked = []
+        for field_name, sign, side in sides:
+            ids = np.array([getattr(f, field_name) for f in faces])
+            stacked.append((ids, sign * 0.5 * self.geo[ids, 3 if horizontal else 2], side))
+        eps, mu = self.geo[ids, 4], self.geo[ids, 5]
+        wall = kind in (FaceKind.LEFT, FaceKind.RIGHT)
+        if horizontal:
+            weights = eps, mu
+        elif wall and self.sol.bc is not None and self.sol.bc.kind == ROBIN:
+            zi = np.sqrt(mu / eps)
+            weights = (1.0 - flux.delta) / zi, flux.delta * zi
+        else:
+            beta = [0.0 if wall else flux.beta_on(mesh, f) for f in faces]
+            weights = np.array([flux.alpha_on(mesh, f) for f in faces]), np.array(beta)
+        return self.faces(horizontal, pos, 0.5 * (lo + hi), 0.5 * (hi - lo), stacked, n,
+                          weights, 0.5 if horizontal else 1.0)
+
+    def squared_jumps(self, kinds, n, reference):
+        """Squared DG norm of reference - field on the kinds' faces, summed in mesh order."""
+        terms = [np.zeros(0)]
+        for kind in kinds:
+            faces = self.kind(kind, n)
+            if faces is None:
+                continue
+            je = jh = 0.0
+            for sign, (E, H, side) in zip((1.0, -1.0), faces.sides):
+                Re, Rh = (reference.trace(faces.X, faces.T, side=side)
+                          if hasattr(reference, "trace") else reference.evaluate(faces.X, faces.T))
+                je = je + sign * (Re - E)
+                jh = jh + sign * (Rh - H)
+            terms.append(faces.terms(je, jh))
+        return _running_sum(np.concatenate(terms))
+
+    def energies(self, slabs, times, n):
+        """Energy 0.5 * int (eps E^2 + mu H^2) dx of each slab at its time."""
+        grid = self.sol.mesh.elem_grid
+        ids = np.concatenate([grid[j] for j in slabs])
+        which = np.repeat(np.arange(len(slabs)), [len(grid[j]) for j in slabs])
+        t = np.asarray(times, dtype=float)[which]
+        g = self.geo[ids]
+        line = self.faces(True, t, g[:, 0], 0.5 * g[:, 2], [(ids, t - g[:, 1], "below")], n,
+                          (g[:, 4], g[:, 5]), 0.5)
+        E, H, _ = line.sides[0]
+        return np.bincount(which, weights=line.terms(E, H), minlength=len(slabs))
 
 
 def dg_error(sol, reference, flux=None, quad_order=None):
@@ -124,86 +249,14 @@ def dg_error(sol, reference, flux=None, quad_order=None):
     E for conducting/Dirichlet walls, the impedance-weighted pair for
     Robin walls.
     """
-    mesh, spec = sol.mesh, sol.spec
     flux = flux if flux is not None else sol.flux
     if flux is None:
         raise MismatchedDomain(
             "the DG norm needs penalty weights; this field carries none, "
             "pass flux=FluxParams(...)"
         )
-    bc = sol.bc
     n = quad_order if quad_order is not None else _max_degree(sol) + 6
-    total = 0.0
-
-    # time jumps across slab interfaces
-    for group in mesh.hor_pieces:
-        for fi in group:
-            face = mesh.faces[fi]
-            xq, wq = map_to_segment(n, face.lo, face.hi)
-            e = mesh.elements[face.above]
-            tq = np.full_like(xq, face.pos)
-            Eb, Hb = _sol_edge(sol, face.below, xq, +1)
-            Ea, Ha = _sol_edge(sol, face.above, xq, -1)
-            Rb = _ref_trace(reference, xq, tq, "below")
-            Ra = _ref_trace(reference, xq, tq, "above")
-            jump_e = (Rb[0] - Eb) - (Ra[0] - Ea)
-            jump_h = (Rb[1] - Hb) - (Ra[1] - Ha)
-            total += 0.5 * float(wq @ (e.eps * jump_e**2 + e.mu * jump_h**2))
-
-    # initial and final traces
-    for fis, vertical_side, ref_side in (
-        (mesh.bottom_faces, -1, "above"),
-        (mesh.top_faces, +1, "below"),
-    ):
-        for fi in fis:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.element]
-            xq, wq = map_to_segment(n, face.lo, face.hi)
-            tq = np.full_like(xq, face.pos)
-            E, H = _sol_edge(sol, face.element, xq, vertical_side)
-            Er, Hr = _ref_trace(reference, xq, tq, ref_side)
-            total += 0.5 * float(wq @ (e.eps * (Er - E) ** 2 + e.mu * (Hr - H) ** 2))
-
-    # space jumps with penalty weights
-    for group in mesh.ver_faces:
-        for fi in group:
-            face = mesh.faces[fi]
-            a_f = flux.alpha_on(mesh, face)
-            b_f = flux.beta_on(mesh, face)
-            tq, wq = map_to_segment(n, face.lo, face.hi)
-            xq = np.full_like(tq, face.pos)
-            El, Hl = _sol_side(sol, face.left, tq, +1)
-            Er_, Hr_ = _sol_side(sol, face.right, tq, -1)
-            Rl = _ref_trace(reference, xq, tq, "left")
-            Rr = _ref_trace(reference, xq, tq, "right")
-            jump_e = (Rl[0] - El) - (Rr[0] - Er_)
-            jump_h = (Rl[1] - Hl) - (Rr[1] - Hr_)
-            total += float(wq @ (a_f * jump_e**2 + b_f * jump_h**2))
-
-    # lateral boundary traces
-    robin = bc is not None and bc.kind == ROBIN
-    for fis, horizontal_side, ref_side in (
-        (mesh.left_faces, -1, "right"),
-        (mesh.right_faces, +1, "left"),
-    ):
-        for fi in fis:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.element]
-            tq, wq = map_to_segment(n, face.lo, face.hi)
-            xq = np.full_like(tq, face.pos)
-            E, H = _sol_side(sol, face.element, tq, horizontal_side)
-            Er, Hr = _ref_trace(reference, xq, tq, ref_side)
-            if robin:
-                zi = math.sqrt(e.mu / e.eps)
-                d = flux.delta
-                total += float(
-                    wq @ ((1.0 - d) / zi * (Er - E) ** 2 + d * zi * (Hr - H) ** 2)
-                )
-            else:
-                a_f = flux.alpha_on(mesh, face)
-                total += float(wq @ (a_f * (Er - E) ** 2))
-
-    return math.sqrt(total)
+    return math.sqrt(_Skeleton(sol, flux).squared_jumps(_KINDS, n, reference))
 
 
 def discrete_energy(sol, t, side=None):
@@ -227,26 +280,15 @@ def discrete_energy(sol, t, side=None):
         slab = mesh.n_slabs - 1
     else:
         slab = mesh.slab_of_time(t, side=side)
-    n = _max_degree(sol) + 2
-    total = 0.0
-    for i in mesh.elem_grid[slab]:
-        e = mesh.elements[i]
-        basis = sol.basis_for(i)
-        xq, wq = map_to_segment(n, e.x0, e.x1)
-        dx = xq - 0.5 * (e.x0 + e.x1)
-        dt = np.full_like(dx, t - 0.5 * (e.t0 + e.t1))
-        f = basis.eval_local(dx, dt)
-        c = sol.element_coefficients(i)
-        E = c @ f["E"]
-        H = c @ f["H"]
-        total += 0.5 * float(wq @ (e.eps * E**2 + e.mu * H**2))
-    return total
+    skeleton = _Skeleton(sol, elements=mesh.elem_grid[slab])
+    return float(skeleton.energies([slab], [t], _max_degree(sol) + 2)[0])
 
 
 def energy_trajectory(sol):
     """Energies at every slab interface and the final time, traced from below."""
     times = sol.mesh.slab_times[1:]
-    return times.copy(), np.array([discrete_energy(sol, t, side="below") for t in times])
+    energies = _Skeleton(sol).energies(range(sol.mesh.n_slabs), times, _max_degree(sol) + 2)
+    return times.copy(), energies
 
 
 @dataclass
@@ -285,64 +327,21 @@ def energy_budget(sol, initial_data, quad_order=None):
         raise UnsupportedBC(
             "the energy identity is audited for homogeneous boundary data only"
         )
-    mesh, flux = sol.mesh, sol.flux
     p_max = _max_degree(sol)
     n = quad_order if quad_order is not None else p_max + 2
-    n_data = max(p_max + 6, 16)
+    skeleton = _Skeleton(sol, sol.flux)
 
-    initial_energy = 0.0
-    initial_mismatch = 0.0
-    for fi in mesh.bottom_faces:
-        face = mesh.faces[fi]
-        e = mesh.elements[face.element]
-        xq, wq = map_to_segment(n_data, face.lo, face.hi)
-        e0 = np.asarray(initial_data.e0(xq), dtype=float)
-        h0 = np.asarray(initial_data.h0(xq), dtype=float)
-        E, H = _sol_edge(sol, face.element, xq, -1)
-        initial_energy += 0.5 * float(wq @ (e.eps * e0**2 + e.mu * h0**2))
-        initial_mismatch += 0.5 * float(
-            wq @ (e.eps * (E - e0) ** 2 + e.mu * (H - h0) ** 2)
-        )
+    bottom = skeleton.kind(FaceKind.BOTTOM, max(p_max + 6, 16))
+    E, H, _ = bottom.sides[0]
+    e0 = np.asarray(initial_data.e0(bottom.X), dtype=float)
+    h0 = np.asarray(initial_data.h0(bottom.X), dtype=float)
+    initial_energy = _running_sum(bottom.terms(e0, h0))
+    initial_mismatch = _running_sum(bottom.terms(E - e0, H - h0))
+    time_jump = skeleton.squared_jumps([FaceKind.HOR_INTERNAL], n, ZeroField())
+    space_jump = skeleton.squared_jumps([FaceKind.VER_INTERNAL], n, ZeroField())
+    lateral = skeleton.squared_jumps([FaceKind.LEFT, FaceKind.RIGHT], n, ZeroField())
 
-    time_jump = 0.0
-    for group in mesh.hor_pieces:
-        for fi in group:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.above]
-            xq, wq = map_to_segment(n, face.lo, face.hi)
-            Eb, Hb = _sol_edge(sol, face.below, xq, +1)
-            Ea, Ha = _sol_edge(sol, face.above, xq, -1)
-            time_jump += 0.5 * float(
-                wq @ (e.eps * (Eb - Ea) ** 2 + e.mu * (Hb - Ha) ** 2)
-            )
-
-    space_jump = 0.0
-    for group in mesh.ver_faces:
-        for fi in group:
-            face = mesh.faces[fi]
-            a_f = flux.alpha_on(mesh, face)
-            b_f = flux.beta_on(mesh, face)
-            tq, wq = map_to_segment(n, face.lo, face.hi)
-            El, Hl = _sol_side(sol, face.left, tq, +1)
-            Er, Hr = _sol_side(sol, face.right, tq, -1)
-            space_jump += float(wq @ (a_f * (El - Er) ** 2 + b_f * (Hl - Hr) ** 2))
-
-    lateral = 0.0
-    for fis, horizontal_side in ((mesh.left_faces, -1), (mesh.right_faces, +1)):
-        for fi in fis:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.element]
-            tq, wq = map_to_segment(n, face.lo, face.hi)
-            E, H = _sol_side(sol, face.element, tq, horizontal_side)
-            if bc.kind == ROBIN:
-                zi = math.sqrt(e.mu / e.eps)
-                d = flux.delta
-                lateral += float(wq @ (d * zi * H**2 + (1.0 - d) / zi * E**2))
-            else:
-                a_f = flux.alpha_on(mesh, face)
-                lateral += float(wq @ (a_f * E**2))
-
-    final = discrete_energy(sol, mesh.slab_times[-1], side="below")
+    final = discrete_energy(sol, sol.mesh.slab_times[-1], side="below")
     predicted = initial_energy - initial_mismatch - time_jump - space_jump - lateral
     scale = initial_energy if initial_energy > 0 else 1.0
     return EnergyBudget(

@@ -10,6 +10,7 @@ each element.
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -250,12 +251,10 @@ class Mesh:
         p0 = self.partitions[0]
         return all(np.array_equal(p, p0) for p in self.partitions[1:])
 
-    @property
+    @cached_property
     def hx_max(self):
+        """Largest element width; computed once, the mesh is final after build_mesh."""
         return max(e.hx for e in self.elements)
-
-    def faces_of_kind(self, kind):
-        return [f for f in self.faces if f.kind is kind]
 
     def slab_of_time(self, t, side=None):
         """Index of the slab containing time t; `side` breaks interface ties."""
@@ -291,6 +290,40 @@ class Mesh:
         elif x_side is None and k > 0 and abs(x - p[k]) <= tol:
             k -= 1  # tie toward the smaller element index
         return self.elements[self.elem_grid[j][k]]
+
+    def elements_at(self, x, t, t_side=None, x_side=None):
+        """Indices of the elements containing the points (x, t).
+
+        The array form of element_at, with the same tie rules and
+        tolerances: searchsorted on the slab times, then on each slab's
+        partition.
+        """
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        tol_x = 1e-12 * max(self.domain.length, 1.0)
+        outside = (x < self.domain.x_l - tol_x) | (x > self.domain.x_r + tol_x)
+        if outside.any():
+            raise MismatchedDomain(
+                f"x = {x[outside][0]} outside [{self.domain.x_l}, {self.domain.x_r}]")
+        times = self.slab_times
+        tol_t = 1e-12 * max(self.domain.t_final, 1.0)
+        outside = (t < times[0] - tol_t) | (t > times[-1] + tol_t)
+        if outside.any():
+            raise MismatchedDomain(f"time {t[outside][0]} outside [0, {times[-1]}]")
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, self.n_slabs - 1)
+        if t_side == "below":
+            j = j - ((j > 0) & (np.abs(t - times[j]) <= tol_t))
+        elif t_side == "above":
+            j = j + ((j < self.n_slabs - 1) & (np.abs(t - times[j + 1]) <= tol_t))
+        out = np.empty(x.shape, dtype=int)
+        for slab in np.unique(j):
+            here = j == slab
+            p = self.partitions[slab]
+            xs = x[here]
+            k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 2)
+            if x_side in ("left", None):
+                k = k - ((k > 0) & (np.abs(xs - p[k]) <= tol_x))
+            out[here] = np.asarray(self.elem_grid[slab])[k]
+        return out
 
 
 def build_mesh(domain, materials, slab_heights, x_partitions):

@@ -78,17 +78,13 @@ class SolutionField:
         scalar = x_arr.ndim == 0
         xf = np.atleast_1d(x_arr).ravel()
         tf = np.atleast_1d(t_arr).ravel()
-        groups = {}
-        for k in range(xf.size):
-            e = self.mesh.element_at(xf[k], tf[k], t_side=t_side, x_side=x_side)
-            groups.setdefault(e.index, []).append(k)
+        ids = self.mesh.elements_at(xf, tf, t_side=t_side, x_side=x_side)
+        order = np.argsort(ids, kind="stable")
+        found, first = np.unique(ids[order], return_index=True)
         E = np.empty_like(xf)
         H = np.empty_like(xf)
-        for idx, ks in groups.items():
-            ks = np.asarray(ks)
-            Ee, Hh = self._eval_on_element(idx, xf[ks], tf[ks])
-            E[ks] = Ee
-            H[ks] = Hh
+        for idx, ks in zip(found, np.split(order, first[1:])):
+            E[ks], H[ks] = self._eval_on_element(int(idx), xf[ks], tf[ks])
         if scalar:
             return float(E[0]), float(H[0])
         return E.reshape(x_arr.shape), H.reshape(x_arr.shape)

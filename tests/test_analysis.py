@@ -7,6 +7,7 @@ import pytest
 
 from trefftzdg import (
     CSV_HEADER,
+    FULL,
     TREFFTZ,
     BasisSpec,
     BoundaryCondition,
@@ -19,6 +20,7 @@ from trefftzdg import (
     SpaceTimeDomain,
     ZeroField,
     apply_bilinear_global,
+    build_mesh,
     dg_error,
     dg_norm,
     discrete_energy,
@@ -28,6 +30,7 @@ from trefftzdg import (
     field_from_coefficients,
     fit_rates,
     global_coefficients,
+    global_layout,
     l2_relative_error,
     march,
     project_to_space,
@@ -207,3 +210,51 @@ def test_report_rows_match_header():
     assert row[-1] == ""    # no rate attached
     report.rate = 3.75
     assert report.row()[-1] == repr(3.75)
+
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
+@pytest.mark.parametrize("bc_kind", ["pec", "robin"])
+@pytest.mark.parametrize("scaling", [False, True])
+def test_skeleton_identities_on_hanging_two_material_mixed_degree_mesh(
+        family, bc_kind, scaling):
+    # hanging nodes across both slab interfaces, eps and mu jumping at x = 1,
+    # degrees 1..3 mixed over the elements
+    domain = SpaceTimeDomain(0.0, 2.0, 1.5)
+    materials = MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6))
+    mesh = build_mesh(domain, materials, [0.5, 0.4, 0.6],
+                      [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+                       np.array([0.0, 0.4, 1.0, 1.7, 2.0])])
+    spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+    flux = FluxParams(alpha=0.4, beta=0.7, delta=0.3, per_face_scaling=scaling)
+    bc = BoundaryCondition.pec() if bc_kind == "pec" else BoundaryCondition.robin()
+    _, n = global_layout(mesh, spec)
+    v = np.random.default_rng(11).standard_normal(n)
+    norm = dg_norm(field_from_coefficients(mesh, spec, v, flux=flux, bc=bc))
+    assert apply_bilinear_global(mesh, spec, flux, bc, v, v) == pytest.approx(
+        norm**2, rel=1e-10)
+
+    pulse = GaussianPulse(0.8, 0.1)
+    data = InitialData(pulse, pulse)
+    sol = march(mesh, spec, flux, bc, data)
+    assert energy_budget(sol, data).residual <= 1e-9
+
+    # one-sided traces of a piecewise reference on the whole skeleton
+    proj = project_to_space(mesh, spec, CharacteristicProfile.free_space(domain, pulse, pulse))
+    e = global_coefficients(proj) - global_coefficients(sol)
+    assert apply_bilinear_global(mesh, spec, flux, bc, e, e) == pytest.approx(
+        dg_error(sol, proj) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("heights", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
+def test_energy_endpoint_is_the_final_energy_exactly(heights):
+    domain = SpaceTimeDomain(0.0, 2.0, 1.0)
+    pulse = GaussianPulse(1.0, 0.2)
+    data = InitialData(pulse, pulse)
+    mesh = build_mesh(domain, UNIT, heights, np.linspace(0.0, 2.0, 5))
+    sol = march(mesh, BasisSpec(TREFFTZ, 3), FluxParams(), BoundaryCondition.pec(), data)
+    times, energies = energy_trajectory(sol)
+    final = discrete_energy(sol, domain.t_final, side="below")
+    assert times[-1] == domain.t_final
+    assert energies[-1] == final
+    assert energy_budget(sol, data).final_energy == final
+    for t, energy in zip(times[:-1], energies[:-1]):
+        assert energy == discrete_energy(sol, t, side="below")

@@ -151,3 +151,28 @@ def test_spacing_constructor_rounds_to_integer_counts():
     assert mesh.n_slabs == 30
     widths = {round(e.hx, 12) for e in mesh.elements}
     assert widths == {0.3}
+
+
+def test_vectorized_point_location_matches_element_at():
+    # hanging nodes across both slab interfaces; points on every breakpoint,
+    # every slab interface and the domain corners, and just off them by
+    # less than the tie tolerance
+    domain = SpaceTimeDomain(0.0, 2.0, 1.5)
+    parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+             np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
+    mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
+    xs = np.unique(np.concatenate(parts + [np.array([0.2, 1.5])]))
+    ts = np.concatenate([mesh.slab_times, [0.25, 1.2]])
+    xs = np.concatenate([xs, xs[1:-1] + 1e-14, xs[1:-1] - 1e-14])
+    ts = np.concatenate([ts, ts[1:-1] + 1e-14, ts[1:-1] - 1e-14])
+    X, T = (a.ravel() for a in np.meshgrid(xs, ts))
+    for t_side in (None, "below", "above"):
+        for x_side in (None, "left", "right"):
+            got = mesh.elements_at(X, T, t_side=t_side, x_side=x_side)
+            want = [mesh.element_at(x, t, t_side=t_side, x_side=x_side).index
+                    for x, t in zip(X, T)]
+            assert got.tolist() == want
+    with pytest.raises(MismatchedDomain):
+        mesh.elements_at(np.array([0.5, 2.1]), np.array([0.5, 0.5]))
+    with pytest.raises(MismatchedDomain):
+        mesh.elements_at(np.array([0.5, 0.5]), np.array([0.5, -0.1]))

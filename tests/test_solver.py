@@ -191,3 +191,23 @@ def test_variable_degree_march_runs():
     assert sol.coefficients[0].size == spec.dim_for(0) + spec.dim_for(1)
     E, H = sol.evaluate(1.2, 0.8)
     assert np.isfinite(E) and np.isfinite(H)
+
+def test_evaluate_matches_per_point_location_on_hanging_mesh():
+    domain = SpaceTimeDomain(0.0, 2.0, 1.5)
+    parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+             np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
+    mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
+    pulse = GaussianPulse(0.8, 0.1)
+    sol = march(mesh, BasisSpec(TREFFTZ, 2), FluxParams(), BoundaryCondition.pec(),
+                InitialData(pulse, pulse))
+    xs = np.unique(np.concatenate(parts + [np.array([0.3, 1.5])]))
+    X, T = (a.ravel() for a in np.meshgrid(xs, np.concatenate([mesh.slab_times, [0.7]])))
+    for t_side in (None, "below", "above"):
+        for x_side in (None, "left", "right"):
+            E, H = sol.evaluate(X, T, t_side=t_side, x_side=x_side)
+            for k in range(X.size):
+                e = mesh.element_at(X[k], T[k], t_side=t_side, x_side=x_side)
+                f = sol.basis_for(e.index).eval(X[k:k + 1], T[k:k + 1])
+                c = sol.element_coefficients(e.index)
+                assert E[k] == pytest.approx(float(c @ f["E"][:, 0]), rel=1e-14, abs=1e-15)
+                assert H[k] == pytest.approx(float(c @ f["H"][:, 0]), rel=1e-14, abs=1e-15)
