@@ -66,7 +66,6 @@ from .reference import (
     GaussianPulse,
     ZeroField,
     best_approximation_error,
-    exact_field,
 )
 from .assembly import (
     BC_KINDS,

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .assembly import ROBIN
+from .assembly import ROBIN, global_layout
 from .basis import BasisSpec, element_basis, embedding_indices
 from .errors import (
     AmbiguousTrace,
-    DimensionMismatch,
     InsufficientSamples,
     MismatchedDomain,
     NonpositiveError,
@@ -76,7 +75,7 @@ def l2_relative_error(sol, reference, quad_order=None):
             basis = element_basis(spec, e0)
             dx, dt, W = _local_tensor(e0, n)
             fields = basis.eval_local(dx, dt)
-            C = np.stack([sol.element_coefficients(i) for i in ids])
+            C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
             E = C @ fields["E"]
             H = C @ fields["H"]
             xc = np.array([0.5 * (mesh.elements[i].x0 + mesh.elements[i].x1) for i in ids])
@@ -148,11 +147,6 @@ class _Skeleton:
         self.geo = np.empty((len(es), 7))
         self.geo[list(ids)] = [(*es[i].center, es[i].hx, es[i].ht, es[i].eps, es[i].mu,
                                 sol.spec.degree_for(i)) for i in ids]
-        self.starts = np.empty(len(es), dtype=int)
-        bases = np.cumsum([0] + [len(c) for c in sol.coefficients])
-        for base, offsets in zip(bases, sol.offsets):
-            self.starts[list(offsets)] = base + np.fromiter(offsets.values(), dtype=int)
-        self.flat = np.concatenate(sol.coefficients)
 
     def traces(self, ids, dx, dt):
         """(E, H) at offsets dx, dt from the centres of the elements ids."""
@@ -164,7 +158,8 @@ class _Skeleton:
             size = max(1, _CHUNK // (basis.n * dx.shape[1]))
             for rows in (group[i:i + size] for i in range(0, len(group), size)):
                 f = basis.eval_local(dx[rows].ravel(), dt[rows].ravel())
-                C = self.flat[self.starts[ids[rows]][:, None] + np.arange(basis.n)][:, None, :]
+                C = self.sol.flat[self.sol.starts[ids[rows]][:, None] + np.arange(basis.n)]
+                C = C[:, None, :]
                 # one gemv per piece: the BLAS call of c @ F for a single piece
                 for out, name in ((E, "E"), (H, "H")):
                     F = f[name].reshape(basis.n, len(rows), -1).transpose(1, 0, 2)
@@ -240,6 +235,17 @@ class _Skeleton:
         return np.bincount(which, weights=line.terms(E, H), minlength=len(slabs))
 
 
+def _flux_of(sol, flux=None):
+    """The penalty weights of the skeleton terms: flux, else the field's own."""
+    flux = flux if flux is not None else sol.flux
+    if flux is None:
+        raise MismatchedDomain(
+            "the skeleton terms need penalty weights; this field carries none, "
+            "pass flux=FluxParams(...) or build the field with a flux"
+        )
+    return flux
+
+
 def dg_error(sol, reference, flux=None, quad_order=None):
     """Mesh-dependent DG norm of the error field against a reference.
 
@@ -249,14 +255,8 @@ def dg_error(sol, reference, flux=None, quad_order=None):
     E for conducting/Dirichlet walls, the impedance-weighted pair for
     Robin walls.
     """
-    flux = flux if flux is not None else sol.flux
-    if flux is None:
-        raise MismatchedDomain(
-            "the DG norm needs penalty weights; this field carries none, "
-            "pass flux=FluxParams(...)"
-        )
     n = quad_order if quad_order is not None else _max_degree(sol) + 6
-    return math.sqrt(_Skeleton(sol, flux).squared_jumps(_KINDS, n, reference))
+    return math.sqrt(_Skeleton(sol, _flux_of(sol, flux)).squared_jumps(_KINDS, n, reference))
 
 
 def discrete_energy(sol, t, side=None):
@@ -329,7 +329,7 @@ def energy_budget(sol, initial_data, quad_order=None):
         )
     p_max = _max_degree(sol)
     n = quad_order if quad_order is not None else p_max + 2
-    skeleton = _Skeleton(sol, sol.flux)
+    skeleton = _Skeleton(sol, _flux_of(sol))
 
     bottom = skeleton.kind(FaceKind.BOTTOM, max(p_max + 6, 16))
     E, H, _ = bottom.sides[0]
@@ -414,28 +414,18 @@ def project_to_space(mesh, spec, reference, quad_order=None):
     p_max = spec.max_degree() if isinstance(spec.degree, int) else max(
         spec.degree_for(i) for i in range(mesh.n_elements))
     n = quad_order if quad_order is not None else p_max + 6
-    coefficients = []
-    offsets = []
-    for j in range(mesh.n_slabs):
-        offs = {}
-        total = 0
-        for i in mesh.elem_grid[j]:
-            offs[i] = total
-            total += spec.dim_for(i)
-        vec = np.zeros(total)
-        for i in mesh.elem_grid[j]:
-            e = mesh.elements[i]
-            basis = element_basis(spec, e)
-            dx, dt, W = _local_tensor(e, n)
-            f = basis.eval_local(dx, dt)
-            xc, tc = e.center
-            Er, Hr = reference.evaluate(xc + dx, tc + dt)
-            gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
-            rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
-            vec[offs[i]:offs[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
-        coefficients.append(vec)
-        offsets.append(offs)
-    return SolutionField(mesh, spec, None, None, coefficients, offsets)
+    starts, total = global_layout(mesh, spec)
+    flat = np.zeros(total)
+    for i, e in enumerate(mesh.elements):
+        basis = element_basis(spec, e)
+        dx, dt, W = _local_tensor(e, n)
+        f = basis.eval_local(dx, dt)
+        xc, tc = e.center
+        Er, Hr = reference.evaluate(xc + dx, tc + dt)
+        gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
+        rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
+        flat[starts[i]:starts[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
+    return field_from_coefficients(mesh, spec, flat)
 
 
 def embed_solution(sol, degree):
@@ -445,21 +435,10 @@ def embed_solution(sol, degree):
         raise MismatchedDomain("embedding implemented for uniform degrees")
     big = BasisSpec(spec.family, degree)
     idx = embedding_indices(spec.family, spec.degree, degree)
-    mesh = sol.mesh
-    coefficients = []
-    offsets = []
-    for j in range(mesh.n_slabs):
-        offs = {}
-        total = 0
-        for i in mesh.elem_grid[j]:
-            offs[i] = total
-            total += big.dim_for(i)
-        vec = np.zeros(total)
-        for i in mesh.elem_grid[j]:
-            vec[offs[i] + idx] = sol.element_coefficients(i)
-        coefficients.append(vec)
-        offsets.append(offs)
-    return SolutionField(mesh, big, sol.flux, sol.bc, coefficients, offsets)
+    starts, total = global_layout(sol.mesh, big)
+    flat = np.zeros(total)
+    flat[starts[:, None] + idx] = sol.flat[sol.starts[:, None] + np.arange(spec.dim_for(0))]
+    return field_from_coefficients(sol.mesh, big, flat, sol.flux, sol.bc)
 
 
 def dg_norm(sol, flux=None, quad_order=None):
@@ -468,32 +447,16 @@ def dg_norm(sol, flux=None, quad_order=None):
 
 
 def field_from_coefficients(mesh, spec, coefficients, flux=None, bc=None):
-    """Wrap a flat global coefficient vector (slab-major) as a field."""
-    coefficients = np.asarray(coefficients, dtype=float).ravel()
-    expected = sum(spec.dim_for(i) for i in range(mesh.n_elements))
-    if coefficients.size != expected:
-        raise DimensionMismatch(
-            f"coefficient vector has {coefficients.size} entries, "
-            f"the space has {expected}"
-        )
-    per_slab = []
-    offsets = []
-    pos = 0
-    for j in range(mesh.n_slabs):
-        offs = {}
-        total = 0
-        for i in mesh.elem_grid[j]:
-            offs[i] = total
-            total += spec.dim_for(i)
-        per_slab.append(coefficients[pos:pos + total])
-        offsets.append(offs)
-        pos += total
-    return SolutionField(mesh, spec, flux, bc, per_slab, offsets)
+    """Wrap a flat global coefficient vector (slab-major) as a field.
+
+    Raises DimensionMismatch unless its length is the dimension of the space.
+    """
+    return SolutionField(mesh, spec, flux, bc, np.asarray(coefficients, dtype=float).ravel())
 
 
 def global_coefficients(sol):
-    """Concatenate per-slab coefficients into the global dof ordering."""
-    return np.concatenate(sol.coefficients)
+    """A copy of the coefficients in the global (slab-major) dof ordering."""
+    return sol.flat.copy()
 
 
 CSV_HEADER = [

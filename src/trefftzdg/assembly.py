@@ -7,10 +7,12 @@ jump penalties alpha (on [E]) and beta (on [H]) on vertical faces, and
 weakly imposed boundary terms. With the transport-polynomial family
 the volume terms vanish identically and are skipped.
 
-Slab systems are lower block triangular in time: the matrix A couples
-unknowns within one slab, the coupling matrix R carries the upwind
-trace of the previous slab to the right-hand side, so time stepping is
-A f_new = R f_old + b.
+The space-time system is block lower bidiagonal in the time slabs: the
+matrix A_j couples unknowns within slab j, the coupling matrix R_j
+carries the upwind trace of slab j - 1 to the right-hand side, so time
+stepping is A_j f_j = R_j f_{j-1} + b_j. assemble_slab is the one
+assembly of the form; assemble_global stacks its slab systems, and the
+slab march is forward substitution on that stacked system.
 """
 
 import warnings
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FULL, TREFFTZ, element_basis
+from .basis import FULL, TREFFTZ, element_basis, space_dim
 from .errors import (
     DimensionMismatch,
     MismatchedDomain,
@@ -152,18 +154,23 @@ class SlabSystem:
     A: np.ndarray
     R: np.ndarray          # empty (n, 0) for the first slab
     b: np.ndarray
-    offsets: dict          # element index -> first dof of its block
     n_dofs: int
     n_prev: int
 
 
-def _dof_layout(spec, element_ids):
-    offsets = {}
-    total = 0
-    for idx in element_ids:
-        offsets[idx] = total
-        total += spec.dim_for(idx)
-    return offsets, total
+def global_layout(mesh, spec):
+    """First dof of every element in the slab-major global vector, and the total.
+
+    Element indices run slab by slab, so this one array also gives every
+    slab's block and the slab-local offsets within it.
+    """
+    if spec.uniform:
+        dim = spec.dim_for(0)
+        return dim * np.arange(mesh.n_elements), dim * mesh.n_elements
+    degree = dict(spec.degree)
+    dims = space_dim(spec.family, np.array([degree[i] for i in range(mesh.n_elements)]))
+    ends = np.cumsum(dims)
+    return ends - dims, int(ends[-1])
 
 
 def _edge_fields(basis, x_pts, dt_signed_half):
@@ -285,8 +292,12 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
         p_max = max(p_max, max(spec.degree_for(i) for i in prev_ids))
     n_face, n_data = _quad_orders(spec, p_max, face_quad, data_quad)
 
-    offsets, n = _dof_layout(spec, ids)
-    prev_offsets, n_prev = _dof_layout(spec, prev_ids)
+    starts, total = global_layout(mesh, spec)
+    starts = np.append(starts, total)
+    offsets = starts - starts[ids[0]]   # slab-local first dofs of this slab's elements
+    n = int(offsets[ids[-1] + 1])
+    prev_offsets = starts - starts[prev_ids[0]] if prev_ids else None
+    n_prev = int(prev_offsets[ids[0]]) if prev_ids else 0
     bases = {i: element_basis(spec, mesh.elements[i]) for i in ids}
     prev_bases = {i: element_basis(spec, mesh.elements[i]) for i in prev_ids}
 
@@ -384,8 +395,7 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
             sl = slice(offsets[i], offsets[i] + B.n)
             b[sl] += f["E"] @ (wq * e.eps * e0) + f["H"] @ (wq * e.mu * h0)
 
-    return SlabSystem(slab=slab, A=A, R=R, b=b, offsets=offsets,
-                      n_dofs=n, n_prev=n_prev)
+    return SlabSystem(slab=slab, A=A, R=R, b=b, n_dofs=n, n_prev=n_prev)
 
 
 @dataclass
@@ -394,125 +404,35 @@ class GlobalSystem:
 
     matrix: np.ndarray
     load: np.ndarray
-    offsets: dict
     n_dofs: int
-
-
-def global_layout(mesh, spec):
-    return _dof_layout(spec, range(mesh.n_elements))
 
 
 def assemble_global(mesh, spec, flux, bc, initial_data=None,
                     source=None, face_quad=None, data_quad=None):
-    """Assemble the full space-time matrix and load in one block.
+    """Stack the slab systems into the full space-time matrix and load.
 
-    Dense; intended for verifying the slab decomposition and the
-    coercivity identity on small meshes, not for production solves.
+    The global system is block lower bidiagonal in the slabs: A_j on the
+    diagonal, -R_j below it, and the load concatenates the b_j, so the
+    slab march is forward substitution on it. Without initial data the
+    first slab sees zero fields. Dense; intended for verifying the slab
+    decomposition and the coercivity identity on small meshes, not for
+    production solves.
     """
-    if source is not None and spec.family == TREFFTZ:
-        raise TrefftzWithSource(
-            "transport-polynomial spaces solve the homogeneous system; "
-            "a volume source requires the full family"
-        )
-    offsets, n = global_layout(mesh, spec)
-    p_max = spec.max_degree() if isinstance(spec.degree, int) else max(
-        spec.degree_for(i) for i in range(mesh.n_elements)
-    )
-    n_face, n_data = _quad_orders(spec, p_max, face_quad, data_quad)
-    bases = {i: element_basis(spec, mesh.elements[i]) for i in range(mesh.n_elements)}
+    if initial_data is None:
+        initial_data = InitialData.zero()
+    _, n = global_layout(mesh, spec)
     G = np.zeros((n, n))
     load = np.zeros(n)
-    xi_f, w_f = gauss_rule(n_face)
-
-    def block_of(i):
-        return slice(offsets[i], offsets[i] + bases[i].n)
-
-    # horizontal interface pieces: upwind in time
-    for group in mesh.hor_pieces:
-        for fi in group:
-            face = mesh.faces[fi]
-            eb, ea = mesh.elements[face.below], mesh.elements[face.above]
-            xq, wq = map_to_segment(n_face, face.lo, face.hi)
-            f_lo = _edge_fields(bases[face.below], xq, +0.5 * eb.ht)
-            f_up = _edge_fields(bases[face.above], xq, -0.5 * ea.ht)
-            G[block_of(face.below), block_of(face.below)] += _pair_mass(
-                f_lo, f_lo, wq, eb.eps, eb.mu)
-            G[block_of(face.above), block_of(face.below)] -= _pair_mass(
-                f_up, f_lo, wq, ea.eps, ea.mu)
-
-    # final-time boundary
-    for fi in mesh.top_faces:
-        face = mesh.faces[fi]
-        e = mesh.elements[face.element]
-        xq, wq = map_to_segment(n_face, face.lo, face.hi)
-        f = _edge_fields(bases[face.element], xq, +0.5 * e.ht)
-        G[block_of(face.element), block_of(face.element)] += _pair_mass(
-            f, f, wq, e.eps, e.mu)
-
-    # vertical internal faces
-    for group in mesh.ver_faces:
-        for fi in group:
-            face = mesh.faces[fi]
-            el, er = mesh.elements[face.left], mesh.elements[face.right]
-            a_f = flux.alpha_on(mesh, face)
-            b_f = flux.beta_on(mesh, face)
-            dt = 0.5 * el.ht * xi_f
-            wq = 0.5 * el.ht * w_f
-            f_l = _side_fields(bases[face.left], dt, +1)
-            f_r = _side_fields(bases[face.right], dt, -1)
-            for sgn_r, f_row, row_id in ((+1, f_l, face.left), (-1, f_r, face.right)):
-                for sgn_c, f_col, col_id in ((+1, f_l, face.left), (-1, f_r, face.right)):
-                    G[block_of(row_id), block_of(col_id)] += _vertical_block(
-                        f_row, f_col, wq, sgn_r, sgn_c, a_f, b_f)
-
-    # lateral boundary
-    for group, side in ((mesh.left_faces, -1), (mesh.right_faces, +1)):
-        for fi in group:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.element]
-            B = bases[face.element]
-            a_f = flux.alpha_on(mesh, face)
-            dt = 0.5 * e.ht * xi_f
-            wq = 0.5 * e.ht * w_f
-            f = _side_fields(B, dt, side)
-            G[block_of(face.element), block_of(face.element)] += _lateral_block(
-                f, wq, side, bc, a_f, flux.delta, e.eps, e.mu)
-            if not bc.homogeneous:
-                dt_d = 0.5 * e.ht * gauss_rule(n_data)[0]
-                wq_d = 0.5 * e.ht * gauss_rule(n_data)[1]
-                f_d = _side_fields(B, dt_d, side)
-                t_abs = 0.5 * (face.lo + face.hi) + dt_d
-                lv = _lateral_load(f_d, wq_d, t_abs, side, bc, a_f, flux.delta, e.eps, e.mu)
-                if lv is not None:
-                    load[block_of(face.element)] += lv
-
-    if spec.family == FULL:
-        for i in range(mesh.n_elements):
-            G[block_of(i), block_of(i)] += _volume_block(bases[i], n_face)
-        if source is not None:
-            for i in range(mesh.n_elements):
-                e = mesh.elements[i]
-                xi_d, w_d = gauss_rule(n_data)
-                dx = np.repeat(0.5 * e.hx * xi_d, n_data)
-                dt = np.tile(0.5 * e.ht * xi_d, n_data)
-                W = np.repeat(0.5 * e.hx * w_d, n_data) * np.tile(0.5 * e.ht * w_d, n_data)
-                xc, tc = e.center
-                J = np.asarray(source(xc + dx, tc + dt), dtype=float)
-                load[block_of(i)] += bases[i].eval_local(dx, dt)["E"] @ (W * J)
-
-    if initial_data is not None:
-        for fi in mesh.bottom_faces:
-            face = mesh.faces[fi]
-            e = mesh.elements[face.element]
-            B = bases[face.element]
-            xq, wq = map_to_segment(n_data, face.lo, face.hi)
-            f = _edge_fields(B, xq, -0.5 * e.ht)
-            e0 = np.asarray(initial_data.e0(xq), dtype=float)
-            h0 = np.asarray(initial_data.h0(xq), dtype=float)
-            load[block_of(face.element)] += f["E"] @ (wq * e.eps * e0) + f["H"] @ (
-                wq * e.mu * h0)
-
-    return GlobalSystem(matrix=G, load=load, offsets=offsets, n_dofs=n)
+    prev = lo = 0
+    for j in range(mesh.n_slabs):
+        system = assemble_slab(mesh, j, spec, flux, bc, initial_data=initial_data,
+                               source=source, face_quad=face_quad, data_quad=data_quad)
+        hi = lo + system.n_dofs
+        G[lo:hi, lo:hi] = system.A
+        G[lo:hi, prev:lo] = -system.R
+        load[lo:hi] = system.b
+        prev, lo = lo, hi
+    return GlobalSystem(matrix=G, load=load, n_dofs=n)
 
 
 def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v,

@@ -239,9 +239,6 @@ class Mesh:
     def n_elements(self):
         return len(self.elements)
 
-    def slab_elements(self, j):
-        return [self.elements[i] for i in self.elem_grid[j]]
-
     @property
     def identical_slabs(self):
         """True when every slab shares height and spatial partition exactly."""

@@ -288,11 +288,6 @@ class CharacteristicProfile:
         return self.dw0 if self.dw0 is not None else self._fd(self.w0)
 
 
-def exact_field(profile, x, t):
-    """Evaluate the reference fields; plain-function form of evaluate."""
-    return profile.evaluate(x, t)
-
-
 def _projection_residual(f, df, a, b, p, n):
     """Residual of the L2(a, b) projection of f onto P_p.
 

@@ -1,11 +1,12 @@
 """Slab-by-slab marching, discrete fields, and update-operator spectra.
 
-The space-time system is block lower triangular in time, so the
-solution is obtained by one dense LU factorization per distinct slab
-matrix and a forward sweep. When all slabs share height and partition
-the matrices are bit-identical by construction (the assembly works in
-element-local offsets), and a single factorization serves the whole
-march.
+The space-time system is block lower bidiagonal in time, with slab
+matrices A_j on the diagonal and couplings -R_j below it (see
+assembly.assemble_global), so the march is forward substitution on it:
+one dense LU factorization per distinct slab matrix and a forward sweep.
+When all slabs share height and partition the matrices are bit-identical
+by construction (the assembly works in element-local offsets), and a
+single factorization serves the whole march.
 """
 
 import csv
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .assembly import _dof_layout, assemble_slab
+from .assembly import assemble_slab, global_layout
 from .basis import element_basis
 from .errors import (
+    DimensionMismatch,
     EigensolverFailure,
     InhomogeneousSlabs,
     SingularSlabMatrix,
@@ -38,18 +40,25 @@ def _factor(A, what="slab matrix"):
 class SolutionField:
     """Piecewise-polynomial space-time solution.
 
-    Holds one coefficient vector per slab. Point evaluation resolves
-    skeleton ties toward the element with the smaller index; trace()
-    takes an explicit side for querying a particular limit.
+    Holds the slab-major coefficient vector `flat`, with `starts[i]` the
+    first dof of element i in it (global_layout), and `coefficients`,
+    one view of `flat` per slab. Point evaluation resolves skeleton ties
+    toward the element with the smaller index; trace() takes an explicit
+    side for querying a particular limit.
     """
 
-    def __init__(self, mesh, spec, flux, bc, coefficients, offsets):
+    def __init__(self, mesh, spec, flux, bc, flat):
+        self.starts, n = global_layout(mesh, spec)
+        if flat.shape != (n,):
+            raise DimensionMismatch(
+                f"coefficient vector has {flat.size} entries, the space has {n}"
+            )
         self.mesh = mesh
         self.spec = spec
         self.flux = flux
         self.bc = bc
-        self.coefficients = coefficients    # list over slabs
-        self.offsets = offsets              # list of {element -> local offset}
+        self.flat = flat
+        self.coefficients = np.split(flat, self.starts[[row[0] for row in mesh.elem_grid[1:]]])
         self._bases = {}
 
     def basis_for(self, element_index):
@@ -60,9 +69,8 @@ class SolutionField:
         return basis
 
     def element_coefficients(self, element_index):
-        e = self.mesh.elements[element_index]
-        start = self.offsets[e.slab][element_index]
-        return self.coefficients[e.slab][start:start + self.spec.dim_for(element_index)]
+        start = self.starts[element_index]
+        return self.flat[start:start + self.spec.dim_for(element_index)]
 
     def _eval_on_element(self, element_index, x, t):
         basis = self.basis_for(element_index)
@@ -115,11 +123,12 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
     with data-carrying boundaries each slab still assembles its own
     load vector.
     """
+    sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
+    coeffs = sol.coefficients
     sys0 = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data,
                          source=source, face_quad=face_quad, data_quad=data_quad)
     factor = _factor(sys0.A, "slab 0 matrix")
-    coeffs = [linalg.lu_solve(factor, sys0.b, check_finite=False)]
-    offsets = [sys0.offsets]
+    coeffs[0][:] = linalg.lu_solve(factor, sys0.b, check_finite=False)
     data_free = bc.homogeneous and source is None
     reuse = mesh.identical_slabs and spec.uniform
     shared = None
@@ -133,10 +142,9 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
                 shared = system
             else:
                 factor = _factor(system.A, f"slab {j} matrix")
-        rhs = system.R @ coeffs[-1] + system.b
-        coeffs.append(linalg.lu_solve(factor, rhs, check_finite=False))
-        offsets.append(_dof_layout(spec, mesh.elem_grid[j])[0])
-    return SolutionField(mesh, spec, flux, bc, coeffs, offsets)
+        rhs = system.R @ coeffs[j - 1] + system.b
+        coeffs[j][:] = linalg.lu_solve(factor, rhs, check_finite=False)
+    return sol
 
 
 def update_matrix(mesh, spec, flux, bc, face_quad=None):

@@ -118,6 +118,11 @@ def test_energy_budget_preconditions_and_zero_data():
     sol_d = march(mesh, spec, FluxParams(), dir_bc, InitialData.zero())
     with pytest.raises(UnsupportedBC):
         energy_budget(sol_d, InitialData.zero())
+    # walls but no flux: the skeleton terms have no penalty weights
+    bare = field_from_coefficients(mesh, spec, global_coefficients(sol),
+                                   bc=BoundaryCondition.pec())
+    with pytest.raises(MismatchedDomain):
+        energy_budget(bare, InitialData.zero())
 
 
 def test_rate_fit_recovers_exact_slopes():

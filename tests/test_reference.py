@@ -13,7 +13,6 @@ from trefftzdg.reference import (
     GaussianPulse,
     ZeroField,
     best_approximation_error,
-    exact_field,
 )
 
 DOMAIN = SpaceTimeDomain(0.0, 60.0, 60.0)
@@ -113,7 +112,7 @@ def test_constant_material_required_for_closed_form():
     prof = CharacteristicProfile.for_problem(
         DOMAIN, MaterialLayout.constant(), GAUSS, GAUSS, "pec"
     )
-    E, H = exact_field(prof, np.array([10.0]), np.array([0.0]))
+    E, H = prof.evaluate(np.array([10.0]), np.array([0.0]))
     assert E[0] == pytest.approx(1.0)
 
 

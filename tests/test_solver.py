@@ -59,13 +59,33 @@ def test_marching_is_deterministic():
         assert np.array_equal(ca, cb)
 
 
-@pytest.mark.parametrize("family", [TREFFTZ, FULL])
-def test_slab_march_matches_monolithic_solve(family):
+def _hanging_two_material_mesh():
+    # hanging nodes across both slab interfaces, eps and mu jumping at x = 1
+    materials = MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6))
+    return build_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), materials, [0.5, 0.4, 0.6],
+                      [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+                       np.array([0.0, 0.4, 1.0, 1.7, 2.0])])
+
+
+@pytest.mark.parametrize("family, hanging", [
+    pytest.param(TREFFTZ, False, id="trefftz"),
+    pytest.param(FULL, False, id="full"),
+    pytest.param(TREFFTZ, True, id="hanging-robin-trefftz"),
+    pytest.param(FULL, True, id="hanging-robin-full"),
+])
+def test_slab_march_matches_monolithic_solve(family, hanging):
     # the slab forward sweep must reproduce the one-shot dense space-time solve
-    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), UNIT, 2, 3)
-    spec = BasisSpec(family, 2)
+    if hanging:
+        # mixed degrees 1..3 and wall data: march refactors and reloads every slab
+        mesh = _hanging_two_material_mesh()
+        spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+        bc = BoundaryCondition.robin(g_l=GaussianPulse(0.5, 0.05),
+                                     g_r=lambda t: 0.2 * np.sin(3.0 * t))
+    else:
+        mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), UNIT, 2, 3)
+        spec = BasisSpec(family, 2)
+        bc = BoundaryCondition.dirichlet(e_l=lambda t: np.sin(t), e_r=lambda t: 0.0 * t)
     flux = FluxParams(alpha=0.3, beta=0.6)
-    bc = BoundaryCondition.dirichlet(e_l=lambda t: np.sin(t), e_r=lambda t: 0.0 * t)
     data = InitialData(GaussianPulse(1.0, 0.2), GaussianPulse(1.0, 0.2, -1.0))
     sol = march(mesh, spec, flux, bc, data)
     system = assemble_global(mesh, spec, flux, bc, initial_data=data)
