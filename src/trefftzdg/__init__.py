@@ -79,6 +79,7 @@ from .assembly import (
     assemble_slab,
     dump_matrix,
     global_layout,
+    slab_load,
 )
 from .solver import SolutionField, Spectrum, march, spectrum, update_matrix
 from .analysis import (

@@ -12,7 +12,8 @@ matrix A_j couples unknowns within slab j, the coupling matrix R_j
 carries the upwind trace of slab j - 1 to the right-hand side, so time
 stepping is A_j f_j = R_j f_{j-1} + b_j. assemble_slab is the one
 assembly of the form; assemble_global stacks its slab systems, and the
-slab march is forward substitution on that stacked system.
+slab march is forward substitution on that stacked system. slab_load
+assembles b_j alone, for assemble_slab and for slabs whose A, R are known.
 """
 
 import warnings
@@ -167,8 +168,7 @@ def global_layout(mesh, spec):
     if spec.uniform:
         dim = spec.dim_for(0)
         return dim * np.arange(mesh.n_elements), dim * mesh.n_elements
-    degree = dict(spec.degree)
-    dims = space_dim(spec.family, np.array([degree[i] for i in range(mesh.n_elements)]))
+    dims = space_dim(spec.family, np.array([spec.degree_for(i) for i in range(mesh.n_elements)]))
     ends = np.cumsum(dims)
     return ends - dims, int(ends[-1])
 
@@ -266,17 +266,31 @@ def _volume_block(basis, n_quad):
     return -blk
 
 
-def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
-                  source=None, face_quad=None, data_quad=None):
-    """Assemble A, R, b for one time slab.
+def _slab_frame(mesh, slab, spec, face_quad, data_quad):
+    """Element ids, quadrature orders and slab-local first dofs of a slab and its predecessor."""
+    ids = mesh.elem_grid[slab]
+    prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else []
+    p_max = max(spec.degree_for(i) for i in [*ids, *prev_ids])
+    quad = _quad_orders(spec, p_max, face_quad, data_quad)
+    starts, total = global_layout(mesh, spec)
+    starts = np.append(starts, total)
+    offsets = starts - starts[ids[0]]
+    prev_offsets = starts - starts[prev_ids[0]] if prev_ids else None
+    return ids, prev_ids, quad, offsets, prev_offsets
 
-    For slab > 0 the coupling matrix R is built against the previous
-    slab's basis traces on the interface; the previous coefficients
-    multiply R at solve time. Slab 0 instead integrates the initial
-    data into b and requires initial_data. A volume source is only
-    admissible with the full polynomial family; source(x, t) is the
-    current density J on the right of dH/dx + eps dE/dt = J and loads
-    the electric test slot.
+
+def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
+              source=None, face_quad=None, data_quad=None):
+    """Load vector b of one time slab: wall data, volume source, initial data.
+
+    This is the only part of the slab system that changes from slab to
+    slab on identical slabs, so the march assembles A and R once and
+    calls this for every further slab. With homogeneous walls and no
+    source it returns zeros for slab > 0 without touching the elements.
+    A volume source is only admissible with the full polynomial family;
+    source(x, t) is the current density J on the right of
+    dH/dx + eps dE/dt = J and loads the electric test slot. Slab 0
+    integrates the initial data and requires it.
     """
     if source is not None and spec.family == TREFFTZ:
         raise TrefftzWithSource(
@@ -285,25 +299,70 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
         )
     if slab == 0 and initial_data is None:
         raise MismatchedDomain("slab 0 requires initial data")
-    ids = mesh.elem_grid[slab]
-    p_max = max(spec.degree_for(i) for i in ids)
-    prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else []
-    if prev_ids:
-        p_max = max(p_max, max(spec.degree_for(i) for i in prev_ids))
-    n_face, n_data = _quad_orders(spec, p_max, face_quad, data_quad)
+    if slab > 0 and bc.homogeneous and source is None:
+        return np.zeros(sum(map(spec.dim_for, mesh.elem_grid[slab])))
+    ids, _, (_, n_data), offsets, _ = _slab_frame(mesh, slab, spec, face_quad, data_quad)
+    b = np.zeros(int(offsets[ids[-1] + 1]))
+    xi_d, w_d = gauss_rule(n_data)
 
-    starts, total = global_layout(mesh, spec)
-    starts = np.append(starts, total)
-    offsets = starts - starts[ids[0]]   # slab-local first dofs of this slab's elements
-    n = int(offsets[ids[-1] + 1])
-    prev_offsets = starts - starts[prev_ids[0]] if prev_ids else None
+    # lateral boundary data
+    for fi, side in ((mesh.left_faces[slab], -1), (mesh.right_faces[slab], +1)):
+        face = mesh.faces[fi]
+        e = mesh.elements[face.element]
+        B = element_basis(spec, e)
+        dt = 0.5 * e.ht * xi_d
+        f = _side_fields(B, dt, side)
+        t_abs = 0.5 * (face.lo + face.hi) + dt
+        load = _lateral_load(f, 0.5 * e.ht * w_d, t_abs, side, bc, flux.alpha_on(mesh, face),
+                             flux.delta, e.eps, e.mu)
+        if load is not None:
+            b[offsets[face.element]:offsets[face.element] + B.n] += load
+
+    # volume source, full polynomial family only
+    if source is not None:
+        for i in ids:
+            e = mesh.elements[i]
+            B = element_basis(spec, e)
+            dx = np.repeat(0.5 * e.hx * xi_d, n_data)
+            dt = np.tile(0.5 * e.ht * xi_d, n_data)
+            W = np.repeat(0.5 * e.hx * w_d, n_data) * np.tile(0.5 * e.ht * w_d, n_data)
+            xc, tc = e.center
+            J = np.asarray(source(xc + dx, tc + dt), dtype=float)
+            b[offsets[i]:offsets[i] + B.n] += B.eval_local(dx, dt)["E"] @ (W * J)
+
+    # initial data enters the first slab through the lower edge
+    if slab == 0:
+        for i in ids:
+            e = mesh.elements[i]
+            B = element_basis(spec, e)
+            xq, wq = map_to_segment(n_data, e.x0, e.x1)
+            f = _edge_fields(B, xq, -0.5 * e.ht)
+            e0 = np.asarray(initial_data.e0(xq), dtype=float)
+            h0 = np.asarray(initial_data.h0(xq), dtype=float)
+            b[offsets[i]:offsets[i] + B.n] += f["E"] @ (wq * e.eps * e0) + f["H"] @ (wq * e.mu * h0)
+
+    return b
+
+
+def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
+                  source=None, face_quad=None, data_quad=None):
+    """Assemble A, R, b for one time slab.
+
+    For slab > 0 the coupling matrix R is built against the previous
+    slab's basis traces on the interface; the previous coefficients
+    multiply R at solve time. The load b is slab_load's, so slab 0
+    requires initial_data and a source requires the full family.
+    """
+    b = slab_load(mesh, slab, spec, flux, bc, initial_data=initial_data, source=source,
+                  face_quad=face_quad, data_quad=data_quad)
+    ids, prev_ids, (n_face, _), offsets, prev_offsets = _slab_frame(
+        mesh, slab, spec, face_quad, data_quad)
     n_prev = int(prev_offsets[ids[0]]) if prev_ids else 0
     bases = {i: element_basis(spec, mesh.elements[i]) for i in ids}
     prev_bases = {i: element_basis(spec, mesh.elements[i]) for i in prev_ids}
 
-    A = np.zeros((n, n))
-    R = np.zeros((n, n_prev))
-    b = np.zeros(n)
+    A = np.zeros((b.size, b.size))
+    R = np.zeros((b.size, n_prev))
     xi_f, w_f = gauss_rule(n_face)
 
     # upper-edge energy pairing: the upwind term when the next slab tests
@@ -345,7 +404,7 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
                 cols = slice(offsets[col_id], offsets[col_id] + bases[col_id].n)
                 A[rows, cols] += _vertical_block(f_row, f_col, wq, sgn_r, sgn_c, a_f, b_f)
 
-    # lateral boundary terms and data
+    # lateral boundary terms
     for fi, side in ((mesh.left_faces[slab], -1), (mesh.right_faces[slab], +1)):
         face = mesh.faces[fi]
         e = mesh.elements[face.element]
@@ -356,46 +415,14 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
         f = _side_fields(B, dt, side)
         sl = slice(offsets[face.element], offsets[face.element] + B.n)
         A[sl, sl] += _lateral_block(f, wq, side, bc, a_f, flux.delta, e.eps, e.mu)
-        if not bc.homogeneous:
-            dt_d = 0.5 * e.ht * gauss_rule(n_data)[0]
-            wq_d = 0.5 * e.ht * gauss_rule(n_data)[1]
-            f_d = _side_fields(B, dt_d, side)
-            t_abs = 0.5 * (face.lo + face.hi) + dt_d
-            load = _lateral_load(f_d, wq_d, t_abs, side, bc, a_f, flux.delta, e.eps, e.mu)
-            if load is not None:
-                b[sl] += load
 
-    # first-order volume terms and source, full polynomial family only
+    # first-order volume terms, full polynomial family only
     if spec.family == FULL:
         for i in ids:
             sl = slice(offsets[i], offsets[i] + bases[i].n)
             A[sl, sl] += _volume_block(bases[i], n_face)
-        if source is not None:
-            for i in ids:
-                e = mesh.elements[i]
-                B = bases[i]
-                xi_d, w_d = gauss_rule(n_data)
-                dx = np.repeat(0.5 * e.hx * xi_d, n_data)
-                dt = np.tile(0.5 * e.ht * xi_d, n_data)
-                W = np.repeat(0.5 * e.hx * w_d, n_data) * np.tile(0.5 * e.ht * w_d, n_data)
-                xc, tc = e.center
-                J = np.asarray(source(xc + dx, tc + dt), dtype=float)
-                sl = slice(offsets[i], offsets[i] + B.n)
-                b[sl] += B.eval_local(dx, dt)["E"] @ (W * J)
 
-    # initial data enters the first slab through the lower edge
-    if slab == 0:
-        for i in ids:
-            e = mesh.elements[i]
-            B = bases[i]
-            xq, wq = map_to_segment(n_data, e.x0, e.x1)
-            f = _edge_fields(B, xq, -0.5 * e.ht)
-            e0 = np.asarray(initial_data.e0(xq), dtype=float)
-            h0 = np.asarray(initial_data.h0(xq), dtype=float)
-            sl = slice(offsets[i], offsets[i] + B.n)
-            b[sl] += f["E"] @ (wq * e.eps * e0) + f["H"] @ (wq * e.mu * h0)
-
-    return SlabSystem(slab=slab, A=A, R=R, b=b, n_dofs=n, n_prev=n_prev)
+    return SlabSystem(slab=slab, A=A, R=R, b=b, n_dofs=b.size, n_prev=n_prev)
 
 
 @dataclass

@@ -82,7 +82,9 @@ class BasisSpec:
             if self.degree < 0:
                 raise MismatchedDomain(f"degree must be non-negative, got {self.degree}")
         else:
-            bad = [p for p in dict(self.degree).values() if p < 0]
+            # converted once: per-element lookups must not copy the mapping
+            object.__setattr__(self, "_degrees", dict(self.degree))
+            bad = [p for p in self._degrees.values() if p < 0]
             if bad:
                 raise MismatchedDomain(f"degrees must be non-negative, got {bad}")
 
@@ -93,12 +95,15 @@ class BasisSpec:
     def degree_for(self, element_index):
         if isinstance(self.degree, int):
             return self.degree
-        return int(dict(self.degree)[element_index])
+        try:
+            return int(self._degrees[element_index])
+        except KeyError:
+            raise MismatchedDomain(f"no degree given for element {element_index}") from None
 
     def max_degree(self):
         if isinstance(self.degree, int):
             return self.degree
-        return max(dict(self.degree).values())
+        return max(self._degrees.values())
 
     def dim_for(self, element_index):
         return space_dim(self.family, self.degree_for(element_index))

@@ -5,8 +5,9 @@ matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix and a forward sweep.
 When all slabs share height and partition the matrices are bit-identical
-by construction (the assembly works in element-local offsets), and a
-single factorization serves the whole march.
+by construction (the assembly works in element-local offsets), so the
+march assembles A and R once, a single factorization serves every slab,
+and only the load b_j (wall data, source) is computed per slab.
 """
 
 import csv
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .assembly import assemble_slab, global_layout
+from .assembly import assemble_slab, global_layout, slab_load
 from .basis import element_basis
 from .errors import (
     DimensionMismatch,
@@ -119,30 +120,28 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
           face_quad=None, data_quad=None):
     """Solve the space-time system slab by slab.
 
-    Returns a SolutionField. Identical slabs share one factorization;
-    with data-carrying boundaries each slab still assembles its own
-    load vector.
+    Returns a SolutionField. On identical slabs with a uniform degree the
+    slab operator is assembled and factored once (A_0 = A_j, R_1 = R_j)
+    and every further slab computes only its load with slab_load;
+    otherwise each slab assembles and factors its own system.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
-    sys0 = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data,
-                         source=source, face_quad=face_quad, data_quad=data_quad)
-    factor = _factor(sys0.A, "slab 0 matrix")
-    coeffs[0][:] = linalg.lu_solve(factor, sys0.b, check_finite=False)
-    data_free = bc.homogeneous and source is None
+    quad = dict(face_quad=face_quad, data_quad=data_quad)
+    system = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data,
+                           source=source, **quad)
+    factor = _factor(system.A, "slab 0 matrix")
+    coeffs[0][:] = linalg.lu_solve(factor, system.b, check_finite=False)
     reuse = mesh.identical_slabs and spec.uniform
-    shared = None
     for j in range(1, mesh.n_slabs):
-        if reuse and shared is not None and data_free:
-            system = shared
+        if reuse and j > 1:
+            b = slab_load(mesh, j, spec, flux, bc, source=source, **quad)
         else:
-            system = assemble_slab(mesh, j, spec, flux, bc, source=source,
-                                   face_quad=face_quad, data_quad=data_quad)
-            if reuse:
-                shared = system
-            else:
+            system = assemble_slab(mesh, j, spec, flux, bc, source=source, **quad)
+            b = system.b
+            if not reuse:
                 factor = _factor(system.A, f"slab {j} matrix")
-        rhs = system.R @ coeffs[j - 1] + system.b
+        rhs = system.R @ coeffs[j - 1] + b
         coeffs[j][:] = linalg.lu_solve(factor, rhs, check_finite=False)
     return sol
 

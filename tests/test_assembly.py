@@ -23,6 +23,7 @@ from trefftzdg import (
     global_layout,
     l2_relative_error,
     march,
+    slab_load,
     uniform_mesh,
 )
 from trefftzdg.errors import (
@@ -81,6 +82,50 @@ def test_quadratic_form_equals_squared_dg_norm(family, bc_kind):
         norm = dg_norm(field_from_coefficients(mesh, spec, v, flux=flux, bc=bc),
                        flux=flux)
         assert quad == pytest.approx(norm**2, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("scaling", [False, True])
+def test_slab_operator_is_translation_invariant_and_slab_load_is_the_load(scaling):
+    # what the march relies on: on identical slabs A_j = A_0 and R_j = R_1 bit
+    # for bit, while slab_load reproduces each slab's own b
+    layered = MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6))
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), layered, 4, 4)
+    flux = FluxParams(alpha=0.3, beta=0.6, per_face_scaling=scaling)
+    bc = BoundaryCondition.robin(g_l=lambda t: np.exp(-(t - 1.0) ** 2),
+                                 g_r=lambda t: 0.2 * np.sin(3.0 * t))
+    data = InitialData(lambda x: np.sin(np.pi * x), lambda x: np.cos(x))
+    for family, source in ((TREFFTZ, None), (FULL, lambda x, t: x * np.exp(-t))):
+        spec = BasisSpec(family, 2)
+        systems = [assemble_slab(mesh, j, spec, flux, bc, initial_data=data, source=source)
+                   for j in range(mesh.n_slabs)]
+        for j, system in enumerate(systems):
+            assert np.array_equal(system.A, systems[0].A)
+            if j >= 1:
+                assert np.array_equal(system.R, systems[1].R)
+            load = slab_load(mesh, j, spec, flux, bc, initial_data=data, source=source)
+            assert np.array_equal(load, system.b)
+        assert not np.array_equal(systems[2].b, systems[3].b)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_trefftz_slab_matrix_couples_u_from_the_left_and_w_from_the_right(p):
+    # alpha = beta = 1/2 with unit materials is the upwind flux: inside the
+    # slab the right-moving u and the left-moving w decouple, and each
+    # element sees only u of its left and w of its right neighbour
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 5.0, 2.0), UNIT, 5, 2)
+    m, q = 2 * p + 2, p + 1
+    A = assemble_slab(mesh, 1, BasisSpec(TREFFTZ, p), FluxParams(alpha=0.5, beta=0.5),
+                      BoundaryCondition.pec()).A
+
+    def block(row, col):
+        return A[row * m:(row + 1) * m, col * m:(col + 1) * m]
+
+    for k in range(1, 4):
+        diag, left, right = block(k, k), block(k, k - 1), block(k, k + 1)
+        assert not diag[:q, q:].any() and not diag[q:, :q].any()
+        assert not left[q:, :].any() and not left[:, q:].any() and left[:q, :q].any()
+        assert not right[:q, :].any() and not right[:, :q].any() and right[q:, q:].any()
+        assert not block(k, k + 2).any() and not block(k + 1, k - 1).any()
 
 
 def _linear_profile():

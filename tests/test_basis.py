@@ -1,7 +1,11 @@
 """Local bases: dimensions, exact PDE residuals, orthogonality, embeddings."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
+
+from trefftzdg.assembly import global_layout
 
 from trefftzdg.basis import (
     FULL,
@@ -169,3 +173,43 @@ def test_spec_validation_and_per_element_degrees():
     assert spec.dim_for(1) == 8
     assert spec.max_degree() == 3
     assert element_basis(spec, mesh.elements[1]).n == 8
+
+
+class _CountingDegrees(Mapping):
+    """Degree mapping that counts how often it is read."""
+
+    def __init__(self, degrees):
+        self.degrees = degrees
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.degrees[key]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.degrees)
+
+    def __len__(self):
+        return len(self.degrees)
+
+
+def test_per_element_degrees_are_converted_once():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 4.0, 2.0), MaterialLayout.constant(), 4, 2)
+    degrees = _CountingDegrees({i: 1 + i % 3 for i in range(mesh.n_elements)})
+    spec = BasisSpec(FULL, degrees)
+    reads = degrees.reads
+    assert [spec.degree_for(i) for i in range(mesh.n_elements)] == [1, 2, 3, 1, 2, 3, 1, 2]
+    assert spec.max_degree() == 3
+    starts, total = global_layout(mesh, spec)
+    assert total == sum(spec.dim_for(i) for i in range(mesh.n_elements))
+    assert degrees.reads == reads
+
+
+def test_missing_element_degree_names_the_element():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), MaterialLayout.constant(), 2, 2)
+    spec = BasisSpec(TREFFTZ, {0: 1, 1: 2, 3: 1})
+    with pytest.raises(MismatchedDomain, match="element 2"):
+        spec.degree_for(2)
+    with pytest.raises(MismatchedDomain, match="element 2"):
+        global_layout(mesh, spec)

@@ -17,6 +17,7 @@ from trefftzdg import (
     MaterialLayout,
     SpaceTimeDomain,
     assemble_global,
+    assemble_slab,
     build_mesh,
     global_coefficients,
     l2_relative_error,
@@ -25,6 +26,7 @@ from trefftzdg import (
     uniform_mesh,
     update_matrix,
 )
+from trefftzdg import solver
 from trefftzdg.errors import InhomogeneousSlabs, UnsupportedBC
 
 UNIT = MaterialLayout.constant()
@@ -67,32 +69,73 @@ def _hanging_two_material_mesh():
                        np.array([0.0, 0.4, 1.0, 1.7, 2.0])])
 
 
-@pytest.mark.parametrize("family, hanging", [
-    pytest.param(TREFFTZ, False, id="trefftz"),
-    pytest.param(FULL, False, id="full"),
-    pytest.param(TREFFTZ, True, id="hanging-robin-trefftz"),
-    pytest.param(FULL, True, id="hanging-robin-full"),
+@pytest.mark.parametrize("family, case", [
+    pytest.param(TREFFTZ, "dirichlet", id="trefftz"),
+    pytest.param(FULL, "dirichlet", id="full"),
+    pytest.param(TREFFTZ, "hanging", id="hanging-robin-trefftz"),
+    pytest.param(FULL, "hanging", id="hanging-robin-full"),
+    pytest.param(FULL, "source", id="full-source-robin"),
 ])
-def test_slab_march_matches_monolithic_solve(family, hanging):
+def test_slab_march_matches_monolithic_solve(family, case):
     # the slab forward sweep must reproduce the one-shot dense space-time solve
-    if hanging:
+    source = None
+    if case == "hanging":
         # mixed degrees 1..3 and wall data: march refactors and reloads every slab
         mesh = _hanging_two_material_mesh()
         spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)})
         bc = BoundaryCondition.robin(g_l=GaussianPulse(0.5, 0.05),
                                      g_r=lambda t: 0.2 * np.sin(3.0 * t))
+    elif case == "source":
+        # identical slabs: from slab 2 on the march computes only the load,
+        # which carries both the wall data and the volume source
+        mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.5), UNIT, 2, 5)
+        spec = BasisSpec(family, 2)
+        bc = BoundaryCondition.robin(g_l=GaussianPulse(0.5, 0.05),
+                                     g_r=lambda t: 0.2 * np.sin(3.0 * t))
+        source = lambda x, t: np.cos(3.0 * x) * np.exp(-t)
     else:
         mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), UNIT, 2, 3)
         spec = BasisSpec(family, 2)
         bc = BoundaryCondition.dirichlet(e_l=lambda t: np.sin(t), e_r=lambda t: 0.0 * t)
     flux = FluxParams(alpha=0.3, beta=0.6)
     data = InitialData(GaussianPulse(1.0, 0.2), GaussianPulse(1.0, 0.2, -1.0))
-    sol = march(mesh, spec, flux, bc, data)
-    system = assemble_global(mesh, spec, flux, bc, initial_data=data)
+    sol = march(mesh, spec, flux, bc, data, source=source)
+    system = assemble_global(mesh, spec, flux, bc, initial_data=data, source=source)
     direct = np.linalg.solve(system.matrix, system.load)
     stacked = global_coefficients(sol)
     scale = np.abs(direct).max()
     assert np.abs(stacked - direct).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("bc", [
+    pytest.param(BoundaryCondition.pec(), id="pec"),
+    pytest.param(BoundaryCondition.robin(g_l=GaussianPulse(0.5, 0.05),
+                                         g_r=lambda t: 0.2 * np.sin(3.0 * t)), id="robin-data"),
+])
+def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, bc):
+    assembled = []
+
+    def counting(mesh, slab, *args, **kwargs):
+        assembled.append(slab)
+        return assemble_slab(mesh, slab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_slab", counting)
+    flux = FluxParams()
+    data = InitialData(GaussianPulse(1.0, 0.2), GaussianPulse(1.0, 0.2))
+    for n_t in (3, 6):
+        mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 0.5 * n_t), UNIT, 2, n_t)
+        assembled.clear()
+        march(mesh, BasisSpec(TREFFTZ, 2), flux, bc, data)
+        assert assembled == [0, 1]
+        # per-element degrees: every slab assembles and factors its own system
+        assembled.clear()
+        march(mesh, BasisSpec(TREFFTZ, {i: 1 + i % 2 for i in range(mesh.n_elements)}),
+              flux, bc, data)
+        assert assembled == list(range(n_t))
+    mesh = _hanging_two_material_mesh()
+    assembled.clear()
+    march(mesh, BasisSpec(TREFFTZ, 2), flux, bc, data)
+    assert assembled == list(range(mesh.n_slabs))
 
 
 def test_update_operator_advances_the_march():
