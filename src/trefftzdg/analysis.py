@@ -35,20 +35,20 @@ from .solver import SolutionField
 
 
 def _max_degree(sol):
-    spec = sol.spec
-    if isinstance(spec.degree, int):
-        return spec.degree
-    return max(spec.degree_for(i) for i in range(sol.mesh.n_elements))
+    return int(sol.spec.degrees(range(sol.mesh.n_elements)).max())
 
 
-def _slab_groups(mesh, spec, slab):
-    """Group a slab's elements by local signature for shared basis tables."""
-    groups = {}
-    for i in mesh.elem_grid[slab]:
-        e = mesh.elements[i]
-        key = (e.hx, e.ht, e.eps, e.mu, spec.degree_for(i))
-        groups.setdefault(key, []).append(i)
-    return groups
+def _signature_groups(mesh, spec):
+    """Element ids grouped by slab and local signature (hx, ht, eps, mu, p).
+
+    Each group is ascending and the groups run in order of first
+    appearance, as a slab-by-slab dict of signatures would list them.
+    """
+    keys = np.column_stack([mesh.slab, mesh.hx, mesh.ht, mesh.eps, mesh.mu,
+                            spec.degrees(range(mesh.n_elements))])
+    order = np.lexsort(keys[:, ::-1].T)
+    breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
+    return sorted(np.split(order, breaks + 1), key=lambda ids: ids[0])
 
 
 def _local_tensor(e, n):
@@ -69,37 +69,35 @@ def l2_relative_error(sol, reference, quad_order=None):
     n = quad_order if quad_order is not None else _max_degree(sol) + 6
     num = 0.0
     den = 0.0
-    for j in range(mesh.n_slabs):
-        for key, ids in _slab_groups(mesh, spec, j).items():
-            e0 = mesh.elements[ids[0]]
-            basis = element_basis(spec, e0)
-            dx, dt, W = _local_tensor(e0, n)
-            fields = basis.eval_local(dx, dt)
-            C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
-            E = C @ fields["E"]
-            H = C @ fields["H"]
-            xc = np.array([0.5 * (mesh.elements[i].x0 + mesh.elements[i].x1) for i in ids])
-            tc = np.array([0.5 * (mesh.elements[i].t0 + mesh.elements[i].t1) for i in ids])
-            X = xc[:, None] + dx[None, :]
-            T = tc[:, None] + dt[None, :]
-            Er, Hr = reference.evaluate(X, T)
-            num += float(np.sum(W * ((Er - E) ** 2 + (Hr - H) ** 2)))
-            den += float(np.sum(W * (Er**2 + Hr**2)))
+    for ids in _signature_groups(mesh, spec):
+        e0 = mesh.elements[ids[0]]
+        basis = element_basis(spec, e0)
+        dx, dt, W = _local_tensor(e0, n)
+        fields = basis.eval_local(dx, dt)
+        C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
+        E = C @ fields["E"]
+        H = C @ fields["H"]
+        X = 0.5 * (mesh.x0[ids] + mesh.x1[ids])[:, None] + dx[None, :]
+        T = 0.5 * (mesh.t0[ids] + mesh.t1[ids])[:, None] + dt[None, :]
+        Er, Hr = reference.evaluate(X, T)
+        num += float(np.sum(W * ((Er - E) ** 2 + (Hr - H) ** 2)))
+        den += float(np.sum(W * (Er**2 + Hr**2)))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return math.sqrt(num / den)
 
 
 # Face kinds in the order the DG norm sums them: whether they run along x,
-# and per adjacent element its Face field, the sign of the edge's offset
-# from the element centre and the side a reference is traced from.
+# and per adjacent element its column in the FaceTable's elements, the sign
+# of the edge's offset from the element centre and the side a reference is
+# traced from.
 _KINDS = {
-    FaceKind.HOR_INTERNAL: (True, (("below", +1, "below"), ("above", -1, "above"))),
-    FaceKind.BOTTOM: (True, (("element", -1, "above"),)),
-    FaceKind.TOP: (True, (("element", +1, "below"),)),
-    FaceKind.VER_INTERNAL: (False, (("left", +1, "left"), ("right", -1, "right"))),
-    FaceKind.LEFT: (False, (("element", -1, "right"),)),
-    FaceKind.RIGHT: (False, (("element", +1, "left"),)),
+    FaceKind.HOR_INTERNAL: (True, ((0, +1, "below"), (1, -1, "above"))),
+    FaceKind.BOTTOM: (True, ((1, -1, "above"),)),
+    FaceKind.TOP: (True, ((0, +1, "below"),)),
+    FaceKind.VER_INTERNAL: (False, ((0, +1, "left"), (1, -1, "right"))),
+    FaceKind.LEFT: (False, ((1, -1, "right"),)),
+    FaceKind.RIGHT: (False, ((0, +1, "left"),)),
 }
 
 #: functions x points per eval_local call: bounds its six-field tables at 0.75 MB
@@ -139,14 +137,13 @@ class _Skeleton:
     see alone, so sums repeat a face-by-face loop bit for bit.
     """
 
-    def __init__(self, sol, flux=None, elements=None):
+    def __init__(self, sol, flux=None):
         self.sol, self.flux = sol, flux
-        es = sol.mesh.elements
-        ids = range(len(es)) if elements is None else elements
-        # columns: xc, tc, hx, ht, eps, mu, p; filled for the elements to trace
-        self.geo = np.empty((len(es), 7))
-        self.geo[list(ids)] = [(*es[i].center, es[i].hx, es[i].ht, es[i].eps, es[i].mu,
-                                sol.spec.degree_for(i)) for i in ids]
+        mesh = sol.mesh
+        # columns: xc, tc, hx, ht, eps, mu, p
+        self.geo = np.column_stack([0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1),
+                                    mesh.hx, mesh.ht, mesh.eps, mesh.mu,
+                                    sol.spec.degrees(range(mesh.n_elements))])
 
     def traces(self, ids, dx, dt):
         """(E, H) at offsets dx, dt from the centres of the elements ids."""
@@ -185,13 +182,12 @@ class _Skeleton:
         """The faces of one kind with n Gauss points each, or None if there are none."""
         mesh, flux = self.sol.mesh, self.flux
         horizontal, sides = _KINDS[kind]
-        faces = [f for f in mesh.faces if f.kind is kind]
-        if not faces:
+        table = mesh.face_tables[kind]
+        if not len(table.pos):
             return None
-        pos, lo, hi = np.array([(f.pos, f.lo, f.hi) for f in faces]).T
         stacked = []
-        for field_name, sign, side in sides:
-            ids = np.array([getattr(f, field_name) for f in faces])
+        for column, sign, side in sides:
+            ids = table.elements[:, column]
             stacked.append((ids, sign * 0.5 * self.geo[ids, 3 if horizontal else 2], side))
         eps, mu = self.geo[ids, 4], self.geo[ids, 5]
         wall = kind in (FaceKind.LEFT, FaceKind.RIGHT)
@@ -201,9 +197,10 @@ class _Skeleton:
             zi = np.sqrt(mu / eps)
             weights = (1.0 - flux.delta) / zi, flux.delta * zi
         else:
-            beta = [0.0 if wall else flux.beta_on(mesh, f) for f in faces]
-            weights = np.array([flux.alpha_on(mesh, f) for f in faces]), np.array(beta)
-        return self.faces(horizontal, pos, 0.5 * (lo + hi), 0.5 * (hi - lo), stacked, n,
+            alpha, beta = flux.penalties(mesh, table.elements)
+            weights = alpha, (np.zeros(len(table.pos)) if wall else beta)
+        lo, hi = table.lo, table.hi
+        return self.faces(horizontal, table.pos, 0.5 * (lo + hi), 0.5 * (hi - lo), stacked, n,
                           weights, 0.5 if horizontal else 1.0)
 
     def squared_jumps(self, kinds, n, reference):
@@ -280,8 +277,7 @@ def discrete_energy(sol, t, side=None):
         slab = mesh.n_slabs - 1
     else:
         slab = mesh.slab_of_time(t, side=side)
-    skeleton = _Skeleton(sol, elements=mesh.elem_grid[slab])
-    return float(skeleton.energies([slab], [t], _max_degree(sol) + 2)[0])
+    return float(_Skeleton(sol).energies([slab], [t], _max_degree(sol) + 2)[0])
 
 
 def energy_trajectory(sol):
@@ -411,8 +407,7 @@ def project_to_space(mesh, spec, reference, quad_order=None):
     condition; useful as a side-aware discrete stand-in for the exact
     solution.
     """
-    p_max = spec.max_degree() if isinstance(spec.degree, int) else max(
-        spec.degree_for(i) for i in range(mesh.n_elements))
+    p_max = int(spec.degrees(range(mesh.n_elements)).max())
     n = quad_order if quad_order is not None else p_max + 6
     starts, total = global_layout(mesh, spec)
     flat = np.zeros(total)

@@ -71,26 +71,28 @@ class FluxParams:
         if not 0 < self.delta < 1:
             raise MismatchedDomain(f"delta must lie in (0, 1), got {self.delta}")
 
-    def _face_data(self, mesh, face):
-        if face.kind is FaceKind.VER_INTERNAL:
-            el = mesh.elements[face.left]
-            er = mesh.elements[face.right]
-            return min(el.hx, er.hx), max(el.eps, er.eps), max(el.mu, er.mu)
-        e = mesh.elements[face.element]
-        return e.hx, e.eps, e.mu
+    def penalties(self, mesh, elements):
+        """alpha and beta on vertical faces, given as (left, right) element id pairs.
+
+        elements is an (n, 2) array, -1 on the outside of a wall face (a
+        FaceTable's elements). With per_face_scaling both are scaled by
+        hx_max / h_f, h_f the smaller adjacent width, and by the larger
+        adjacent eps (alpha) or mu (beta).
+        """
+        ids = np.asarray(elements)
+        if not self.per_face_scaling:
+            return np.full(len(ids), self.alpha), np.full(len(ids), self.beta)
+        ids = np.where(ids < 0, ids[:, ::-1], ids)
+        scale = mesh.hx_max / mesh.hx[ids].min(axis=1)
+        return (self.alpha * scale * mesh.eps[ids].max(axis=1),
+                self.beta * scale * mesh.mu[ids].max(axis=1))
 
     def alpha_on(self, mesh, face):
-        """alpha on a face; scaled by mesh ratio and local eps when enabled."""
-        if not self.per_face_scaling:
-            return self.alpha
-        h_f, eps_f, _ = self._face_data(mesh, face)
-        return self.alpha * (mesh.hx_max / h_f) * eps_f
+        """alpha on one vertical face view; see penalties."""
+        return self.penalties(mesh, [(face.left, face.right)])[0][0]
 
     def beta_on(self, mesh, face):
-        if not self.per_face_scaling:
-            return self.beta
-        h_f, _, mu_f = self._face_data(mesh, face)
-        return self.beta * (mesh.hx_max / h_f) * mu_f
+        return self.penalties(mesh, [(face.left, face.right)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,7 @@ def global_layout(mesh, spec):
     Element indices run slab by slab, so this one array also gives every
     slab's block and the slab-local offsets within it.
     """
-    if spec.uniform:
-        dim = spec.dim_for(0)
-        return dim * np.arange(mesh.n_elements), dim * mesh.n_elements
-    dims = space_dim(spec.family, np.array([spec.degree_for(i) for i in range(mesh.n_elements)]))
+    dims = space_dim(spec.family, spec.degrees(range(mesh.n_elements)))
     ends = np.cumsum(dims)
     return ends - dims, int(ends[-1])
 
@@ -267,15 +266,21 @@ def _volume_block(basis, n_quad):
 
 
 def _slab_frame(mesh, slab, spec, face_quad, data_quad):
-    """Element ids, quadrature orders and slab-local first dofs of a slab and its predecessor."""
+    """Element ids, quadrature orders and slab-local first dofs of a slab and its predecessor.
+
+    offsets and prev_offsets map element ids to first dofs counted from
+    the slab's or the predecessor's first element; the id after each
+    slab's last element maps to that slab's end.
+    """
     ids = mesh.elem_grid[slab]
-    prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else []
-    p_max = max(spec.degree_for(i) for i in [*ids, *prev_ids])
-    quad = _quad_orders(spec, p_max, face_quad, data_quad)
-    starts, total = global_layout(mesh, spec)
-    starts = np.append(starts, total)
-    offsets = starts - starts[ids[0]]
-    prev_offsets = starts - starts[prev_ids[0]] if prev_ids else None
+    prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else range(ids.start, ids.start)
+    both = range(prev_ids.start, ids.stop)
+    degrees = spec.degrees(both)
+    quad = _quad_orders(spec, int(degrees.max()), face_quad, data_quad)
+    starts = np.cumsum(np.append(0, space_dim(spec.family, degrees)))
+    keys = range(both.start, both.stop + 1)
+    offsets = dict(zip(keys, (starts - starts[len(prev_ids)]).tolist()))
+    prev_offsets = dict(zip(keys, starts.tolist())) if prev_ids else None
     return ids, prev_ids, quad, offsets, prev_offsets
 
 
@@ -368,8 +373,8 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab
     for i in ids:
-        e = mesh.elements[i]
         B = bases[i]
+        e = B.element
         xq, wq = map_to_segment(n_face, e.x0, e.x1)
         f = _edge_fields(B, xq, +0.5 * e.ht)
         sl = slice(offsets[i], offsets[i] + B.n)
@@ -378,8 +383,8 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
     # coupling to the previous slab across interface pieces
     for fi in (mesh.hor_pieces[slab - 1] if slab > 0 else []):
         face = mesh.faces[fi]
-        eb = mesh.elements[face.below]
-        ea = mesh.elements[face.above]
+        eb = prev_bases[face.below].element
+        ea = bases[face.above].element
         xq, wq = map_to_segment(n_face, face.lo, face.hi)
         f_lo = _edge_fields(prev_bases[face.below], xq, +0.5 * eb.ht)
         f_up = _edge_fields(bases[face.above], xq, -0.5 * ea.ht)
@@ -389,11 +394,11 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
         R[rows, cols] += _pair_mass(f_up, f_lo, wq, ea.eps, ea.mu)
 
     # vertical internal faces: centred flux with jump penalties
-    for fi in mesh.ver_faces[slab]:
+    pairs = mesh.face_tables[FaceKind.VER_INTERNAL].elements
+    for fi, a_f, b_f in zip(mesh.ver_faces[slab], *flux.penalties(
+            mesh, pairs[mesh.ver_starts[slab]:mesh.ver_starts[slab + 1]])):
         face = mesh.faces[fi]
-        el, er = mesh.elements[face.left], mesh.elements[face.right]
-        a_f = flux.alpha_on(mesh, face)
-        b_f = flux.beta_on(mesh, face)
+        el = bases[face.left].element
         dt = 0.5 * el.ht * xi_f
         wq = 0.5 * el.ht * w_f
         f_l = _side_fields(bases[face.left], dt, +1)
@@ -407,8 +412,8 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
     # lateral boundary terms
     for fi, side in ((mesh.left_faces[slab], -1), (mesh.right_faces[slab], +1)):
         face = mesh.faces[fi]
-        e = mesh.elements[face.element]
         B = bases[face.element]
+        e = B.element
         a_f = flux.alpha_on(mesh, face)
         dt = 0.5 * e.ht * xi_f
         wq = 0.5 * e.ht * w_f

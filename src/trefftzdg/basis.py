@@ -100,6 +100,12 @@ class BasisSpec:
         except KeyError:
             raise MismatchedDomain(f"no degree given for element {element_index}") from None
 
+    def degrees(self, ids):
+        """Degrees of the elements ids, as an int array."""
+        if isinstance(self.degree, int):
+            return np.full(len(ids), self.degree)
+        return np.array([self.degree_for(i) for i in ids], dtype=int)
+
     def max_degree(self):
         if isinstance(self.degree, int):
             return self.degree

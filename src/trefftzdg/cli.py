@@ -201,7 +201,7 @@ def _report(cfg, sol, name):
     energy_final = discrete_energy(sol, mesh.domain.t_final, side="below")
     return ErrorReport(
         experiment=name,
-        h_x=mesh.elements[0].hx, h_t=mesh.elements[0].ht,
+        h_x=mesh.hx[0], h_t=mesh.ht[0],
         p=spec.max_degree(), family=spec.family,
         alpha=flux.alpha, beta=flux.beta,
         eps_q=eps_q, dg=dg, energy_final=energy_final,

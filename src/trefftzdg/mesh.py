@@ -6,11 +6,26 @@ by splitting the interface into pieces of the union partition) but
 never inside a slab. Material interfaces must coincide with partition
 breakpoints in every slab, which keeps the coefficients constant on
 each element.
+
+A Mesh is a set of read-only numpy arrays. Elements are numbered slab
+by slab, left to right: x0, x1, t0, t1, eps, mu, slab and col hold one
+entry per element, and slab j owns the index range
+slab_starts[j]:slab_starts[j + 1] (elem_grid[j]). Faces live in one
+FaceTable per FaceKind, in mesh order: pos, lo, hi and the two adjacent
+element ids. hor_starts and ver_starts are the per-interface and
+per-slab offsets into the HOR_INTERNAL and VER_INTERNAL tables.
+Element and Face are views built on demand (mesh.elements[i],
+mesh.faces[fi], face ids numbered kind by kind in FaceKind order) for
+code that works one cell or face at a time.
 """
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from collections import namedtuple
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -97,7 +112,7 @@ class MaterialLayout:
 
 @dataclass(frozen=True)
 class Element:
-    """Axis-aligned space-time cell with constant materials."""
+    """Axis-aligned space-time cell with constant materials: a view of one mesh row."""
 
     index: int
     slab: int
@@ -142,7 +157,7 @@ class FaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Face:
-    """Skeleton segment.
+    """Skeleton segment: a view of one FaceTable row.
 
     Horizontal faces (BOTTOM/TOP/HOR_INTERNAL) run along x at fixed
     time `pos` over (lo, hi); vertical faces (VER_INTERNAL/LEFT/RIGHT)
@@ -161,9 +176,8 @@ class Face:
     left: int = -1
     right: int = -1
 
-    @property
-    def length(self):
-        return self.hi - self.lo
+
+_HORIZONTAL = (FaceKind.BOTTOM, FaceKind.TOP, FaceKind.HOR_INTERNAL)
 
 
 def union_interface(partition_a, partition_b, tol=None):
@@ -213,45 +227,150 @@ def _validate_partition(partition, domain, materials, slab_index):
     return p
 
 
-@dataclass
+#: The faces of one kind in mesh order, as read-only arrays. Row r is the
+#: segment (lo[r], hi[r]) at pos[r], as in Face; elements[r] holds the
+#: adjacent element below (horizontal kinds) or left (vertical kinds) of
+#: the face, then the one above or right, with -1 outside the boundary.
+FaceTable = namedtuple("FaceTable", "pos lo hi elements")
+
+
+class _Rows(Sequence):
+    """Sequence of n row views, each built on demand by make(i)."""
+
+    def __init__(self, n, make):
+        self._n, self._make = n, make
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        return self._make(range(self._n)[operator.index(i)])
+
+
+def _ranges(offsets):
+    """The index ranges between consecutive offsets."""
+    bounds = np.asarray(offsets).tolist()
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _pair(a, b):
+    """(n, 2) element ids from two columns, either of which may be the scalar -1."""
+    return np.column_stack(np.broadcast_arrays(a, b))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
+    """Space-time mesh as read-only arrays (see the module docstring)."""
+
     domain: SpaceTimeDomain
     materials: MaterialLayout
     slab_heights: np.ndarray
     slab_times: np.ndarray          # length n_slabs + 1, slab_times[0] == 0
-    partitions: list                # one breakpoint array per slab
-    elements: list = field(default_factory=list)
-    faces: list = field(default_factory=list)
-    elem_grid: list = field(default_factory=list)   # elem_grid[slab][col] -> element index
-    # face indices grouped for assembly: per-slab and per-interface views
-    bottom_faces: list = field(default_factory=list)
-    top_faces: list = field(default_factory=list)
-    hor_pieces: list = field(default_factory=list)  # hor_pieces[j]: slab j / j+1 interface
-    ver_faces: list = field(default_factory=list)   # ver_faces[j]: internal faces of slab j
-    left_faces: list = field(default_factory=list)
-    right_faces: list = field(default_factory=list)
+    partitions: tuple               # one breakpoint array per slab
+    slab_starts: np.ndarray         # slab j owns elements slab_starts[j]:slab_starts[j + 1]
+    x0: np.ndarray
+    x1: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    eps: np.ndarray
+    mu: np.ndarray
+    slab: np.ndarray
+    col: np.ndarray
+    face_tables: dict               # FaceKind -> FaceTable
+    hor_starts: np.ndarray          # first HOR_INTERNAL row of each interface, then the count
+    ver_starts: np.ndarray          # first VER_INTERNAL row of each slab, then the count
+
+    def __post_init__(self):
+        # the cached properties below rely on the mesh staying as built
+        tables = self.face_tables.values()
+        for a in [*vars(self).values(), *self.partitions, *chain.from_iterable(tables)]:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def n_slabs(self):
-        return len(self.partitions)
+        return len(self.slab_heights)
 
     @property
     def n_elements(self):
-        return len(self.elements)
+        return len(self.x0)
 
-    @property
+    @cached_property
+    def hx(self):
+        return _read_only(self.x1 - self.x0)
+
+    @cached_property
+    def ht(self):
+        return _read_only(self.t1 - self.t0)
+
+    @cached_property
     def identical_slabs(self):
         """True when every slab shares height and spatial partition exactly."""
-        h0 = self.slab_heights[0]
-        if any(h != h0 for h in self.slab_heights):
+        counts = np.diff(self.slab_starts)
+        if np.any(counts != counts[0]) or np.any(self.slab_heights != self.slab_heights[0]):
             return False
-        p0 = self.partitions[0]
-        return all(np.array_equal(p, p0) for p in self.partitions[1:])
+        rows = np.column_stack([self.x0, self.x1]).reshape(self.n_slabs, -1)
+        return bool(np.all(rows == rows[0]))
 
     @cached_property
     def hx_max(self):
-        """Largest element width; computed once, the mesh is final after build_mesh."""
-        return max(e.hx for e in self.elements)
+        """Largest element width."""
+        return float(self.hx.max())
+
+    @cached_property
+    def elem_grid(self):
+        """Element index range of each slab."""
+        return _ranges(self.slab_starts)
+
+    @cached_property
+    def elements(self):
+        """Element views, built on demand."""
+        return _Rows(self.n_elements, lambda i: Element(
+            i, int(self.slab[i]), int(self.col[i]), self.x0[i], self.x1[i],
+            self.t0[i], self.t1[i], float(self.eps[i]), float(self.mu[i])))
+
+    @cached_property
+    def _face_ids(self):
+        """Face ids of each kind; they run kind by kind in FaceKind order."""
+        ends = np.cumsum([len(self.face_tables[kind].pos) for kind in FaceKind])
+        return dict(zip(FaceKind, _ranges(np.append(0, ends))))
+
+    @cached_property
+    def faces(self):
+        """Face views, built on demand."""
+        def face(fi):
+            kind, ids = next((k, ids) for k, ids in self._face_ids.items() if fi in ids)
+            table, r = self.face_tables[kind], fi - ids.start
+            a, b = table.elements[r].tolist()
+            sides = dict(below=a, above=b) if kind in _HORIZONTAL else dict(left=a, right=b)
+            return Face(kind, table.pos[r], table.lo[r], table.hi[r],
+                        element=max(a, b) if min(a, b) < 0 else -1, **sides)
+        return _Rows(sum(map(len, self._face_ids.values())), face)
+
+    @cached_property
+    def hor_pieces(self):
+        """Face ids of each slab interface's pieces; hor_pieces[j] joins slabs j and j + 1."""
+        return _ranges(self._face_ids[FaceKind.HOR_INTERNAL].start + self.hor_starts)
+
+    @cached_property
+    def ver_faces(self):
+        """Face ids of each slab's internal vertical faces."""
+        return _ranges(self._face_ids[FaceKind.VER_INTERNAL].start + self.ver_starts)
+
+    @property
+    def left_faces(self):
+        """Face id of each slab's face on x = x_l."""
+        return self._face_ids[FaceKind.LEFT]
+
+    @property
+    def right_faces(self):
+        """Face id of each slab's face on x = x_r."""
+        return self._face_ids[FaceKind.RIGHT]
 
     def slab_of_time(self, t, side=None):
         """Index of the slab containing time t; `side` breaks interface ties."""
@@ -286,7 +405,7 @@ class Mesh:
             k -= 1
         elif x_side is None and k > 0 and abs(x - p[k]) <= tol:
             k -= 1  # tie toward the smaller element index
-        return self.elements[self.elem_grid[j][k]]
+        return self.elements[self.slab_starts[j] + k]
 
     def elements_at(self, x, t, t_side=None, x_side=None):
         """Indices of the elements containing the points (x, t).
@@ -319,7 +438,7 @@ class Mesh:
             k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 2)
             if x_side in ("left", None):
                 k = k - ((k > 0) & (np.abs(xs - p[k]) <= tol_x))
-            out[here] = np.asarray(self.elem_grid[slab])[k]
+            out[here] = self.slab_starts[slab] + k
         return out
 
 
@@ -346,9 +465,9 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
         raise EmptyPartition("empty partition list")
     first = np.asarray(x_partitions[0], dtype=float)
     if first.ndim == 0:  # a single flat array was passed
-        parts = [np.asarray(x_partitions, dtype=float)] * n_slabs
+        parts = [np.array(x_partitions, dtype=float)] * n_slabs
     else:
-        parts = [np.asarray(p, dtype=float) for p in x_partitions]
+        parts = [np.array(p, dtype=float) for p in x_partitions]
         if len(parts) != n_slabs:
             raise MismatchedDomain(
                 f"{len(parts)} partitions for {n_slabs} slabs"
@@ -362,74 +481,56 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
     for j, h in enumerate(heights):
         times[j + 1] = times[j] + h
 
-    mesh = Mesh(
+    # elements, slab by slab and left to right
+    starts = np.cumsum([0] + [len(p) - 1 for p in parts])
+    slab = np.repeat(np.arange(n_slabs), np.diff(starts))
+    x0 = np.concatenate([p[:-1] for p in parts])
+    x1 = np.concatenate([p[1:] for p in parts])
+    t0 = times[slab]
+    t1 = t0 + np.asarray(heights)[slab]
+    mids = 0.5 * (x0 + x1)
+
+    # slab interfaces, each split at the union of its two partitions
+    pieces = []
+    for j in range(n_slabs - 1):
+        interface = union_interface(parts[j], parts[j + 1])
+        lo, hi = interface[:-1], interface[1:]
+        mid = 0.5 * (lo + hi)
+        below = starts[j] + np.searchsorted(parts[j], mid) - 1
+        above = starts[j + 1] + np.searchsorted(parts[j + 1], mid) - 1
+        pieces.append((np.full(len(lo), times[j + 1]), lo, hi, _pair(below, above)))
+    left, right = starts[:-1], starts[1:] - 1  # each slab's wall elements
+    inner = np.delete(np.arange(starts[-1]), right)  # elements with a right neighbour
+    bottom = np.arange(starts[1])
+    top = np.arange(starts[-2], starts[-1])
+    tables = {
+        FaceKind.BOTTOM: (np.zeros(len(bottom)), x0[bottom], x1[bottom], _pair(-1, bottom)),
+        FaceKind.TOP: (np.full(len(top), times[-1]), x0[top], x1[top], _pair(top, -1)),
+        FaceKind.HOR_INTERNAL: [np.concatenate(c) for c in zip(*pieces)] if pieces else
+        [np.zeros(0)] * 3 + [np.zeros((0, 2), dtype=int)],
+        FaceKind.VER_INTERNAL: (x1[inner], t0[inner], t1[inner], _pair(inner, inner + 1)),
+        FaceKind.LEFT: (x0[left], times[:-1], times[1:], _pair(-1, left)),
+        FaceKind.RIGHT: (x1[right], times[:-1], times[1:], _pair(right, -1)),
+    }
+    return Mesh(
         domain=domain,
         materials=materials,
         slab_heights=np.asarray(heights),
         slab_times=times,
-        partitions=parts,
+        partitions=tuple(parts),
+        slab_starts=starts,
+        x0=x0,
+        x1=x1,
+        t0=t0,
+        t1=t1,
+        eps=materials.eps_at(mids),
+        mu=materials.mu_at(mids),
+        slab=slab,
+        col=np.arange(starts[-1]) - starts[slab],
+        face_tables={kind: FaceTable(*columns) for kind, columns in tables.items()},
+        hor_starts=np.cumsum([0] + [len(p[0]) for p in pieces]),
+        ver_starts=starts - np.arange(n_slabs + 1),
     )
-
-    for j, p in enumerate(parts):
-        row = []
-        mids = 0.5 * (p[:-1] + p[1:])
-        eps = materials.eps_at(mids)
-        mu = materials.mu_at(mids)
-        for k in range(len(p) - 1):
-            idx = len(mesh.elements)
-            mesh.elements.append(
-                Element(
-                    index=idx, slab=j, col=k,
-                    x0=p[k], x1=p[k + 1],
-                    t0=times[j], t1=times[j] + heights[j],
-                    eps=float(eps[k]), mu=float(mu[k]),
-                )
-            )
-            row.append(idx)
-        mesh.elem_grid.append(row)
-
-    faces = mesh.faces
-
-    def _add(face, group):
-        group.append(len(faces))
-        faces.append(face)
-
-    for k, idx in enumerate(mesh.elem_grid[0]):
-        e = mesh.elements[idx]
-        _add(Face(FaceKind.BOTTOM, pos=0.0, lo=e.x0, hi=e.x1, element=idx, above=idx),
-             mesh.bottom_faces)
-    for j in range(n_slabs - 1):
-        interface = union_interface(parts[j], parts[j + 1])
-        t_int = times[j + 1]
-        group = []
-        for a, b in zip(interface[:-1], interface[1:]):
-            mid = 0.5 * (a + b)
-            kb = int(np.searchsorted(parts[j], mid)) - 1
-            ka = int(np.searchsorted(parts[j + 1], mid)) - 1
-            below = mesh.elem_grid[j][kb]
-            above = mesh.elem_grid[j + 1][ka]
-            _add(Face(FaceKind.HOR_INTERNAL, pos=t_int, lo=a, hi=b, below=below, above=above),
-                 group)
-        mesh.hor_pieces.append(group)
-    for k, idx in enumerate(mesh.elem_grid[-1]):
-        e = mesh.elements[idx]
-        _add(Face(FaceKind.TOP, pos=times[-1], lo=e.x0, hi=e.x1, element=idx, below=idx),
-             mesh.top_faces)
-    for j, p in enumerate(parts):
-        t0, t1 = times[j], times[j + 1]
-        group = []
-        for k in range(len(p) - 2):
-            _add(Face(FaceKind.VER_INTERNAL, pos=p[k + 1], lo=t0, hi=t1,
-                      left=mesh.elem_grid[j][k], right=mesh.elem_grid[j][k + 1]),
-                 group)
-        mesh.ver_faces.append(group)
-        _add(Face(FaceKind.LEFT, pos=p[0], lo=t0, hi=t1,
-                  element=mesh.elem_grid[j][0], right=mesh.elem_grid[j][0]),
-             mesh.left_faces)
-        _add(Face(FaceKind.RIGHT, pos=p[-1], lo=t0, hi=t1,
-                  element=mesh.elem_grid[j][-1], left=mesh.elem_grid[j][-1]),
-             mesh.right_faces)
-    return mesh
 
 
 def uniform_mesh(domain, materials, n_x, n_t):

@@ -59,7 +59,7 @@ class SolutionField:
         self.flux = flux
         self.bc = bc
         self.flat = flat
-        self.coefficients = np.split(flat, self.starts[[row[0] for row in mesh.elem_grid[1:]]])
+        self.coefficients = np.split(flat, self.starts[mesh.slab_starts[1:-1]])
         self._bases = {}
 
     def basis_for(self, element_index):

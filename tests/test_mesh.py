@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg.errors import (
     EmptyPartition,
@@ -48,8 +50,8 @@ def test_uniform_mesh_counts_sixty_by_sixty():
     assert mesh.n_slabs == 60
     assert sum(len(g) for g in mesh.hor_pieces) == 59 * 60
     assert sum(len(g) for g in mesh.ver_faces) == 60 * 59
-    assert len(mesh.bottom_faces) == 60
-    assert len(mesh.top_faces) == 60
+    assert len(mesh.face_tables[FaceKind.BOTTOM].pos) == 60
+    assert len(mesh.face_tables[FaceKind.TOP].pos) == 60
     assert len(mesh.left_faces) == 60
     assert len(mesh.right_faces) == 60
     assert mesh.identical_slabs
@@ -176,3 +178,98 @@ def test_vectorized_point_location_matches_element_at():
         mesh.elements_at(np.array([0.5, 2.1]), np.array([0.5, 0.5]))
     with pytest.raises(MismatchedDomain):
         mesh.elements_at(np.array([0.5, 0.5]), np.array([0.5, -0.1]))
+
+
+def test_mesh_arrays_are_read_only():
+    domain = SpaceTimeDomain(0.0, 2.0, 1.5)
+    parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+             np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
+    mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
+    arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab, mesh.col,
+              mesh.hx, mesh.ht, mesh.slab_starts, mesh.hor_starts, mesh.ver_starts,
+              mesh.slab_heights, mesh.slab_times, *mesh.partitions,
+              *(a for table in mesh.face_tables.values() for a in table)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+    # the caller's partitions are copied, not frozen
+    assert all(p.flags.writeable for p in parts)
+
+
+@st.composite
+def _random_meshes(draw):
+    """Per-slab partitions drawn from a scaled integer grid (hanging nodes
+    across slab interfaces), material breakpoints on every partition and
+    random slab heights."""
+    n = draw(st.integers(2, 9))
+    grid = draw(st.floats(-5.0, 5.0)) + draw(st.floats(0.1, 10.0)) * np.arange(n + 1)
+    breaks = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    n_slabs = draw(st.integers(1, 4))
+    heights = draw(st.lists(st.floats(0.1, 2.0), min_size=n_slabs, max_size=n_slabs))
+    parts = [grid[sorted({0, n, *breaks, *draw(st.sets(st.integers(1, n - 1)))})]
+             for _ in range(n_slabs)]
+    values = st.lists(st.floats(0.5, 4.0), min_size=len(breaks) + 1, max_size=len(breaks) + 1)
+    materials = MaterialLayout(tuple(grid[breaks]), draw(values), draw(values))
+    return SpaceTimeDomain(grid[0], grid[-1], sum(heights)), materials, heights, parts
+
+
+@settings(max_examples=50, deadline=None)
+@given(_random_meshes())
+def test_random_meshes_are_consistent(case):
+    domain, materials, heights, parts = case
+    mesh = build_mesh(domain, materials, heights, parts)
+    tables = mesh.face_tables
+    # elements tile the domain, slab by slab and left to right
+    assert np.sum(mesh.hx * mesh.ht) == pytest.approx(domain.length * domain.t_final, rel=1e-12)
+    for j, ids in enumerate(mesh.elem_grid):
+        assert np.array_equal(np.append(mesh.x0[ids], mesh.x1[ids][-1]), parts[j])
+        assert np.all(mesh.slab[ids] == j) and np.array_equal(mesh.col[ids], np.arange(len(ids)))
+    assert np.array_equal(mesh.eps, materials.eps_at(0.5 * (mesh.x0 + mesh.x1)))
+    # the interface pieces of each slab interface cover it, inside both neighbours
+    hor = tables[FaceKind.HOR_INTERNAL]
+    for j in range(mesh.n_slabs - 1):
+        rows = slice(mesh.hor_starts[j], mesh.hor_starts[j + 1])
+        lo, hi, pos = hor.lo[rows], hor.hi[rows], hor.pos[rows]
+        below, above = hor.elements[rows].T
+        assert lo[0] == domain.x_l and hi[-1] == domain.x_r
+        assert np.array_equal(lo[1:], hi[:-1]) and np.all(lo < hi)
+        assert np.all(pos == mesh.slab_times[j + 1])
+        assert np.all(mesh.slab[below] == j) and np.all(mesh.slab[above] == j + 1)
+        assert np.all(mesh.t1[below] == pos) and np.all(mesh.t0[above] == pos)
+        for e in (below, above):
+            assert np.all(mesh.x0[e] <= lo) and np.all(hi <= mesh.x1[e])
+    # every internal vertical face joins col and col + 1 of one slab
+    ver = tables[FaceKind.VER_INTERNAL]
+    left, right = ver.elements.T
+    assert np.array_equal(mesh.slab[left], mesh.slab[right])
+    assert np.array_equal(mesh.col[left] + 1, mesh.col[right])
+    assert np.array_equal(ver.pos, mesh.x1[left]) and np.array_equal(ver.pos, mesh.x0[right])
+    # face counts per kind
+    interfaces = [len(np.union1d(a, b)) - 1 for a, b in zip(parts, parts[1:])]
+    counts = {FaceKind.BOTTOM: len(parts[0]) - 1, FaceKind.TOP: len(parts[-1]) - 1,
+              FaceKind.HOR_INTERNAL: sum(interfaces),
+              FaceKind.VER_INTERNAL: sum(len(p) - 2 for p in parts),
+              FaceKind.LEFT: mesh.n_slabs, FaceKind.RIGHT: mesh.n_slabs}
+    assert {kind: len(table.pos) for kind, table in tables.items()} == counts
+    assert np.array_equal(np.diff(mesh.hor_starts), interfaces)
+    assert np.array_equal(np.diff(mesh.ver_starts), [len(p) - 2 for p in parts])
+    # the views equal their array rows; face ids run kind by kind in FaceKind order
+    for i, e in enumerate(mesh.elements):
+        assert (e.index, e.slab, e.col, e.x0, e.x1, e.t0, e.t1, e.eps, e.mu) == (
+            i, mesh.slab[i], mesh.col[i], mesh.x0[i], mesh.x1[i], mesh.t0[i], mesh.t1[i],
+            mesh.eps[i], mesh.mu[i])
+    rows = [(kind, r) for kind in FaceKind for r in range(len(tables[kind].pos))]
+    assert len(mesh.faces) == len(rows)
+    for f, (kind, r) in zip(mesh.faces, rows):
+        a, b = tables[kind].elements[r]
+        horizontal = kind in (FaceKind.BOTTOM, FaceKind.TOP, FaceKind.HOR_INTERNAL)
+        sides = (f.below, f.above) if horizontal else (f.left, f.right)
+        unused = (f.left, f.right) if horizontal else (f.below, f.above)
+        assert (f.kind, f.pos, f.lo, f.hi) == (kind, *(tables[kind][c][r] for c in range(3)))
+        assert sides == (a, b) and unused == (-1, -1)
+        assert f.element == (max(a, b) if min(a, b) < 0 else -1)
+    # point location at the element centres finds every element
+    centres = 0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1)
+    assert np.array_equal(mesh.elements_at(*centres), np.arange(mesh.n_elements))
+    assert mesh.identical_slabs == (len(set(heights)) == 1
+                                    and all(np.array_equal(p, parts[0]) for p in parts))
