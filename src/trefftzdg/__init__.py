@@ -33,7 +33,6 @@ from .errors import (
 from .quadrature import gauss_rule, map_to_segment, tensor_rule
 from .mesh import (
     Element,
-    Face,
     FaceKind,
     MaterialLayout,
     Mesh,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import linalg
 
 from .assembly import ROBIN, global_layout
-from .basis import BasisSpec, element_basis, embedding_indices
+from .basis import BasisSpec, embedding_indices, signature_groups
 from .errors import (
     AmbiguousTrace,
     InsufficientSamples,
@@ -29,34 +29,13 @@ from .errors import (
     UnsupportedBC,
 )
 from .mesh import FaceKind
-from .quadrature import gauss_rule
+from .quadrature import gauss_rule, local_tensor_rule
 from .reference import ZeroField
 from .solver import SolutionField
 
 
 def _max_degree(sol):
     return int(sol.spec.degrees(range(sol.mesh.n_elements)).max())
-
-
-def _signature_groups(mesh, spec):
-    """Element ids grouped by slab and local signature (hx, ht, eps, mu, p).
-
-    Each group is ascending and the groups run in order of first
-    appearance, as a slab-by-slab dict of signatures would list them.
-    """
-    keys = np.column_stack([mesh.slab, mesh.hx, mesh.ht, mesh.eps, mesh.mu,
-                            spec.degrees(range(mesh.n_elements))])
-    order = np.lexsort(keys[:, ::-1].T)
-    breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
-    return sorted(np.split(order, breaks + 1), key=lambda ids: ids[0])
-
-
-def _local_tensor(e, n):
-    xi, w = gauss_rule(n)
-    dx = np.repeat(0.5 * e.hx * xi, n)
-    dt = np.tile(0.5 * e.ht * xi, n)
-    W = np.repeat(0.5 * e.hx * w, n) * np.tile(0.5 * e.ht * w, n)
-    return dx, dt, W
 
 
 def l2_relative_error(sol, reference, quad_order=None):
@@ -69,11 +48,15 @@ def l2_relative_error(sol, reference, quad_order=None):
     n = quad_order if quad_order is not None else _max_degree(sol) + 6
     num = 0.0
     den = 0.0
-    for ids in _signature_groups(mesh, spec):
-        e0 = mesh.elements[ids[0]]
-        basis = element_basis(spec, e0)
-        dx, dt, W = _local_tensor(e0, n)
-        fields = basis.eval_local(dx, dt)
+    # one basis table per signature, summed slab by slab in order of first
+    # appearance: the order the sums are fixed in
+    pieces = []
+    for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
+        dx, dt, W = local_tensor_rule(n, basis.element.hx, basis.element.ht)
+        table = (basis, basis.eval_local(dx, dt), dx, dt, W)
+        cuts = np.flatnonzero(np.diff(mesh.slab[ids])) + 1
+        pieces += [(slab_ids, table) for slab_ids in np.split(ids, cuts)]
+    for ids, (basis, fields, dx, dt, W) in sorted(pieces, key=lambda piece: piece[0][0]):
         C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
         E = C @ fields["E"]
         H = C @ fields["H"]
@@ -99,10 +82,6 @@ _KINDS = {
     FaceKind.LEFT: (False, ((1, -1, "right"),)),
     FaceKind.RIGHT: (False, ((0, +1, "left"),)),
 }
-
-#: functions x points per eval_local call: bounds its six-field tables at 0.75 MB
-_CHUNK = 1 << 14
-
 
 def _running_sum(terms):
     """Sum in order, term by term, as a loop accumulating a float does."""
@@ -131,37 +110,19 @@ class _Faces:
 class _Skeleton:
     """Batched traces of one discrete field on element edges.
 
-    Pieces whose elements share the signature (hx, ht, eps, mu, p) share
-    one eval_local call on their stacked points; a stacked matrix product
-    contracts each piece's traces. Each piece sees the operations it would
-    see alone, so sums repeat a face-by-face loop bit for bit.
+    The traces come from SolutionField.traces: pieces whose elements share
+    the signature (hx, ht, eps, mu, p) share one eval_local call on their
+    stacked points, and a stacked matrix product contracts each piece's
+    traces. Each piece sees the operations it would see alone, so sums
+    repeat a face-by-face loop bit for bit.
     """
 
     def __init__(self, sol, flux=None):
         self.sol, self.flux = sol, flux
         mesh = sol.mesh
-        # columns: xc, tc, hx, ht, eps, mu, p
+        # columns: xc, tc, hx, ht, eps, mu
         self.geo = np.column_stack([0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1),
-                                    mesh.hx, mesh.ht, mesh.eps, mesh.mu,
-                                    sol.spec.degrees(range(mesh.n_elements))])
-
-    def traces(self, ids, dx, dt):
-        """(E, H) at offsets dx, dt from the centres of the elements ids."""
-        order = np.lexsort(self.geo[ids, 2:].T)
-        breaks = np.flatnonzero(np.any(np.diff(self.geo[ids[order], 2:], axis=0) != 0, axis=1))
-        E, H = np.empty(dx.shape), np.empty(dx.shape)
-        for group in np.split(order, breaks + 1):
-            basis = self.sol.basis_for(ids[group[0]])
-            size = max(1, _CHUNK // (basis.n * dx.shape[1]))
-            for rows in (group[i:i + size] for i in range(0, len(group), size)):
-                f = basis.eval_local(dx[rows].ravel(), dt[rows].ravel())
-                C = self.sol.flat[self.sol.starts[ids[rows]][:, None] + np.arange(basis.n)]
-                C = C[:, None, :]
-                # one gemv per piece: the BLAS call of c @ F for a single piece
-                for out, name in ((E, "E"), (H, "H")):
-                    F = f[name].reshape(basis.n, len(rows), -1).transpose(1, 0, 2)
-                    out[rows] = np.matmul(C, np.ascontiguousarray(F))[:, 0, :]
-        return E, H
+                                    mesh.hx, mesh.ht, mesh.eps, mesh.mu])
 
     def faces(self, horizontal, pos, mid, half, sides, n, weights, factor):
         """Pieces mid +- half at pos with n Gauss points each; sides lists
@@ -174,7 +135,7 @@ class _Skeleton:
             local = along - self.geo[ids, 0 if horizontal else 1][:, None]
             normal = np.broadcast_to(across[:, None], along.shape)
             dx, dt = (local, normal) if horizontal else (normal, local)
-            traced.append((*self.traces(ids, dx, dt), side))
+            traced.append((*self.sol.traces(ids, dx, dt), side))
         X, T = (along, fixed) if horizontal else (fixed, along)
         return _Faces(X, T, half[:, None] * w, *weights, factor, traced)
 
@@ -411,15 +372,16 @@ def project_to_space(mesh, spec, reference, quad_order=None):
     n = quad_order if quad_order is not None else p_max + 6
     starts, total = global_layout(mesh, spec)
     flat = np.zeros(total)
-    for i, e in enumerate(mesh.elements):
-        basis = element_basis(spec, e)
-        dx, dt, W = _local_tensor(e, n)
+    for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
+        e = basis.element
+        dx, dt, W = local_tensor_rule(n, e.hx, e.ht)
         f = basis.eval_local(dx, dt)
-        xc, tc = e.center
-        Er, Hr = reference.evaluate(xc + dx, tc + dt)
         gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
-        rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
-        flat[starts[i]:starts[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
+        for i in ids:
+            xc, tc = 0.5 * (mesh.x0[i] + mesh.x1[i]), 0.5 * (mesh.t0[i] + mesh.t1[i])
+            Er, Hr = reference.evaluate(xc + dx, tc + dt)
+            rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
+            flat[starts[i]:starts[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
     return field_from_coefficients(mesh, spec, flat)
 
 

@@ -14,6 +14,15 @@ stepping is A_j f_j = R_j f_{j-1} + b_j. assemble_slab is the one
 assembly of the form; assemble_global stacks its slab systems, and the
 slab march is forward substitution on that stacked system. slab_load
 assembles b_j alone, for assemble_slab and for slabs whose A, R are known.
+
+Both read the mesh's face tables. A basis depends only on its element's
+signature (hx, ht, eps, mu, p), so each term evaluates it once per
+signature: on the stacked Gauss points of the elements' own edges
+(upper edges, interface pieces, initial data, source), or once for the
+whole group where the offsets from the centre depend on the signature
+alone (vertical sides, walls, volume). Stacked matrix products give the
+blocks, and index arrays place them in the order a face-by-face loop
+adds them, so A, R and b do not depend on the batching.
 """
 
 import warnings
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FULL, TREFFTZ, element_basis, space_dim
+from .basis import FULL, TREFFTZ, element_basis, signature_groups, space_dim
 from .errors import (
     DimensionMismatch,
     MismatchedDomain,
@@ -29,7 +38,7 @@ from .errors import (
     TrefftzWithSource,
 )
 from .mesh import FaceKind
-from .quadrature import gauss_rule, map_to_segment
+from .quadrature import gauss_rule, local_tensor_rule
 from .reference import Constant, ZERO
 
 PEC = "pec"
@@ -86,13 +95,6 @@ class FluxParams:
         scale = mesh.hx_max / mesh.hx[ids].min(axis=1)
         return (self.alpha * scale * mesh.eps[ids].max(axis=1),
                 self.beta * scale * mesh.mu[ids].max(axis=1))
-
-    def alpha_on(self, mesh, face):
-        """alpha on one vertical face view; see penalties."""
-        return self.penalties(mesh, [(face.left, face.right)])[0][0]
-
-    def beta_on(self, mesh, face):
-        return self.penalties(mesh, [(face.left, face.right)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -172,35 +174,45 @@ def global_layout(mesh, spec):
     return ends - dims, int(ends[-1])
 
 
-def _edge_fields(basis, x_pts, dt_signed_half):
-    """Basis fields on a horizontal edge at vertical offset +-ht/2."""
-    e = basis.element
-    xc = 0.5 * (e.x0 + e.x1)
-    dx = x_pts - xc
-    dt = np.full_like(dx, dt_signed_half)
-    return basis.eval_local(dx, dt)
+def _segments(lo, hi, n):
+    """map_to_segment's n Gauss points and weights on each segment (lo, hi), one row each."""
+    xi, w = gauss_rule(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * xi, half[:, None] * w
 
 
-def _side_fields(basis, dt_pts, side):
-    """Basis fields on a vertical edge (side -1 left, +1 right of element)."""
-    e = basis.element
-    dx = np.full_like(dt_pts, side * 0.5 * e.hx)
-    return basis.eval_local(dx, dt_pts)
+def _edge_stack(mesh, basis, ids, xq, sign):
+    """E and H of the elements ids, which share basis, at the points xq (one row
+    per element) of their upper (sign +1) or lower (sign -1) edges.
+
+    One eval_local call; each field comes back as a C-contiguous (k, n, m)
+    stack whose slice r equals the field evaluated at row r alone.
+    """
+    dx = xq - 0.5 * (mesh.x0[ids] + mesh.x1[ids])[:, None]
+    f = basis.eval_local(dx.ravel(), np.full(dx.size, sign * 0.5 * basis.element.ht))
+    return {name: np.ascontiguousarray(f[name].reshape(basis.n, *dx.shape).transpose(1, 0, 2))
+            for name in ("E", "H")}
 
 
-def _pair_mass(fields_row, fields_col, w, eps, mu):
-    """Energy-pairing mass block: int (eps E_col E_row + mu H_col H_row)."""
-    return (fields_row["E"] * (eps * w)) @ fields_col["E"].T + (
-        fields_row["H"] * (mu * w)
-    ) @ fields_col["H"].T
+def _add_blocks(M, rows, cols, blocks):
+    """M[rows[k]:rows[k] + nr, cols[k]:cols[k] + nc] += blocks[k]; the targets must be distinct."""
+    _, nr, nc = blocks.shape
+    M[rows[:, None, None] + np.arange(nr)[:, None], cols[:, None, None] + np.arange(nc)] += blocks
+
+
+def _pair_mass(f_row, f_col, w, eps, mu):
+    """Energy-pairing mass blocks int (eps E_col E_row + mu H_col H_row) of stacked fields."""
+    E_c, H_c = f_col["E"].transpose(0, 2, 1), f_col["H"].transpose(0, 2, 1)
+    return (f_row["E"] * (eps * w)) @ E_c + (f_row["H"] * (mu * w)) @ H_c
 
 
 def _vertical_block(f_row, f_col, w, sgn_row, sgn_col, alpha, beta):
-    """Centred-flux plus penalty coupling across a vertical face."""
+    """Centred-flux plus penalty coupling across vertical faces, one block per
+    entry of the (k, 1, 1) penalty arrays alpha and beta."""
     E_r, H_r = f_row["E"], f_row["H"]
     E_c, H_c = f_col["E"], f_col["H"]
     blk = 0.5 * sgn_row * ((H_r * w) @ E_c.T + (E_r * w) @ H_c.T)
-    blk += alpha * sgn_row * sgn_col * (E_r * w) @ E_c.T
+    blk = blk + alpha * sgn_row * sgn_col * (E_r * w) @ E_c.T
     blk += beta * sgn_row * sgn_col * (H_r * w) @ H_c.T
     return blk
 
@@ -236,6 +248,23 @@ def _lateral_load(fields, w, t_abs, side, bc, alpha, delta, eps, mu):
     return comb @ (w * g)
 
 
+def _walls(mesh, slab, spec, flux, n):
+    """Per lateral wall of the slab, left then right: its side (-1, +1), the
+    wall element's position in the slab and its basis, the basis fields at
+    the wall's n Gauss points, their offsets dt from the element's centre
+    time and weights, and alpha on the wall."""
+    xi, w = gauss_rule(n)
+    for kind, column, side in ((FaceKind.LEFT, 1, -1), (FaceKind.RIGHT, 0, +1)):
+        walls = mesh.face_tables[kind].elements
+        i = int(walls[slab, column])
+        basis = element_basis(spec, mesh.elements[i])
+        e = basis.element
+        dt = 0.5 * e.ht * xi
+        fields = basis.eval_local(np.full_like(dt, side * 0.5 * e.hx), dt)
+        alpha = flux.penalties(mesh, walls[slab:slab + 1])[0][0]
+        yield side, i - mesh.slab_starts[slab], basis, fields, dt, 0.5 * e.ht * w, alpha
+
+
 def _quad_orders(spec, p_max, face_quad, data_quad):
     if face_quad is None:
         n_face = p_max + 2
@@ -253,10 +282,7 @@ def _quad_orders(spec, p_max, face_quad, data_quad):
 def _volume_block(basis, n_quad):
     """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i)."""
     e = basis.element
-    xi, wx = gauss_rule(n_quad)
-    dx = np.repeat(0.5 * e.hx * xi, n_quad)
-    dt = np.tile(0.5 * e.ht * xi, n_quad)
-    W = np.repeat(0.5 * e.hx * wx, n_quad) * np.tile(0.5 * e.ht * wx, n_quad)
+    dx, dt, W = local_tensor_rule(n_quad, e.hx, e.ht)
     f = basis.eval_local(dx, dt)
     blk = (f["Hx"] * W) @ f["E"].T
     blk += e.mu * (f["Ht"] * W) @ f["H"].T
@@ -268,20 +294,17 @@ def _volume_block(basis, n_quad):
 def _slab_frame(mesh, slab, spec, face_quad, data_quad):
     """Element ids, quadrature orders and slab-local first dofs of a slab and its predecessor.
 
-    offsets and prev_offsets map element ids to first dofs counted from
-    the slab's or the predecessor's first element; the id after each
-    slab's last element maps to that slab's end.
+    offsets[i - ids.start] is the first dof of element i counted from the
+    slab's first element, and offsets[-1] the slab's size; prev_offsets
+    holds the same for the predecessor, None for slab 0.
     """
     ids = mesh.elem_grid[slab]
     prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else range(ids.start, ids.start)
-    both = range(prev_ids.start, ids.stop)
-    degrees = spec.degrees(both)
+    degrees = spec.degrees(range(prev_ids.start, ids.stop))
     quad = _quad_orders(spec, int(degrees.max()), face_quad, data_quad)
     starts = np.cumsum(np.append(0, space_dim(spec.family, degrees)))
-    keys = range(both.start, both.stop + 1)
-    offsets = dict(zip(keys, (starts - starts[len(prev_ids)]).tolist()))
-    prev_offsets = dict(zip(keys, starts.tolist())) if prev_ids else None
-    return ids, prev_ids, quad, offsets, prev_offsets
+    offsets = starts[len(prev_ids):] - starts[len(prev_ids)]
+    return ids, prev_ids, quad, offsets, starts[:len(prev_ids) + 1] if prev_ids else None
 
 
 def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
@@ -305,46 +328,42 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
     if slab == 0 and initial_data is None:
         raise MismatchedDomain("slab 0 requires initial data")
     if slab > 0 and bc.homogeneous and source is None:
-        return np.zeros(sum(map(spec.dim_for, mesh.elem_grid[slab])))
+        return np.zeros(int(space_dim(spec.family, spec.degrees(mesh.elem_grid[slab])).sum()))
     ids, _, (_, n_data), offsets, _ = _slab_frame(mesh, slab, spec, face_quad, data_quad)
-    b = np.zeros(int(offsets[ids[-1] + 1]))
-    xi_d, w_d = gauss_rule(n_data)
+    b = np.zeros(int(offsets[-1]))
 
     # lateral boundary data
-    for fi, side in ((mesh.left_faces[slab], -1), (mesh.right_faces[slab], +1)):
-        face = mesh.faces[fi]
-        e = mesh.elements[face.element]
-        B = element_basis(spec, e)
-        dt = 0.5 * e.ht * xi_d
-        f = _side_fields(B, dt, side)
-        t_abs = 0.5 * (face.lo + face.hi) + dt
-        load = _lateral_load(f, 0.5 * e.ht * w_d, t_abs, side, bc, flux.alpha_on(mesh, face),
-                             flux.delta, e.eps, e.mu)
+    t_mid = 0.5 * (mesh.slab_times[slab] + mesh.slab_times[slab + 1])
+    for side, k, basis, f, dt, wq, alpha in _walls(mesh, slab, spec, flux, n_data):
+        e = basis.element
+        load = _lateral_load(f, wq, t_mid + dt, side, bc, alpha, flux.delta, e.eps, e.mu)
         if load is not None:
-            b[offsets[face.element]:offsets[face.element] + B.n] += load
+            b[offsets[k]:offsets[k] + basis.n] += load
 
-    # volume source, full polynomial family only
+    # volume source, full polynomial family only: offsets shared by a
+    # signature, the source at each element's own points
     if source is not None:
-        for i in ids:
-            e = mesh.elements[i]
-            B = element_basis(spec, e)
-            dx = np.repeat(0.5 * e.hx * xi_d, n_data)
-            dt = np.tile(0.5 * e.ht * xi_d, n_data)
-            W = np.repeat(0.5 * e.hx * w_d, n_data) * np.tile(0.5 * e.ht * w_d, n_data)
-            xc, tc = e.center
-            J = np.asarray(source(xc + dx, tc + dt), dtype=float)
-            b[offsets[i]:offsets[i] + B.n] += B.eval_local(dx, dt)["E"] @ (W * J)
+        for basis, g in signature_groups(mesh, spec, ids):
+            e = basis.element
+            dx, dt, W = local_tensor_rule(n_data, e.hx, e.ht)
+            el = ids.start + g
+            X = 0.5 * (mesh.x0[el] + mesh.x1[el])[:, None] + dx
+            T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
+            J = np.broadcast_to(np.asarray(source(X, T), dtype=float), X.shape)
+            b[offsets[g][:, None] + np.arange(basis.n)] += np.matmul(
+                basis.eval_local(dx, dt)["E"], (W * J)[:, :, None])[:, :, 0]
 
-    # initial data enters the first slab through the lower edge
+    # initial data enters the first slab through the lower edges
     if slab == 0:
-        for i in ids:
-            e = mesh.elements[i]
-            B = element_basis(spec, e)
-            xq, wq = map_to_segment(n_data, e.x0, e.x1)
-            f = _edge_fields(B, xq, -0.5 * e.ht)
-            e0 = np.asarray(initial_data.e0(xq), dtype=float)
-            h0 = np.asarray(initial_data.h0(xq), dtype=float)
-            b[offsets[i]:offsets[i] + B.n] += f["E"] @ (wq * e.eps * e0) + f["H"] @ (wq * e.mu * h0)
+        xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], n_data)
+        e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
+        h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
+        for basis, g in signature_groups(mesh, spec, ids):
+            e = basis.element
+            f = _edge_stack(mesh, basis, ids.start + g, xq[g], -1)
+            b[offsets[g][:, None] + np.arange(basis.n)] += (
+                np.matmul(f["E"], (wq[g] * e.eps * e0[g])[:, :, None])
+                + np.matmul(f["H"], (wq[g] * e.mu * h0[g])[:, :, None]))[:, :, 0]
 
     return b
 
@@ -362,70 +381,71 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
                   face_quad=face_quad, data_quad=data_quad)
     ids, prev_ids, (n_face, _), offsets, prev_offsets = _slab_frame(
         mesh, slab, spec, face_quad, data_quad)
-    n_prev = int(prev_offsets[ids[0]]) if prev_ids else 0
-    bases = {i: element_basis(spec, mesh.elements[i]) for i in ids}
-    prev_bases = {i: element_basis(spec, mesh.elements[i]) for i in prev_ids}
-
+    n_prev = int(prev_offsets[-1]) if prev_ids else 0
     A = np.zeros((b.size, b.size))
     R = np.zeros((b.size, n_prev))
     xi_f, w_f = gauss_rule(n_face)
 
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab
-    for i in ids:
-        B = bases[i]
-        e = B.element
-        xq, wq = map_to_segment(n_face, e.x0, e.x1)
-        f = _edge_fields(B, xq, +0.5 * e.ht)
-        sl = slice(offsets[i], offsets[i] + B.n)
-        A[sl, sl] += _pair_mass(f, f, wq, e.eps, e.mu)
+    xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], n_face)
+    for basis, g in signature_groups(mesh, spec, ids):
+        e = basis.element
+        f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
+        _add_blocks(A, offsets[g], offsets[g], _pair_mass(f, f, wq[g][:, None], e.eps, e.mu))
 
     # coupling to the previous slab across interface pieces
-    for fi in (mesh.hor_pieces[slab - 1] if slab > 0 else []):
-        face = mesh.faces[fi]
-        eb = prev_bases[face.below].element
-        ea = bases[face.above].element
-        xq, wq = map_to_segment(n_face, face.lo, face.hi)
-        f_lo = _edge_fields(prev_bases[face.below], xq, +0.5 * eb.ht)
-        f_up = _edge_fields(bases[face.above], xq, -0.5 * ea.ht)
-        rows = slice(offsets[face.above], offsets[face.above] + bases[face.above].n)
-        cols = slice(prev_offsets[face.below],
-                     prev_offsets[face.below] + prev_bases[face.below].n)
-        R[rows, cols] += _pair_mass(f_up, f_lo, wq, ea.eps, ea.mu)
+    if slab > 0:
+        hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
+        pieces = slice(mesh.hor_starts[slab - 1], mesh.hor_starts[slab])
+        below, above = hor.elements[pieces].T
+        xq, wq = _segments(hor.lo[pieces], hor.hi[pieces], n_face)
+        for basis_b, gb in signature_groups(mesh, spec, below):
+            f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
+            for basis_a, ga in signature_groups(mesh, spec, above[gb]):
+                g, ea = gb[ga], basis_a.element
+                f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
+                blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
+                                    wq[g][:, None], ea.eps, ea.mu)
+                _add_blocks(R, offsets[above[g] - ids.start],
+                            prev_offsets[below[g] - prev_ids.start], blocks)
 
-    # vertical internal faces: centred flux with jump penalties
-    pairs = mesh.face_tables[FaceKind.VER_INTERNAL].elements
-    for fi, a_f, b_f in zip(mesh.ver_faces[slab], *flux.penalties(
-            mesh, pairs[mesh.ver_starts[slab]:mesh.ver_starts[slab + 1]])):
-        face = mesh.faces[fi]
-        el = bases[face.left].element
+    # vertical internal faces: centred flux with jump penalties; the side
+    # traces depend on the signature alone
+    pairs = mesh.face_tables[FaceKind.VER_INTERNAL].elements[
+        mesh.ver_starts[slab]:mesh.ver_starts[slab + 1]]
+    alpha, beta = flux.penalties(mesh, pairs)
+    groups = []
+    for basis_l, gl in signature_groups(mesh, spec, pairs[:, 0]):
+        el = basis_l.element
         dt = 0.5 * el.ht * xi_f
         wq = 0.5 * el.ht * w_f
-        f_l = _side_fields(bases[face.left], dt, +1)
-        f_r = _side_fields(bases[face.right], dt, -1)
-        for sgn_r, f_row, row_id in ((+1, f_l, face.left), (-1, f_r, face.right)):
-            rows = slice(offsets[row_id], offsets[row_id] + bases[row_id].n)
-            for sgn_c, f_col, col_id in ((+1, f_l, face.left), (-1, f_r, face.right)):
-                cols = slice(offsets[col_id], offsets[col_id] + bases[col_id].n)
-                A[rows, cols] += _vertical_block(f_row, f_col, wq, sgn_r, sgn_c, a_f, b_f)
+        f_l = basis_l.eval_local(np.full_like(dt, 0.5 * el.hx), dt)
+        for basis_r, gr in signature_groups(mesh, spec, pairs[gl, 1]):
+            f_r = basis_r.eval_local(np.full_like(dt, -0.5 * basis_r.element.hx), dt)
+            # per sign: the side's traces and its column in pairs
+            groups.append((gl[gr], {+1: (f_l, 0), -1: (f_r, 1)}, wq))
+    # a face-by-face loop adds face i - 1's right-right block to element i's
+    # diagonal block before face i's left-left block
+    for sgn_r, sgn_c in ((-1, -1), (+1, +1), (+1, -1), (-1, +1)):
+        for g, sides, wq in groups:
+            (f_row, row), (f_col, col) = sides[sgn_r], sides[sgn_c]
+            blocks = _vertical_block(f_row, f_col, wq, sgn_r, sgn_c,
+                                     alpha[g, None, None], beta[g, None, None])
+            _add_blocks(A, offsets[pairs[g, row] - ids.start],
+                        offsets[pairs[g, col] - ids.start], blocks)
 
     # lateral boundary terms
-    for fi, side in ((mesh.left_faces[slab], -1), (mesh.right_faces[slab], +1)):
-        face = mesh.faces[fi]
-        B = bases[face.element]
-        e = B.element
-        a_f = flux.alpha_on(mesh, face)
-        dt = 0.5 * e.ht * xi_f
-        wq = 0.5 * e.ht * w_f
-        f = _side_fields(B, dt, side)
-        sl = slice(offsets[face.element], offsets[face.element] + B.n)
-        A[sl, sl] += _lateral_block(f, wq, side, bc, a_f, flux.delta, e.eps, e.mu)
+    for side, k, basis, f, _, wq, alpha_f in _walls(mesh, slab, spec, flux, n_face):
+        e = basis.element
+        sl = slice(offsets[k], offsets[k] + basis.n)
+        A[sl, sl] += _lateral_block(f, wq, side, bc, alpha_f, flux.delta, e.eps, e.mu)
 
     # first-order volume terms, full polynomial family only
     if spec.family == FULL:
-        for i in ids:
-            sl = slice(offsets[i], offsets[i] + bases[i].n)
-            A[sl, sl] += _volume_block(bases[i], n_face)
+        for basis, g in signature_groups(mesh, spec, ids):
+            _add_blocks(A, offsets[g], offsets[g],
+                        np.broadcast_to(_volume_block(basis, n_face), (len(g), basis.n, basis.n)))
 
     return SlabSystem(slab=slab, A=A, R=R, b=b, n_dofs=b.size, n_prev=n_prev)
 

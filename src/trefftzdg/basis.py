@@ -237,6 +237,24 @@ def element_basis(spec, element):
     return ElementBasis(element, spec.family, spec.degree_for(element.index))
 
 
+def signature_groups(mesh, spec, ids):
+    """The elements ids grouped by signature (hx, ht, eps, mu, p), one basis per group.
+
+    eval_local depends on the signature alone, so one ElementBasis serves
+    every element of a group. Returns (basis, positions) pairs, positions
+    indexing ids in ascending order; groups run in order of first appearance.
+    """
+    ids = np.asarray(ids, dtype=int)
+    if not len(ids):
+        return []
+    keys = np.column_stack([mesh.hx[ids], mesh.ht[ids], mesh.eps[ids], mesh.mu[ids],
+                            spec.degrees(ids)])
+    order = np.lexsort(keys.T)
+    breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
+    groups = sorted(np.split(order, breaks + 1), key=lambda group: group[0])
+    return [(element_basis(spec, mesh.elements[ids[group[0]]]), group) for group in groups]
+
+
 def embedding_indices(family, p_from, p_to):
     """Positions of the degree-p_from basis inside the degree-p_to basis.
 

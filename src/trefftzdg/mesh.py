@@ -13,10 +13,9 @@ entry per element, and slab j owns the index range
 slab_starts[j]:slab_starts[j + 1] (elem_grid[j]). Faces live in one
 FaceTable per FaceKind, in mesh order: pos, lo, hi and the two adjacent
 element ids. hor_starts and ver_starts are the per-interface and
-per-slab offsets into the HOR_INTERNAL and VER_INTERNAL tables.
-Element and Face are views built on demand (mesh.elements[i],
-mesh.faces[fi], face ids numbered kind by kind in FaceKind order) for
-code that works one cell or face at a time.
+per-slab offsets into the HOR_INTERNAL and VER_INTERNAL tables; the
+lateral tables hold one row per slab. Code that works on faces reads
+these rows. mesh.elements[i] builds an Element view of one row on demand.
 """
 
 import enum
@@ -155,31 +154,6 @@ class FaceKind(enum.Enum):
     RIGHT = "right"            # lateral boundary x = x_r
 
 
-@dataclass(frozen=True)
-class Face:
-    """Skeleton segment: a view of one FaceTable row.
-
-    Horizontal faces (BOTTOM/TOP/HOR_INTERNAL) run along x at fixed
-    time `pos` over (lo, hi); vertical faces (VER_INTERNAL/LEFT/RIGHT)
-    run along t at fixed position `pos`. For HOR_INTERNAL, below/above
-    are the adjacent element indices; for VER_INTERNAL, left/right.
-    Boundary faces carry the single adjacent element in `element`.
-    """
-
-    kind: FaceKind
-    pos: float
-    lo: float
-    hi: float
-    element: int = -1
-    below: int = -1
-    above: int = -1
-    left: int = -1
-    right: int = -1
-
-
-_HORIZONTAL = (FaceKind.BOTTOM, FaceKind.TOP, FaceKind.HOR_INTERNAL)
-
-
 def union_interface(partition_a, partition_b, tol=None):
     """Merge two partitions of the same interval into interface pieces.
 
@@ -228,9 +202,11 @@ def _validate_partition(partition, domain, materials, slab_index):
 
 
 #: The faces of one kind in mesh order, as read-only arrays. Row r is the
-#: segment (lo[r], hi[r]) at pos[r], as in Face; elements[r] holds the
-#: adjacent element below (horizontal kinds) or left (vertical kinds) of
-#: the face, then the one above or right, with -1 outside the boundary.
+#: segment (lo[r], hi[r]) at pos[r]: along x at time pos for the horizontal
+#: kinds (BOTTOM, TOP, HOR_INTERNAL), along t at position pos for the
+#: vertical ones. elements[r] holds the adjacent element below (horizontal
+#: kinds) or left (vertical kinds) of the face, then the one above or
+#: right, with -1 outside the boundary.
 FaceTable = namedtuple("FaceTable", "pos lo hi elements")
 
 
@@ -245,12 +221,6 @@ class _Rows(Sequence):
 
     def __getitem__(self, i):
         return self._make(range(self._n)[operator.index(i)])
-
-
-def _ranges(offsets):
-    """The index ranges between consecutive offsets."""
-    bounds = np.asarray(offsets).tolist()
-    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _pair(a, b):
@@ -325,7 +295,8 @@ class Mesh:
     @cached_property
     def elem_grid(self):
         """Element index range of each slab."""
-        return _ranges(self.slab_starts)
+        bounds = self.slab_starts.tolist()
+        return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
     @cached_property
     def elements(self):
@@ -333,44 +304,6 @@ class Mesh:
         return _Rows(self.n_elements, lambda i: Element(
             i, int(self.slab[i]), int(self.col[i]), self.x0[i], self.x1[i],
             self.t0[i], self.t1[i], float(self.eps[i]), float(self.mu[i])))
-
-    @cached_property
-    def _face_ids(self):
-        """Face ids of each kind; they run kind by kind in FaceKind order."""
-        ends = np.cumsum([len(self.face_tables[kind].pos) for kind in FaceKind])
-        return dict(zip(FaceKind, _ranges(np.append(0, ends))))
-
-    @cached_property
-    def faces(self):
-        """Face views, built on demand."""
-        def face(fi):
-            kind, ids = next((k, ids) for k, ids in self._face_ids.items() if fi in ids)
-            table, r = self.face_tables[kind], fi - ids.start
-            a, b = table.elements[r].tolist()
-            sides = dict(below=a, above=b) if kind in _HORIZONTAL else dict(left=a, right=b)
-            return Face(kind, table.pos[r], table.lo[r], table.hi[r],
-                        element=max(a, b) if min(a, b) < 0 else -1, **sides)
-        return _Rows(sum(map(len, self._face_ids.values())), face)
-
-    @cached_property
-    def hor_pieces(self):
-        """Face ids of each slab interface's pieces; hor_pieces[j] joins slabs j and j + 1."""
-        return _ranges(self._face_ids[FaceKind.HOR_INTERNAL].start + self.hor_starts)
-
-    @cached_property
-    def ver_faces(self):
-        """Face ids of each slab's internal vertical faces."""
-        return _ranges(self._face_ids[FaceKind.VER_INTERNAL].start + self.ver_starts)
-
-    @property
-    def left_faces(self):
-        """Face id of each slab's face on x = x_l."""
-        return self._face_ids[FaceKind.LEFT]
-
-    @property
-    def right_faces(self):
-        """Face id of each slab's face on x = x_r."""
-        return self._face_ids[FaceKind.RIGHT]
 
     def slab_of_time(self, t, side=None):
         """Index of the slab containing time t; `side` breaks interface ties."""

@@ -72,6 +72,19 @@ def map_to_segment(n, a, b):
     return mid + half * xi, half * w
 
 
+def local_tensor_rule(n, hx, ht):
+    """n x n tensor Gauss rule on the hx x ht rectangle centred at the origin.
+
+    Returns flattened offsets and weights (dx, dt, W), x-major as in
+    tensor_rule; they depend on the rectangle's size alone.
+    """
+    xi, w = gauss_rule(n)
+    dx = np.repeat(0.5 * hx * xi, n)
+    dt = np.tile(0.5 * ht * xi, n)
+    W = np.repeat(0.5 * hx * w, n) * np.tile(0.5 * ht * w, n)
+    return dx, dt, W
+
+
 def tensor_rule(nx, nt, rect):
     """Tensor Gauss rule on the rectangle (x0, x1) x (t0, t1).
 

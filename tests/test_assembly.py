@@ -9,6 +9,7 @@ from trefftzdg import (
     BasisSpec,
     BoundaryCondition,
     CharacteristicProfile,
+    FaceKind,
     FluxParams,
     InitialData,
     MaterialLayout,
@@ -247,19 +248,20 @@ def test_face_scaled_penalties_track_local_size_and_materials():
                       [np.array([0.0, 0.5, 1.0, 2.0])])
     flux = FluxParams(alpha=0.5, beta=0.5, per_face_scaling=True)
     assert mesh.hx_max == 1.0
-    faces = [mesh.faces[fi] for fi in mesh.ver_faces[0]]
-    by_pos = {f.pos: f for f in faces}
+    ver = mesh.face_tables[FaceKind.VER_INTERNAL]
+    by_pos = dict(zip(ver.pos.tolist(), ver.elements[:, None]))
     # interface at x=0.5 inside the eps=4 region: h_f = 0.5, eps_f = 4
-    assert flux.alpha_on(mesh, by_pos[0.5]) == pytest.approx(0.5 * (1.0 / 0.5) * 4.0)
+    assert flux.penalties(mesh, by_pos[0.5])[0][0] == pytest.approx(0.5 * (1.0 / 0.5) * 4.0)
     # material interface at x=1: h_f = min(0.5, 1) and worst-case material
-    assert flux.alpha_on(mesh, by_pos[1.0]) == pytest.approx(0.5 * (1.0 / 0.5) * 4.0)
-    assert flux.beta_on(mesh, by_pos[1.0]) == pytest.approx(0.5 * (1.0 / 0.5) * 2.0)
+    alpha, beta = flux.penalties(mesh, by_pos[1.0])
+    assert alpha[0] == pytest.approx(0.5 * (1.0 / 0.5) * 4.0)
+    assert beta[0] == pytest.approx(0.5 * (1.0 / 0.5) * 2.0)
     # boundary face on the wide right element
-    right = mesh.faces[mesh.right_faces[0]]
-    assert flux.alpha_on(mesh, right) == pytest.approx(0.5 * (1.0 / 1.0) * 1.0)
+    right = mesh.face_tables[FaceKind.RIGHT].elements[:1]
+    assert flux.penalties(mesh, right)[0][0] == pytest.approx(0.5 * (1.0 / 1.0) * 1.0)
     # scaling off: plain constants everywhere
     plain = FluxParams(alpha=0.5, beta=0.5)
-    assert plain.alpha_on(mesh, by_pos[1.0]) == 0.5
+    assert plain.penalties(mesh, by_pos[1.0])[0][0] == 0.5
 
 
 def test_matrix_dump_round_trip(tmp_path):

@@ -1,10 +1,15 @@
 """End-to-end command-line driver tests (in-process)."""
 
 import csv
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trefftzdg
 from trefftzdg import CSV_HEADER, cli
 from trefftzdg.errors import SingularSlabMatrix
 
@@ -53,6 +58,24 @@ def test_run_writes_results_and_manifest(tmp_path, capsys):
     assert rows[1][0] == "run"              # unnamed experiments take the kind
     assert float(rows[1][7]) < 0.2          # eps_q column
     assert (out / "manifest.cfg").exists()
+
+
+def test_default_run_repeats_the_benchmark_outputs_exactly(tmp_path):
+    # the perfbench audit_default workload records these outputs of the
+    # default run at seed 0 with one BLAS thread; rounding drift shows here
+    # first. BLAS threads are fixed at import, hence the fresh process.
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())["audit_default"]
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(trefftzdg.__file__).resolve().parents[1]),
+               **{key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    subprocess.run([sys.executable, "-m", "trefftzdg.cli", "run", "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    row = dict(zip(*_read_csv(out / "results.csv")))
+    assert float(row["eps_q"]) == expected["l2"]
+    assert float(row["dg_error"]) == expected["dg_error"]
+    assert float(row["energy_final"]) == expected["energy_final"]
 
 
 def test_manifest_rerun_is_bit_identical(tmp_path):

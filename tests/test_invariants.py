@@ -1,0 +1,69 @@
+"""The paper's structural identities as property tests on random meshes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trefftzdg import (
+    FAMILIES,
+    BasisSpec,
+    BoundaryCondition,
+    FluxParams,
+    GaussianPulse,
+    InitialData,
+    apply_bilinear_global,
+    assemble_global,
+    build_mesh,
+    dg_norm,
+    field_from_coefficients,
+    global_layout,
+    march,
+)
+
+from conftest import random_meshes
+
+
+@st.composite
+def _problems(draw):
+    """A random mesh with a random family, uniform or per-element degrees,
+    penalties, and PEC or Robin walls with incoming data."""
+    domain, materials, heights, parts = draw(random_meshes())
+    mesh = build_mesh(domain, materials, heights, parts)
+    family = draw(st.sampled_from(FAMILIES))
+    degrees = st.integers(0, 3)
+    if draw(st.booleans()):
+        spec = BasisSpec(family, draw(degrees))
+    else:
+        spec = BasisSpec(family, dict(enumerate(
+            draw(st.lists(degrees, min_size=mesh.n_elements, max_size=mesh.n_elements)))))
+    flux = FluxParams(alpha=draw(st.floats(0.2, 1.5)), beta=draw(st.floats(0.2, 1.5)),
+                      delta=draw(st.floats(0.1, 0.9)), per_face_scaling=draw(st.booleans()))
+    t_final = domain.t_final
+    bc = draw(st.sampled_from([
+        BoundaryCondition.pec(),
+        BoundaryCondition.robin(g_l=lambda t: np.exp(-((t - 0.3 * t_final) / t_final) ** 2),
+                                g_r=lambda t: 0.5 * np.sin(t / t_final)),
+    ]))
+    return mesh, spec, flux, bc, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems())
+def test_march_is_the_global_solve_and_the_form_is_the_squared_norm(problem):
+    mesh, spec, flux, bc, seed = problem
+    domain = mesh.domain
+    pulse = GaussianPulse(domain.x_l + 0.4 * domain.length, 0.2 * domain.length)
+    data = InitialData(pulse, pulse)
+
+    # slab march = forward substitution on the stacked global system
+    sol = march(mesh, spec, flux, bc, data)
+    system = assemble_global(mesh, spec, flux, bc, initial_data=data)
+    want = np.linalg.solve(system.matrix, system.load)
+    assert np.max(np.abs(sol.flat - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+    # a(v; v) = |||v|||^2 for any coefficient vector v
+    _, n = global_layout(mesh, spec)
+    v = np.random.default_rng(seed).standard_normal(n)
+    norm = dg_norm(field_from_coefficients(mesh, spec, v, flux=flux, bc=bc))
+    assert apply_bilinear_global(mesh, spec, flux, bc, v, v) == pytest.approx(norm**2, rel=1e-10)

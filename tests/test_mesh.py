@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from trefftzdg.errors import (
     EmptyPartition,
@@ -20,6 +19,8 @@ from trefftzdg.mesh import (
     uniform_mesh,
     union_interface,
 )
+
+from conftest import random_meshes
 
 UNIT = MaterialLayout.constant(1.0, 1.0)
 
@@ -48,12 +49,12 @@ def test_uniform_mesh_counts_sixty_by_sixty():
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 60.0), UNIT, 60, 60)
     assert mesh.n_elements == 3600
     assert mesh.n_slabs == 60
-    assert sum(len(g) for g in mesh.hor_pieces) == 59 * 60
-    assert sum(len(g) for g in mesh.ver_faces) == 60 * 59
+    assert mesh.hor_starts[-1] == 59 * 60
+    assert mesh.ver_starts[-1] == 60 * 59
     assert len(mesh.face_tables[FaceKind.BOTTOM].pos) == 60
     assert len(mesh.face_tables[FaceKind.TOP].pos) == 60
-    assert len(mesh.left_faces) == 60
-    assert len(mesh.right_faces) == 60
+    assert len(mesh.face_tables[FaceKind.LEFT].pos) == 60
+    assert len(mesh.face_tables[FaceKind.RIGHT].pos) == 60
     assert mesh.identical_slabs
     assert mesh.hx_max == 1.0
 
@@ -61,7 +62,7 @@ def test_uniform_mesh_counts_sixty_by_sixty():
 def test_single_element_mesh_has_four_boundary_faces():
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), UNIT, 1, 1)
     assert mesh.n_elements == 1
-    kinds = sorted(f.kind.name for f in mesh.faces)
+    kinds = sorted(kind.name for kind, table in mesh.face_tables.items() for _ in table.pos)
     assert kinds == ["BOTTOM", "LEFT", "RIGHT", "TOP"]
 
 
@@ -81,24 +82,24 @@ def test_hanging_interface_pieces_cover_the_interface():
     domain = SpaceTimeDomain(0.0, 2.0, 1.0)
     parts = [np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 2.0])]
     mesh = build_mesh(domain, UNIT, [0.5, 0.5], parts)
-    pieces = [mesh.faces[i] for i in mesh.hor_pieces[0]]
-    assert sorted((f.lo, f.hi) for f in pieces) == [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0)]
-    for f in pieces:
-        below, above = mesh.elements[f.below], mesh.elements[f.above]
-        assert below.t1 == above.t0 == f.pos
-        assert below.x0 <= f.lo and f.hi <= below.x1
-        assert above.x0 <= f.lo and f.hi <= above.x1
+    hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
+    pieces = range(mesh.hor_starts[0], mesh.hor_starts[1])
+    assert sorted((hor.lo[r], hor.hi[r]) for r in pieces) == [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0)]
+    for r in pieces:
+        below, above = (mesh.elements[i] for i in hor.elements[r])
+        assert below.t1 == above.t0 == hor.pos[r]
+        assert below.x0 <= hor.lo[r] and hor.hi[r] <= below.x1
+        assert above.x0 <= hor.lo[r] and hor.hi[r] <= above.x1
 
 
 def test_vertical_faces_join_horizontal_neighbours():
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 3.0, 2.0), UNIT, 3, 2)
-    for group in mesh.ver_faces:
-        for fi in group:
-            f = mesh.faces[fi]
-            assert f.kind is FaceKind.VER_INTERNAL
-            left, right = mesh.elements[f.left], mesh.elements[f.right]
-            assert left.x1 == right.x0 == f.pos
-            assert left.slab == right.slab
+    ver = mesh.face_tables[FaceKind.VER_INTERNAL]
+    for j in range(mesh.n_slabs):
+        for r in range(mesh.ver_starts[j], mesh.ver_starts[j + 1]):
+            left, right = (mesh.elements[i] for i in ver.elements[r])
+            assert left.x1 == right.x0 == ver.pos[r]
+            assert left.slab == right.slab == j
             assert left.col + 1 == right.col
 
 
@@ -196,25 +197,8 @@ def test_mesh_arrays_are_read_only():
     assert all(p.flags.writeable for p in parts)
 
 
-@st.composite
-def _random_meshes(draw):
-    """Per-slab partitions drawn from a scaled integer grid (hanging nodes
-    across slab interfaces), material breakpoints on every partition and
-    random slab heights."""
-    n = draw(st.integers(2, 9))
-    grid = draw(st.floats(-5.0, 5.0)) + draw(st.floats(0.1, 10.0)) * np.arange(n + 1)
-    breaks = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
-    n_slabs = draw(st.integers(1, 4))
-    heights = draw(st.lists(st.floats(0.1, 2.0), min_size=n_slabs, max_size=n_slabs))
-    parts = [grid[sorted({0, n, *breaks, *draw(st.sets(st.integers(1, n - 1)))})]
-             for _ in range(n_slabs)]
-    values = st.lists(st.floats(0.5, 4.0), min_size=len(breaks) + 1, max_size=len(breaks) + 1)
-    materials = MaterialLayout(tuple(grid[breaks]), draw(values), draw(values))
-    return SpaceTimeDomain(grid[0], grid[-1], sum(heights)), materials, heights, parts
-
-
 @settings(max_examples=50, deadline=None)
-@given(_random_meshes())
+@given(random_meshes())
 def test_random_meshes_are_consistent(case):
     domain, materials, heights, parts = case
     mesh = build_mesh(domain, materials, heights, parts)
@@ -234,6 +218,8 @@ def test_random_meshes_are_consistent(case):
         assert lo[0] == domain.x_l and hi[-1] == domain.x_r
         assert np.array_equal(lo[1:], hi[:-1]) and np.all(lo < hi)
         assert np.all(pos == mesh.slab_times[j + 1])
+        # one piece per (below, above) pair: assembly places each piece's block alone
+        assert len(np.unique(hor.elements[rows], axis=0)) == len(lo)
         assert np.all(mesh.slab[below] == j) and np.all(mesh.slab[above] == j + 1)
         assert np.all(mesh.t1[below] == pos) and np.all(mesh.t0[above] == pos)
         for e in (below, above):
@@ -253,21 +239,11 @@ def test_random_meshes_are_consistent(case):
     assert {kind: len(table.pos) for kind, table in tables.items()} == counts
     assert np.array_equal(np.diff(mesh.hor_starts), interfaces)
     assert np.array_equal(np.diff(mesh.ver_starts), [len(p) - 2 for p in parts])
-    # the views equal their array rows; face ids run kind by kind in FaceKind order
+    # the element views equal their array rows
     for i, e in enumerate(mesh.elements):
         assert (e.index, e.slab, e.col, e.x0, e.x1, e.t0, e.t1, e.eps, e.mu) == (
             i, mesh.slab[i], mesh.col[i], mesh.x0[i], mesh.x1[i], mesh.t0[i], mesh.t1[i],
             mesh.eps[i], mesh.mu[i])
-    rows = [(kind, r) for kind in FaceKind for r in range(len(tables[kind].pos))]
-    assert len(mesh.faces) == len(rows)
-    for f, (kind, r) in zip(mesh.faces, rows):
-        a, b = tables[kind].elements[r]
-        horizontal = kind in (FaceKind.BOTTOM, FaceKind.TOP, FaceKind.HOR_INTERNAL)
-        sides = (f.below, f.above) if horizontal else (f.left, f.right)
-        unused = (f.left, f.right) if horizontal else (f.below, f.above)
-        assert (f.kind, f.pos, f.lo, f.hi) == (kind, *(tables[kind][c][r] for c in range(3)))
-        assert sides == (a, b) and unused == (-1, -1)
-        assert f.element == (max(a, b) if min(a, b) < 0 else -1)
     # point location at the element centres finds every element
     centres = 0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1)
     assert np.array_equal(mesh.elements_at(*centres), np.arange(mesh.n_elements))

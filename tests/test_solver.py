@@ -19,6 +19,7 @@ from trefftzdg import (
     assemble_global,
     assemble_slab,
     build_mesh,
+    element_basis,
     global_coefficients,
     l2_relative_error,
     march,
@@ -211,6 +212,9 @@ def test_scalar_and_array_evaluation_agree():
     grid = sol.evaluate(np.linspace(0.1, 1.9, 4)[:, None],
                         np.linspace(0.1, 0.9, 3)[None, :])
     assert grid[0].shape == (4, 3)
+    for shape in ((0,), (0, 3)):
+        E, H = sol.evaluate(np.zeros(shape), np.zeros(shape))
+        assert E.shape == H.shape == shape
 
 
 def test_coefficient_dump_is_parseable(tmp_path):
@@ -270,7 +274,7 @@ def test_evaluate_matches_per_point_location_on_hanging_mesh():
             E, H = sol.evaluate(X, T, t_side=t_side, x_side=x_side)
             for k in range(X.size):
                 e = mesh.element_at(X[k], T[k], t_side=t_side, x_side=x_side)
-                f = sol.basis_for(e.index).eval(X[k:k + 1], T[k:k + 1])
+                f = element_basis(sol.spec, e).eval(X[k:k + 1], T[k:k + 1])
                 c = sol.element_coefficients(e.index)
                 assert E[k] == pytest.approx(float(c @ f["E"][:, 0]), rel=1e-14, abs=1e-15)
                 assert H[k] == pytest.approx(float(c @ f["H"][:, 0]), rel=1e-14, abs=1e-15)
