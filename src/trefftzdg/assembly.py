@@ -375,14 +375,15 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
     For slab > 0 the coupling matrix R is built against the previous
     slab's basis traces on the interface; the previous coefficients
     multiply R at solve time. The load b is slab_load's, so slab 0
-    requires initial_data and a source requires the full family.
+    requires initial_data and a source requires the full family. A is
+    allocated in Fortran order, so the march can factor it in place.
     """
     b = slab_load(mesh, slab, spec, flux, bc, initial_data=initial_data, source=source,
                   face_quad=face_quad, data_quad=data_quad)
     ids, prev_ids, (n_face, _), offsets, prev_offsets = _slab_frame(
         mesh, slab, spec, face_quad, data_quad)
     n_prev = int(prev_offsets[-1]) if prev_ids else 0
-    A = np.zeros((b.size, b.size))
+    A = np.zeros((b.size, b.size), order="F")
     R = np.zeros((b.size, n_prev))
     xi_f, w_f = gauss_rule(n_face)
 

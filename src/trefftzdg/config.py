@@ -8,6 +8,7 @@ repr(), so a written manifest re-parses to bit-identical values.
 """
 
 from dataclasses import dataclass
+from sys import float_info
 
 from .assembly import BoundaryCondition, FluxParams, InitialData
 from .basis import FAMILIES, BasisSpec
@@ -18,6 +19,7 @@ from .reference import Constant, GaussianPulse, ZERO, CharacteristicProfile
 EXPERIMENTS = ("run", "sweep_h", "sweep_p", "sweep_flux", "spectrum", "energy")
 BC_CHOICES = ("pec", "dirichlet", "robin")
 IC_CHOICES = ("gaussian", "constant", "zero")
+MAX_CELLS = 2**24      # elements per direction: numpy can size every mesh array below it
 
 DEFAULTS = {
     "domain.x_l": 0.0,
@@ -167,8 +169,8 @@ class ExperimentConfig:
 
     def number(self, key):
         v = self.values[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigParse(f"{key} must be a number, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= float_info.max:
+            raise ConfigParse(f"{key} must be a finite number, got {v!r}")
         return float(v)
 
     def integer(self, key):
@@ -193,13 +195,11 @@ class ExperimentConfig:
 
     def numbers(self, key):
         v = self.values[key]
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return [float(v)]
-        if isinstance(v, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-        ):
-            return [float(x) for x in v]
-        raise ConfigParse(f"{key} must be a list of numbers, got {v!r}")
+        items = v if isinstance(v, list) else [v]
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and abs(x) <= float_info.max for x in items):
+            return [float(x) for x in items]
+        raise ConfigParse(f"{key} must be a list of finite numbers, got {v!r}")
 
     def integers(self, key):
         v = self.values[key]
@@ -222,24 +222,40 @@ def validate(cfg):
     """Collect every configuration diagnostic; empty list means runnable."""
     diagnostics = []
 
-    def num(key):
+    def checked(read, key):
         try:
-            return cfg.number(key)
+            return read(key)
         except ConfigParse as exc:
             diagnostics.append(str(exc))
             return None
 
+    def num(key):
+        return checked(cfg.number, key)
+
+    def choice(key, choices):
+        value = checked(cfg.text, key)
+        if value is not None and value not in choices:
+            diagnostics.append(f"{key} must be one of {choices}, got {value!r}")
+        return value
+
+    def spacing(key, h, extent):
+        if not h > 0:
+            diagnostics.append(f"{key} = {h} must be positive")
+        elif extent is not None and not extent / h <= MAX_CELLS:
+            diagnostics.append(f"{key} = {h} gives more than {MAX_CELLS} elements per direction")
+
     x_l, x_r = num("domain.x_l"), num("domain.x_r")
     t_final = num("domain.t_final")
-    if x_l is not None and x_r is not None and not x_l < x_r:
+    length = None if x_l is None or x_r is None else x_r - x_l
+    if length is not None and not x_l < x_r:
         diagnostics.append(f"domain.x_l = {x_l} must be below domain.x_r = {x_r}")
     if t_final is not None and not t_final > 0:
         diagnostics.append(f"domain.t_final = {t_final} must be positive")
 
     h_x, h_t = num("mesh.h_x"), num("mesh.h_t")
-    for key, h in (("mesh.h_x", h_x), ("mesh.h_t", h_t)):
-        if h is not None and not h > 0:
-            diagnostics.append(f"{key} = {h} must be positive")
+    for key, h, extent in (("mesh.h_x", h_x, length), ("mesh.h_t", h_t, t_final)):
+        if h is not None:
+            spacing(key, h, extent)
 
     try:
         breaks = cfg.numbers("materials.breakpoints")
@@ -269,9 +285,7 @@ def validate(cfg):
                     f"(and of every slab: the mesh is uniform)"
                 )
 
-    family = cfg.text("basis.family")
-    if family not in FAMILIES:
-        diagnostics.append(f"basis.family must be one of {FAMILIES}, got {family!r}")
+    family = choice("basis.family", FAMILIES)
     try:
         degree = cfg.integer("basis.degree")
         if degree < 0:
@@ -280,6 +294,7 @@ def validate(cfg):
         diagnostics.append(str(exc))
 
     alpha, beta, delta = num("flux.alpha"), num("flux.beta"), num("flux.delta")
+    checked(cfg.flag, "flux.per_face_scaling")
     if alpha is not None and alpha < 0:
         diagnostics.append("flux.alpha must be positive")
     if beta is not None and beta < 0:
@@ -287,19 +302,19 @@ def validate(cfg):
     if delta is not None and not 0 < delta < 1:
         diagnostics.append(f"flux.delta = {delta} must lie strictly between 0 and 1")
 
-    bc_kind = cfg.text("bc.kind")
-    if bc_kind not in BC_CHOICES:
-        diagnostics.append(f"bc.kind must be one of {BC_CHOICES}, got {bc_kind!r}")
-    ic_kind = cfg.text("ic.kind")
-    if ic_kind not in IC_CHOICES:
-        diagnostics.append(f"ic.kind must be one of {IC_CHOICES}, got {ic_kind!r}")
+    choice("bc.kind", BC_CHOICES)
+    ic_kind = choice("ic.kind", IC_CHOICES)
     if ic_kind == "gaussian":
         width = num("ic.width")
         if width is not None and not width > 0:
             diagnostics.append(f"ic.width = {width} must be positive")
+    # the other numbers build_initial_data reads for this kind
+    for key in {"gaussian": ("ic.center", "ic.amplitude_e", "ic.amplitude_h"),
+                "constant": ("ic.value_e", "ic.value_h")}.get(ic_kind, ()):
+        num(key)
 
-    source_kind = cfg.text("source.kind")
-    if source_kind != "none":
+    source_kind = checked(cfg.text, "source.kind")
+    if source_kind not in (None, "none"):
         if family == "trefftz":
             diagnostics.append(
                 "source.kind != none is incompatible with basis.family = trefftz: "
@@ -311,16 +326,14 @@ def validate(cfg):
                 "use the library API for source terms"
             )
 
-    kind = cfg.text("experiment.kind")
-    if kind not in EXPERIMENTS:
-        diagnostics.append(f"experiment.kind must be one of {EXPERIMENTS}, got {kind!r}")
+    kind = choice("experiment.kind", EXPERIMENTS)
     if kind == "sweep_h":
         try:
             hs = cfg.numbers("experiment.h_values")
             if len(hs) < 1:
                 diagnostics.append("experiment.h_values must not be empty for sweep_h")
-            if any(h <= 0 for h in hs):
-                diagnostics.append("experiment.h_values must be positive")
+            for h in hs:
+                spacing("experiment.h_values", h, max(length or 0.0, t_final or 0.0))
         except ConfigParse as exc:
             diagnostics.append(str(exc))
     if kind in ("sweep_p", "spectrum"):

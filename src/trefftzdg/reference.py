@@ -7,7 +7,9 @@ pair of initial profiles extended to the real line according to the
 boundary condition:
 
 * perfectly conducting walls: E odd and H even about x_l, both
-  2(x_r - x_l)-periodic, so every reflection is captured for all time;
+  2(x_r - x_l)-periodic, so every reflection is captured for all time.
+  u and w fold their coordinate once and read e0 and h0 at that one
+  image, bit for bit as separate extensions of E and H would be;
 * free space: zero extension (meaningful when the data is supported
   inside the interval up to negligible tails);
 * impedance (Robin) walls: the incoming characteristic profiles are
@@ -39,7 +41,12 @@ class GaussianPulse:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return self.amplitude * np.exp(-((x - self.center) ** 2) / self.width)
+        d = np.subtract(x, self.center, out=np.empty(x.shape))
+        d *= d
+        d /= -self.width
+        np.exp(d, out=d)
+        d *= self.amplitude
+        return d[()]
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -88,29 +95,30 @@ def _deriv_of(f, explicit):
     return getattr(f, "deriv", None)
 
 
-def _pec_extension(f, parity, x_l, length):
-    """Periodic (2 * length) extension with given parity about x_l."""
+def _pec_fold(z, x_l, length):
+    """Image m of z in [x_l, x_l + length] under the 2 length-periodic fold
+    about x_l, and where it is reflected: y = mod(z - x_l, 2 length),
+    m = x_l + y, or (x_l + 2 length) - y where y > length."""
     two_l = 2.0 * length
+    z = np.asarray(z, dtype=float)
+    y = np.subtract(z, x_l, out=np.empty(z.shape))
+    # np.mod's value, several times faster: fmod is exact, and adding
+    # 0.0 where it is not negative turns its -0.0 into np.mod's +0.0
+    np.fmod(y, two_l, out=y)
+    y += two_l * (y < 0)
+    folded = y > length
+    return np.where(folded, (x_l + two_l) - y, x_l + y), folded
 
-    def value(z):
-        y = np.mod(np.asarray(z, dtype=float) - x_l, two_l)
-        direct = y <= length
-        m = np.where(direct, x_l + y, x_l + two_l - y)
-        return np.where(direct, 1.0, parity) * f(m)
 
-    return value
-
-
-def _pec_extension_deriv(df, parity, x_l, length):
-    two_l = 2.0 * length
-
-    def value(z):
-        y = np.mod(np.asarray(z, dtype=float) - x_l, two_l)
-        direct = y <= length
-        m = np.where(direct, x_l + y, x_l + two_l - y)
-        return np.where(direct, 1.0, -parity) * df(m)
-
-    return value
+def _pec_term(f, parity, scale, m, folded):
+    """scale * f~ on the image m of _pec_fold, f~ the extension of f with the
+    given parity (+1 even, -1 odd), as a new array. It equals
+    scale * (where(folded, parity, 1) * f(m)) bit for bit: a sign flip
+    rounds nothing."""
+    v = np.multiply(scale, f(m))
+    if parity < 0:
+        v *= 1.0 - 2.0 * folded
+    return v
 
 
 def _zero_extension(f, x_l, x_r):
@@ -159,22 +167,21 @@ class CharacteristicProfile:
     def pec(cls, domain, e0, h0, eps=1.0, mu=1.0):
         """Reference for perfectly conducting walls (E = 0 on both)."""
         se, sm = math.sqrt(eps), math.sqrt(mu)
-        e_ext = _pec_extension(e0, -1.0, domain.x_l, domain.length)
-        h_ext = _pec_extension(h0, +1.0, domain.x_l, domain.length)
+        x_l, length = domain.x_l, domain.length
 
-        def u0(z):
-            return se * e_ext(z) + sm * h_ext(z)
+        def pair(f, f_parity, g, g_parity, sign):
+            # z -> se f~(z) + sign sm g~(z), f and g read at one shared image
+            def value(z):
+                m, folded = _pec_fold(z, x_l, length)
+                v = _pec_term(f, f_parity, se, m, folded)
+                return (v + _pec_term(g, g_parity, sign * sm, m, folded))[()]
+            return value
 
-        def w0(z):
-            return se * e_ext(z) - sm * h_ext(z)
-
+        u0, w0 = pair(e0, -1, h0, +1, +1), pair(e0, -1, h0, +1, -1)
         du0 = dw0 = None
         de0, dh0 = _deriv_of(e0, None), _deriv_of(h0, None)
         if de0 is not None and dh0 is not None:
-            de_ext = _pec_extension_deriv(de0, -1.0, domain.x_l, domain.length)
-            dh_ext = _pec_extension_deriv(dh0, +1.0, domain.x_l, domain.length)
-            du0 = lambda z: se * de_ext(z) + sm * dh_ext(z)
-            dw0 = lambda z: se * de_ext(z) - sm * dh_ext(z)
+            du0, dw0 = pair(de0, +1, dh0, -1, +1), pair(de0, +1, dh0, -1, -1)
         return cls(domain, eps, mu, u0, w0, du0, dw0, kind=PEC)
 
     @classmethod
@@ -246,10 +253,9 @@ class CharacteristicProfile:
     def evaluate(self, x, t):
         """Exact fields (E, H) at points x, t (broadcastable arrays)."""
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        c = self.wave_speed
-        u = self.u0(x - c * t)
-        w = self.w0(x + c * t)
+        ct = self.wave_speed * np.asarray(t, dtype=float)
+        u = self.u0(x - ct)
+        w = self.w0(x + ct)
         se, sm = math.sqrt(self.eps), math.sqrt(self.mu)
         return (u + w) / (2.0 * se), (u - w) / (2.0 * sm)
 

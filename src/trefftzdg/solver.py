@@ -3,11 +3,11 @@
 The space-time system is block lower bidiagonal in time, with slab
 matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
-one dense LU factorization per distinct slab matrix and a forward sweep.
-When all slabs share height and partition the matrices are bit-identical
-by construction (the assembly works in element-local offsets), so the
-march assembles A and R once, a single factorization serves every slab,
-and only the load b_j (wall data, source) is computed per slab.
+one dense LU factorization per distinct slab matrix, computed in place
+of A, and a forward sweep. When all slabs share height and partition the
+matrices are bit-identical by construction (the assembly works in
+element-local offsets), so one LU and one R serve every slab, and only
+the load b_j (wall data, source) is computed per slab.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups);
@@ -32,7 +32,9 @@ from .errors import (
 
 
 def _factor(A, what="slab matrix"):
-    lu, piv = linalg.lu_factor(A, check_finite=False)
+    """LU factors of A, computed in place: a Fortran-ordered A (as
+    assemble_slab allocates it) is overwritten, so the caller must own A."""
+    lu, piv = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
     if not np.all(np.isfinite(lu)) or diag.min() <= 10 * np.finfo(float).eps * diag.max():
         raise SingularSlabMatrix(
@@ -146,12 +148,14 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
         if reuse and j > 1:
             b = slab_load(mesh, j, spec, flux, bc, source=source, **quad)
         else:
+            if not reuse:
+                system = factor = R = None      # free slab j - 1's LU and R first
             system = assemble_slab(mesh, j, spec, flux, bc, source=source, **quad)
-            b = system.b
             if not reuse:
                 factor = _factor(system.A, f"slab {j} matrix")
-        rhs = system.R @ coeffs[j - 1] + b
-        coeffs[j][:] = linalg.lu_solve(factor, rhs, check_finite=False)
+            R, b = system.R, system.b
+            system = None                       # on identical slabs A_j is A_0, factored
+        coeffs[j][:] = linalg.lu_solve(factor, R @ coeffs[j - 1] + b, check_finite=False)
     return sol
 
 

@@ -1,14 +1,21 @@
 """Config grammar, validation diagnostics, and object builders."""
 
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg.basis import TREFFTZ
 from trefftzdg.config import (
     DEFAULTS,
+    MAX_CELLS,
     ExperimentConfig,
     build_bc,
+    build_domain,
     build_flux,
     build_initial_data,
+    build_materials,
     build_mesh,
     build_profile,
     build_spec,
@@ -189,3 +196,104 @@ def test_default_table_is_self_consistent():
     assert set(cfg.values) == set(DEFAULTS)
     text = cfg.to_text()
     assert ExperimentConfig.from_text(text).values == cfg.values
+
+
+# -- fuzzing -------------------------------------------------------------
+
+_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-1", "1", "3", "0.5", "-0.0", "1e-300", "1e308", "-1e308",
+                     "nan", "inf", "-inf", "true", "false", "pec", "robin", "dirichlet",
+                     "trefftz", "full", "gaussian", "constant", "zero", "none", "run",
+                     "sweep_h", "sweep_p", "sweep_flux", "spectrum", "energy",
+                     "1,2", "0.5,1", "1,", ",", "30.0", "1.0,4.0", "x,1"]),
+    st.floats().map(repr),
+    st.integers(-3, 12).map(str),
+    st.integers().map(str),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8),
+)
+_KEYS = st.sampled_from(sorted(DEFAULTS) + ["mesh.h", "bogus", ""])
+
+
+def _build_all(cfg):
+    """Every builder the configured experiment calls, on a config that
+    validated clean. A mesh is built only where it stays small, since a
+    valid config may ask for any resolution."""
+    build_materials(cfg)
+    domain = build_domain(cfg)
+    kind = cfg.text("experiment.kind")
+    h_values = cfg.numbers("experiment.h_values") if kind == "sweep_h" else []
+    for h_x, h_t in [(cfg.number("mesh.h_x"), cfg.number("mesh.h_t"))] + [(h, h) for h in h_values]:
+        n_x, n_t = max(1.0, domain.length / h_x), max(1.0, domain.t_final / h_t)
+        # past MAX_CELLS numpy cannot size the arrays; below it only memory can run out
+        assert n_x <= MAX_CELLS and n_t <= MAX_CELLS
+        if n_x * n_t <= 2000:
+            build_mesh(cfg, h_x=h_x, h_t=h_t)
+    build_spec(cfg)
+    if kind in ("sweep_p", "spectrum"):
+        for p in cfg.integers("experiment.p_values"):
+            build_spec(cfg, degree=p)
+    build_flux(cfg)
+    if kind == "sweep_flux":
+        for a in cfg.numbers("experiment.alpha_values"):
+            for b in cfg.numbers("experiment.beta_values"):
+                build_flux(cfg, alpha=a, beta=b)
+    build_bc(cfg)
+    build_initial_data(cfg)
+    build_profile(cfg)
+
+
+def _check(make_cfg):
+    """ConfigParse, diagnostics, or a config that builds: never another exception."""
+    try:
+        cfg = make_cfg()
+        diagnostics = validate(cfg)
+    except ConfigParse:
+        return
+    assert all(isinstance(d, str) for d in diagnostics)
+    if not diagnostics:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # alpha = 0 or beta = 0 warns
+            _build_all(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    ["ic.amplitude_e="],
+    ["flux.per_face_scaling="],
+    ["basis.family=3"],
+    ["domain.x_r=inf"],
+    ["ic.center=nan"],
+    ["domain.x_l=-1e308", "domain.x_r=1e308"],
+    ["mesh.h_t=5e-324"],
+    ["domain.x_r=1" + "0" * 400],
+    ["domain.x_l=-1e308"],
+    ["domain.t_final=1e308"],
+    ["experiment.kind=sweep_h", "experiment.h_values=1,5e-324"],
+], ids=lambda o: " ".join(o))
+def test_inputs_the_builders_reject_are_diagnosed(overrides):
+    # before validate read every key the builders read, required finite
+    # numbers and bounded the element counts, each of these validated clean
+    # (the builders then raised ConfigParse, OverflowError or ValueError) or
+    # stopped validate early
+    assert validate(ExperimentConfig.defaults().override(overrides))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_arbitrary_text_parses_or_raises_config_parse(text):
+    try:
+        values = parse_config_text(text)
+    except ConfigParse:
+        return
+    assert isinstance(values, dict)
+    _check(lambda: ExperimentConfig.from_text(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_KEYS, _VALUES), max_size=6), st.booleans())
+def test_random_overrides_give_diagnostics_or_a_config_that_builds(pairs, as_file):
+    lines = [f"{key} = {value}" for key, value in pairs]
+    if as_file:
+        _check(lambda: ExperimentConfig.from_text("\n".join(lines)))
+    else:
+        _check(lambda: ExperimentConfig.defaults().override([line.replace(" = ", "=", 1)
+                                                             for line in lines]))

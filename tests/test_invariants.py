@@ -16,6 +16,7 @@ from trefftzdg import (
     assemble_global,
     build_mesh,
     dg_norm,
+    energy_budget,
     field_from_coefficients,
     global_layout,
     march,
@@ -25,9 +26,9 @@ from conftest import random_meshes
 
 
 @st.composite
-def _problems(draw):
+def _problems(draw, homogeneous=False):
     """A random mesh with a random family, uniform or per-element degrees,
-    penalties, and PEC or Robin walls with incoming data."""
+    penalties, and PEC or Robin walls, with incoming data unless homogeneous."""
     domain, materials, heights, parts = draw(random_meshes())
     mesh = build_mesh(domain, materials, heights, parts)
     family = draw(st.sampled_from(FAMILIES))
@@ -42,8 +43,9 @@ def _problems(draw):
     t_final = domain.t_final
     bc = draw(st.sampled_from([
         BoundaryCondition.pec(),
-        BoundaryCondition.robin(g_l=lambda t: np.exp(-((t - 0.3 * t_final) / t_final) ** 2),
-                                g_r=lambda t: 0.5 * np.sin(t / t_final)),
+        BoundaryCondition.robin() if homogeneous else BoundaryCondition.robin(
+            g_l=lambda t: np.exp(-((t - 0.3 * t_final) / t_final) ** 2),
+            g_r=lambda t: 0.5 * np.sin(t / t_final)),
     ]))
     return mesh, spec, flux, bc, draw(st.integers(0, 2**32 - 1))
 
@@ -67,3 +69,24 @@ def test_march_is_the_global_solve_and_the_form_is_the_squared_norm(problem):
     v = np.random.default_rng(seed).standard_normal(n)
     norm = dg_norm(field_from_coefficients(mesh, spec, v, flux=flux, bc=bc))
     assert apply_bilinear_global(mesh, spec, flux, bc, v, v) == pytest.approx(norm**2, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems(homogeneous=True))
+def test_the_discrete_energy_identity_holds(problem):
+    # final energy = data energy - projection mismatch - jump and wall
+    # losses, every loss a sum of squares. The identity is algebraic; cubic
+    # data keeps every data integral exact, so no quadrature error of the
+    # data enters the residual (a pulse on one coarse element leaves 1e-8)
+    mesh, spec, flux, bc, _ = problem
+    domain = mesh.domain
+
+    def scaled(x):
+        return (np.asarray(x, dtype=float) - domain.x_l) / domain.length
+
+    data = InitialData(lambda x: 1.0 + scaled(x) - 2.0 * scaled(x) ** 3,
+                       lambda x: 0.5 - scaled(x) ** 2)
+    budget = energy_budget(march(mesh, spec, flux, bc, data), data)
+    assert budget.residual <= 1e-9
+    assert min(budget.initial_mismatch, budget.time_jump_loss,
+               budget.space_jump_loss, budget.lateral_loss) >= 0.0

@@ -151,3 +151,114 @@ def test_zero_field_reference():
     assert E.shape == (4,) and not E.any() and not H.any()
     E, H = z.trace(1.0, 2.0, side="below")
     assert float(E) == 0.0 and float(H) == 0.0
+
+
+def _gauss_oracle(g):
+    """GaussianPulse's value and derivative as plain array expressions."""
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return g.amplitude * np.exp(-((x - g.center) ** 2) / g.width)
+
+    return value, lambda x: value(x) * (-2.0 * (np.asarray(x, dtype=float) - g.center) / g.width)
+
+
+def _fold_oracle(f, parity, x_l, length):
+    """The PEC extension with parity about x_l, one image per extended profile."""
+    two_l = 2.0 * length
+
+    def value(z):
+        y = np.mod(np.asarray(z, dtype=float) - x_l, two_l)
+        direct = y <= length
+        m = np.where(direct, x_l + y, x_l + two_l - y)
+        return np.where(direct, 1.0, parity) * f(m)
+
+    return value
+
+
+@pytest.mark.parametrize("eps, mu", [(1.0, 1.0), (2.0, 0.5), (3.0, 0.75)])
+# "inexact": x_l + 2 length rounds, so the order of the folded image's sum shows
+@pytest.mark.parametrize("domain", [
+    DOMAIN, SpaceTimeDomain(-3.5, 6.25, 20.0), SpaceTimeDomain(0.3, 7.1, 20.0),
+], ids=["unit", "shifted", "inexact"])
+def test_pec_profile_is_the_fold_of_the_data_bit_for_bit(domain, eps, mu):
+    e0, h0 = GaussianPulse(10.0, 10.0, 1.0), GaussianPulse(4.0, 3.0, -0.6)
+    prof = CharacteristicProfile.pec(domain, e0, h0, eps=eps, mu=mu)
+    se, sm, c = math.sqrt(eps), math.sqrt(mu), prof.wave_speed
+    x_l, length = domain.x_l, domain.length
+    (ef, def_), (hf, dhf) = _gauss_oracle(e0), _gauss_oracle(h0)
+    e_ext, h_ext = _fold_oracle(ef, -1.0, x_l, length), _fold_oracle(hf, 1.0, x_l, length)
+    de_ext, dh_ext = _fold_oracle(def_, 1.0, x_l, length), _fold_oracle(dhf, -1.0, x_l, length)
+
+    rng = np.random.default_rng(5)
+    k = np.arange(-3, 4)
+    folds = np.concatenate([x_l + 2 * length * k, x_l + length + 2 * length * k])
+    inputs = [
+        np.concatenate([rng.uniform(-8 * length, 8 * length, 300), folds]),
+        rng.uniform(-200.0, 200.0, (7, 11)),
+        np.array(x_l + length),
+        x_l - 0.3 * length,
+        float(folds[0]),
+    ]
+    for z in inputs:
+        for got, want in (
+            (prof.u0(z), se * e_ext(z) + sm * h_ext(z)),
+            (prof.w0(z), se * e_ext(z) - sm * h_ext(z)),
+            (prof.du0(z), se * de_ext(z) + sm * dh_ext(z)),
+            (prof.dw0(z), se * de_ext(z) - sm * dh_ext(z)),
+        ):
+            assert np.shape(got) == np.shape(z)
+            assert np.array_equal(got, want)
+    t = rng.uniform(-30.0, 90.0, (7, 11))
+    x = inputs[1]
+    u = se * e_ext(x - c * t) + sm * h_ext(x - c * t)
+    w = se * e_ext(x + c * t) - sm * h_ext(x + c * t)
+    E, H = prof.evaluate(x, t)
+    assert np.array_equal(E, (u + w) / (2.0 * se))
+    assert np.array_equal(H, (u - w) / (2.0 * sm))
+    E, H = prof.evaluate(folds[1], 0.0)
+    assert np.ndim(E) == 0 and np.ndim(H) == 0
+
+
+def test_pec_profile_leaves_the_data_arrays_alone():
+    # the in-place sums never write into what the data callables return
+    returned = []
+
+    def keep(f):
+        def value(x):
+            returned.append((f(x), f(x).copy()))
+            return returned[-1][0]
+        return value
+
+    prof = CharacteristicProfile.pec(DOMAIN, keep(GAUSS), keep(GaussianPulse(5.0, 2.0)))
+    prof.evaluate(np.linspace(-70.0, 130.0, 101), np.full(101, 3.0))
+    assert len(returned) == 4
+    assert all(np.array_equal(a, b) for a, b in returned)
+
+
+def test_gaussian_pulse_is_the_closed_form_bit_for_bit():
+    g = GaussianPulse(-1.5, 0.7, -2.25)
+    value, deriv = _gauss_oracle(g)
+    x = np.random.default_rng(9).uniform(-8.0, 8.0, (5, 13))
+    assert np.array_equal(g(x), value(x))
+    assert np.array_equal(g.deriv(x), deriv(x))
+    assert np.array_equal(g(x.T), value(x.T))        # non-contiguous input
+    assert np.array_equal(g([1, 2, 3]), value([1, 2, 3]))
+    for scalar in (0.5, np.float64(0.5), np.array(0.5), 2):
+        assert type(g(scalar)) is np.float64
+        assert g(scalar) == value(scalar)
+
+
+def test_pec_profile_takes_data_that_broadcasts_or_is_complex():
+    # the data callables may return a larger (broadcast) shape or complex
+    # values; each is still the old fold formula, value for value
+    gauss, x_l, length = GaussianPulse(10.0, 10.0), DOMAIN.x_l, DOMAIN.length
+    e0 = lambda x: np.atleast_1d(gauss(x))
+    h0 = lambda x: (1.0 + 0.5j) * gauss(x)
+    prof = CharacteristicProfile.pec(DOMAIN, e0, h0, eps=2.0, mu=0.5)
+    e_ext, h_ext = _fold_oracle(e0, -1.0, x_l, length), _fold_oracle(h0, 1.0, x_l, length)
+    se, sm = math.sqrt(2.0), math.sqrt(0.5)
+    for z in (np.array(-7.5), 3.25, np.array([x_l + length, 130.0])):
+        u, w = prof.u0(z), prof.w0(z)
+        assert np.shape(u) == np.shape(w) == np.shape(e0(z))
+        assert np.array_equal(u, se * e_ext(z) + sm * h_ext(z))
+        assert np.array_equal(w, se * e_ext(z) - sm * h_ext(z))

@@ -1,6 +1,7 @@
 """Marching, update operator, spectra, and discrete-field evaluation."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, 
     assembled.clear()
     march(mesh, BasisSpec(TREFFTZ, 2), flux, bc, data)
     assert assembled == list(range(mesh.n_slabs))
+
+
+@pytest.mark.parametrize("per_element", [False, True], ids=["reused", "per-slab"])
+def test_march_factors_in_place_and_frees_each_slab(per_element):
+    # slabs of n dofs. Each slab's LU overwrites its A, and slab j - 1's LU
+    # and R are freed before slab j assembles, so at most 2 n x n arrays live
+    # at once with per-element degrees. On identical slabs slab 1's A and R
+    # are assembled while slab 0's LU serves every slab: 3 n x n arrays.
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 2.0), UNIT, 120, 4)
+    spec = BasisSpec(TREFFTZ, {i: 3 for i in range(mesh.n_elements)} if per_element else 3)
+    n = 120 * spec.dim_for(0)
+    data = InitialData(GaussianPulse(10.0, 4.0), GaussianPulse(10.0, 4.0))
+    tracemalloc.start()
+    try:
+        sol = march(mesh, spec, FluxParams(), BoundaryCondition.pec(), data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.coefficients[0].size == n
+    assert peak <= (2.5 if per_element else 3.5) * 8 * n * n
 
 
 def test_update_operator_advances_the_march():
