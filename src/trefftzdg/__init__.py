@@ -23,7 +23,6 @@ from .errors import (
     NonconstantMaterial,
     NonpositiveError,
     PointOutsideElement,
-    QuadratureOrderTooLow,
     SingularSlabMatrix,
     TrefftzDGError,
     TrefftzWithSource,

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedBC,
 )
 from .mesh import FaceKind
-from .quadrature import gauss_rule, local_tensor_rule
+from .quadrature import data_nodes, error_nodes, face_nodes, gauss_rule, local_tensor_rule
 from .reference import ZeroField
 from .solver import SolutionField
 
@@ -45,7 +45,7 @@ def l2_relative_error(sol, reference, quad_order=None):
     cylinder divided by the squared reference norm.
     """
     mesh, spec = sol.mesh, sol.spec
-    n = quad_order if quad_order is not None else _max_degree(sol) + 6
+    n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
     num = 0.0
     den = 0.0
     # one basis table per signature, summed slab by slab in order of first
@@ -213,7 +213,7 @@ def dg_error(sol, reference, flux=None, quad_order=None):
     E for conducting/Dirichlet walls, the impedance-weighted pair for
     Robin walls.
     """
-    n = quad_order if quad_order is not None else _max_degree(sol) + 6
+    n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
     return math.sqrt(_Skeleton(sol, _flux_of(sol, flux)).squared_jumps(_KINDS, n, reference))
 
 
@@ -238,13 +238,14 @@ def discrete_energy(sol, t, side=None):
         slab = mesh.n_slabs - 1
     else:
         slab = mesh.slab_of_time(t, side=side)
-    return float(_Skeleton(sol).energies([slab], [t], _max_degree(sol) + 2)[0])
+    return float(_Skeleton(sol).energies([slab], [t], face_nodes(_max_degree(sol)))[0])
 
 
 def energy_trajectory(sol):
     """Energies at every slab interface and the final time, traced from below."""
     times = sol.mesh.slab_times[1:]
-    energies = _Skeleton(sol).energies(range(sol.mesh.n_slabs), times, _max_degree(sol) + 2)
+    energies = _Skeleton(sol).energies(range(sol.mesh.n_slabs), times,
+                                       face_nodes(_max_degree(sol)))
     return times.copy(), energies
 
 
@@ -272,23 +273,26 @@ class EnergyBudget:
         }
 
 
-def energy_budget(sol, initial_data, quad_order=None):
+def energy_budget(sol, initial_data):
     """Audit the discrete energy identity for a homogeneous-data run.
 
     final = data energy - projection mismatch - time-jump loss
     - space-jump loss - lateral loss, with every loss a sum of squares.
-    residual is the identity defect relative to the data energy.
+    initial_energy is the data energy under the rule the march integrates
+    the data with (data_nodes of slab 0's largest degree), so residual,
+    the identity defect relative to it, holds rounding error only and no
+    quadrature error of the data.
     """
     bc = sol.bc
     if bc is None or not bc.homogeneous:
         raise UnsupportedBC(
             "the energy identity is audited for homogeneous boundary data only"
         )
-    p_max = _max_degree(sol)
-    n = quad_order if quad_order is not None else p_max + 2
+    n = face_nodes(_max_degree(sol))
+    p_first = int(sol.spec.degrees(sol.mesh.elem_grid[0]).max())
     skeleton = _Skeleton(sol, _flux_of(sol))
 
-    bottom = skeleton.kind(FaceKind.BOTTOM, max(p_max + 6, 16))
+    bottom = skeleton.kind(FaceKind.BOTTOM, data_nodes(p_first))
     E, H, _ = bottom.sides[0]
     e0 = np.asarray(initial_data.e0(bottom.X), dtype=float)
     h0 = np.asarray(initial_data.h0(bottom.X), dtype=float)
@@ -361,15 +365,14 @@ def fit_rates(xs, errors, mode="h"):
                    n_used=int(keep.sum()), excluded=excluded)
 
 
-def project_to_space(mesh, spec, reference, quad_order=None):
+def project_to_space(mesh, spec, reference):
     """Elementwise L2 projection of a reference field onto a discrete space.
 
     Returns a SolutionField with no attached flux or boundary
     condition; useful as a side-aware discrete stand-in for the exact
     solution.
     """
-    p_max = int(spec.degrees(range(mesh.n_elements)).max())
-    n = quad_order if quad_order is not None else p_max + 6
+    n = error_nodes(int(spec.degrees(range(mesh.n_elements)).max()))
     starts, total = global_layout(mesh, spec)
     flat = np.zeros(total)
     for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
@@ -398,9 +401,9 @@ def embed_solution(sol, degree):
     return field_from_coefficients(sol.mesh, big, flat, sol.flux, sol.bc)
 
 
-def dg_norm(sol, flux=None, quad_order=None):
+def dg_norm(sol, flux=None):
     """Mesh-dependent norm of a discrete field (its distance from zero)."""
-    return dg_error(sol, ZeroField(), flux=flux, quad_order=quad_order)
+    return dg_error(sol, ZeroField(), flux=flux)
 
 
 def field_from_coefficients(mesh, spec, coefficients, flux=None, bc=None):

@@ -31,14 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FULL, TREFFTZ, element_basis, signature_groups, space_dim
-from .errors import (
-    DimensionMismatch,
-    MismatchedDomain,
-    QuadratureOrderTooLow,
-    TrefftzWithSource,
-)
+from .errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
 from .mesh import FaceKind
-from .quadrature import gauss_rule, local_tensor_rule
+from .quadrature import data_nodes, face_nodes, gauss_rule, local_tensor_rule
 from .reference import Constant, ZERO
 
 PEC = "pec"
@@ -265,20 +260,6 @@ def _walls(mesh, slab, spec, flux, n):
         yield side, i - mesh.slab_starts[slab], basis, fields, dt, 0.5 * e.ht * w, alpha
 
 
-def _quad_orders(spec, p_max, face_quad, data_quad):
-    if face_quad is None:
-        n_face = p_max + 2
-    else:
-        n_face = int(face_quad)
-        if n_face < p_max + 1:
-            raise QuadratureOrderTooLow(
-                f"{n_face} nodes cannot integrate degree-{2 * p_max} face products; "
-                f"need at least {p_max + 1}"
-            )
-    n_data = int(data_quad) if data_quad is not None else max(p_max + 2, 12)
-    return n_face, n_data
-
-
 def _volume_block(basis, n_quad):
     """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i)."""
     e = basis.element
@@ -291,8 +272,8 @@ def _volume_block(basis, n_quad):
     return -blk
 
 
-def _slab_frame(mesh, slab, spec, face_quad, data_quad):
-    """Element ids, quadrature orders and slab-local first dofs of a slab and its predecessor.
+def _slab_frame(mesh, slab, spec):
+    """Element ids, largest degree and slab-local first dofs of a slab and its predecessor.
 
     offsets[i - ids.start] is the first dof of element i counted from the
     slab's first element, and offsets[-1] the slab's size; prev_offsets
@@ -301,14 +282,13 @@ def _slab_frame(mesh, slab, spec, face_quad, data_quad):
     ids = mesh.elem_grid[slab]
     prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else range(ids.start, ids.start)
     degrees = spec.degrees(range(prev_ids.start, ids.stop))
-    quad = _quad_orders(spec, int(degrees.max()), face_quad, data_quad)
     starts = np.cumsum(np.append(0, space_dim(spec.family, degrees)))
     offsets = starts[len(prev_ids):] - starts[len(prev_ids)]
-    return ids, prev_ids, quad, offsets, starts[:len(prev_ids) + 1] if prev_ids else None
+    prev_offsets = starts[:len(prev_ids) + 1] if prev_ids else None
+    return ids, prev_ids, int(degrees.max()), offsets, prev_offsets
 
 
-def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
-              source=None, face_quad=None, data_quad=None):
+def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     """Load vector b of one time slab: wall data, volume source, initial data.
 
     This is the only part of the slab system that changes from slab to
@@ -329,7 +309,8 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
         raise MismatchedDomain("slab 0 requires initial data")
     if slab > 0 and bc.homogeneous and source is None:
         return np.zeros(int(space_dim(spec.family, spec.degrees(mesh.elem_grid[slab])).sum()))
-    ids, _, (_, n_data), offsets, _ = _slab_frame(mesh, slab, spec, face_quad, data_quad)
+    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
+    n_data = data_nodes(p_max)
     b = np.zeros(int(offsets[-1]))
 
     # lateral boundary data
@@ -368,8 +349,7 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None,
     return b
 
 
-def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
-                  source=None, face_quad=None, data_quad=None):
+def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     """Assemble A, R, b for one time slab.
 
     For slab > 0 the coupling matrix R is built against the previous
@@ -378,10 +358,9 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None,
     requires initial_data and a source requires the full family. A is
     allocated in Fortran order, so the march can factor it in place.
     """
-    b = slab_load(mesh, slab, spec, flux, bc, initial_data=initial_data, source=source,
-                  face_quad=face_quad, data_quad=data_quad)
-    ids, prev_ids, (n_face, _), offsets, prev_offsets = _slab_frame(
-        mesh, slab, spec, face_quad, data_quad)
+    b = slab_load(mesh, slab, spec, flux, bc, initial_data=initial_data, source=source)
+    ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
+    n_face = face_nodes(p_max)
     n_prev = int(prev_offsets[-1]) if prev_ids else 0
     A = np.zeros((b.size, b.size), order="F")
     R = np.zeros((b.size, n_prev))
@@ -460,8 +439,7 @@ class GlobalSystem:
     n_dofs: int
 
 
-def assemble_global(mesh, spec, flux, bc, initial_data=None,
-                    source=None, face_quad=None, data_quad=None):
+def assemble_global(mesh, spec, flux, bc, initial_data=None, source=None):
     """Stack the slab systems into the full space-time matrix and load.
 
     The global system is block lower bidiagonal in the slabs: A_j on the
@@ -478,8 +456,7 @@ def assemble_global(mesh, spec, flux, bc, initial_data=None,
     load = np.zeros(n)
     prev = lo = 0
     for j in range(mesh.n_slabs):
-        system = assemble_slab(mesh, j, spec, flux, bc, initial_data=initial_data,
-                               source=source, face_quad=face_quad, data_quad=data_quad)
+        system = assemble_slab(mesh, j, spec, flux, bc, initial_data=initial_data, source=source)
         hi = lo + system.n_dofs
         G[lo:hi, lo:hi] = system.A
         G[lo:hi, prev:lo] = -system.R
@@ -488,8 +465,7 @@ def assemble_global(mesh, spec, flux, bc, initial_data=None,
     return GlobalSystem(matrix=G, load=load, n_dofs=n)
 
 
-def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v,
-                          face_quad=None):
+def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v):
     """Evaluate the space-time bilinear form a(u; v) for coefficient fields.
 
     Assembles the dense global matrix internally, so keep the mesh small.
@@ -502,7 +478,7 @@ def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v,
             f"coefficient vectors must have length {n}, got "
             f"{coeffs_u.shape} and {coeffs_v.shape}"
         )
-    system = assemble_global(mesh, spec, flux, bc, face_quad=face_quad)
+    system = assemble_global(mesh, spec, flux, bc)
     return float(coeffs_v @ system.matrix @ coeffs_u)
 
 

@@ -49,10 +49,6 @@ class SingularSlabMatrix(TrefftzDGError):
     """Slab system matrix is numerically singular."""
 
 
-class QuadratureOrderTooLow(TrefftzDGError):
-    """Requested quadrature cannot integrate the basis products exactly."""
-
-
 class DimensionMismatch(TrefftzDGError):
     """Coefficient vector length inconsistent with the degree-of-freedom map."""
 

@@ -7,15 +7,16 @@ never inside a slab. Material interfaces must coincide with partition
 breakpoints in every slab, which keeps the coefficients constant on
 each element.
 
-A Mesh is a set of read-only numpy arrays. Elements are numbered slab
-by slab, left to right: x0, x1, t0, t1, eps, mu, slab and col hold one
-entry per element, and slab j owns the index range
-slab_starts[j]:slab_starts[j + 1] (elem_grid[j]). Faces live in one
-FaceTable per FaceKind, in mesh order: pos, lo, hi and the two adjacent
-element ids. hor_starts and ver_starts are the per-interface and
-per-slab offsets into the HOR_INTERNAL and VER_INTERNAL tables; the
-lateral tables hold one row per slab. Code that works on faces reads
-these rows. mesh.elements[i] builds an Element view of one row on demand.
+A Mesh is a set of read-only numpy arrays. Elements are numbered slab by
+slab, left to right: x0, x1, t0, t1, eps, mu, slab and col hold one
+entry per element (hx = x1 - x0, and ht is the slab's height), and slab
+j owns the index range slab_starts[j]:slab_starts[j + 1] (elem_grid[j]).
+Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
+the two adjacent element ids. hor_starts and ver_starts are the
+per-interface and per-slab offsets into the HOR_INTERNAL and
+VER_INTERNAL tables; the lateral tables hold one row per slab. Code that
+works on faces reads these rows. mesh.elements[i] builds an Element view
+of one row on demand.
 """
 
 import enum
@@ -111,7 +112,8 @@ class MaterialLayout:
 
 @dataclass(frozen=True)
 class Element:
-    """Axis-aligned space-time cell with constant materials: a view of one mesh row."""
+    """Axis-aligned space-time cell with constant materials: a view of one mesh row,
+    with the mesh's width hx and height ht."""
 
     index: int
     slab: int
@@ -122,14 +124,8 @@ class Element:
     t1: float
     eps: float
     mu: float
-
-    @property
-    def hx(self):
-        return self.x1 - self.x0
-
-    @property
-    def ht(self):
-        return self.t1 - self.t0
+    hx: float
+    ht: float
 
     @property
     def wave_speed(self):
@@ -276,7 +272,9 @@ class Mesh:
 
     @cached_property
     def ht(self):
-        return _read_only(self.t1 - self.t0)
+        """Element heights: each slab's height as given, so identical slabs
+        share it bit for bit, where t1 - t0 rounds differently per slab."""
+        return _read_only(self.slab_heights[self.slab])
 
     @cached_property
     def identical_slabs(self):
@@ -303,7 +301,8 @@ class Mesh:
         """Element views, built on demand."""
         return _Rows(self.n_elements, lambda i: Element(
             i, int(self.slab[i]), int(self.col[i]), self.x0[i], self.x1[i],
-            self.t0[i], self.t1[i], float(self.eps[i]), float(self.mu[i])))
+            self.t0[i], self.t1[i], float(self.eps[i]), float(self.mu[i]),
+            self.hx[i], self.ht[i]))
 
     def slab_of_time(self, t, side=None):
         """Index of the slab containing time t; `side` breaks interface ties."""

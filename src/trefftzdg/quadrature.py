@@ -3,6 +3,10 @@
 Nodes are computed by Newton iteration on the Legendre three-term
 recurrence, converged to residual below 1e-15, so rules are
 deterministic across runs and platforms with the same libm.
+
+face_nodes, data_nodes and error_nodes fix the Gauss-point count per
+direction of every integral of the scheme and its diagnostics, as a
+function of the largest degree involved; no caller picks its own.
 """
 
 from functools import lru_cache
@@ -45,6 +49,24 @@ def _gauss_cached(n):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def face_nodes(p):
+    """Gauss points per direction for products of degree-p fields (slab
+    matrices, DG-norm and energy terms): exact for their degree 2p."""
+    return p + 2
+
+
+def data_nodes(p):
+    """Gauss points per direction for given data (initial fields, wall data,
+    source) against degree-p fields; the data need not be polynomial."""
+    return max(p + 2, 12)
+
+
+def error_nodes(p):
+    """Gauss points per direction for degree-p fields against a reference
+    (error norms, projections)."""
+    return p + 6
 
 
 def gauss_rule(n):

@@ -89,12 +89,6 @@ class ZeroField:
         return z, z.copy(), z.copy(), z.copy()
 
 
-def _deriv_of(f, explicit):
-    if explicit is not None:
-        return explicit
-    return getattr(f, "deriv", None)
-
-
 def _pec_fold(z, x_l, length):
     """Image m of z in [x_l, x_l + length] under the 2 length-periodic fold
     about x_l, and where it is reflected: y = mod(z - x_l, 2 length),
@@ -156,7 +150,7 @@ class CharacteristicProfile:
         def w0(x):
             return se * e0(x) - sm * h0(x)
 
-        de0, dh0 = _deriv_of(e0, None), _deriv_of(h0, None)
+        de0, dh0 = getattr(e0, "deriv", None), getattr(h0, "deriv", None)
         du0 = dw0 = None
         if de0 is not None and dh0 is not None:
             du0 = lambda x: se * de0(x) + sm * dh0(x)
@@ -179,7 +173,7 @@ class CharacteristicProfile:
 
         u0, w0 = pair(e0, -1, h0, +1, +1), pair(e0, -1, h0, +1, -1)
         du0 = dw0 = None
-        de0, dh0 = _deriv_of(e0, None), _deriv_of(h0, None)
+        de0, dh0 = getattr(e0, "deriv", None), getattr(h0, "deriv", None)
         if de0 is not None and dh0 is not None:
             du0, dw0 = pair(de0, +1, dh0, -1, +1), pair(de0, +1, dh0, -1, -1)
         return cls(domain, eps, mu, u0, w0, du0, dw0, kind=PEC)
@@ -218,7 +212,7 @@ class CharacteristicProfile:
             return np.where(inside, data, g_r((z - x_r) / c))
 
         du0 = dw0 = None
-        dg_l, dg_r = _deriv_of(g_l, None), _deriv_of(g_r, None)
+        dg_l, dg_r = getattr(g_l, "deriv", None), getattr(g_r, "deriv", None)
         if du0_in is not None and dg_l is not None and dg_r is not None:
             def du0(z):
                 z = np.asarray(z, dtype=float)
@@ -323,7 +317,7 @@ def _projection_residual(f, df, a, b, p, n):
     return e, de
 
 
-def best_approximation_error(profile, element, p, norm="l2", n_quad=None):
+def best_approximation_error(profile, element, p, norm="l2"):
     """Element error of the characteristic L2-projection onto degree p.
 
     Projects each transported profile onto polynomials of degree p over
@@ -340,7 +334,7 @@ def best_approximation_error(profile, element, p, norm="l2", n_quad=None):
     e_u, de_u = _projection_residual(profile.u0, profile._du(), x0 - c * t1, x1 - c * t0, p, n_proj)
     e_w, de_w = _projection_residual(profile.w0, profile._dw(), x0 + c * t0, x1 + c * t1, p, n_proj)
 
-    n = n_quad if n_quad is not None else max(p + 6, 16)
+    n = max(p + 6, 16)
     X, T, W = tensor_rule(n, n, (x0, x1, t0, t1))
     se, sm = math.sqrt(profile.eps), math.sqrt(profile.mu)
     eu = e_u(X - c * T)

@@ -5,9 +5,11 @@ matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix, computed in place
 of A, and a forward sweep. When all slabs share height and partition the
-matrices are bit-identical by construction (the assembly works in
-element-local offsets), so one LU and one R serve every slab, and only
-the load b_j (wall data, source) is computed per slab.
+matrices are bit-identical by construction: the assembly works in
+element-local offsets, and every element's ht is its slab's height as
+given (Mesh.ht), not a difference of slab times that rounds differently
+from slab to slab. So one LU and one R serve every slab, and only the
+load b_j (wall data, source) is computed per slab.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups);
@@ -127,8 +129,7 @@ class SolutionField:
                         writer.writerow([j, idx, k, repr(float(v))])
 
 
-def march(mesh, spec, flux, bc, initial_data, source=None,
-          face_quad=None, data_quad=None):
+def march(mesh, spec, flux, bc, initial_data, source=None):
     """Solve the space-time system slab by slab.
 
     Returns a SolutionField. On identical slabs with a uniform degree the
@@ -138,19 +139,17 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
-    quad = dict(face_quad=face_quad, data_quad=data_quad)
-    system = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data,
-                           source=source, **quad)
+    system = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data, source=source)
     factor = _factor(system.A, "slab 0 matrix")
     coeffs[0][:] = linalg.lu_solve(factor, system.b, check_finite=False)
     reuse = mesh.identical_slabs and spec.uniform
     for j in range(1, mesh.n_slabs):
         if reuse and j > 1:
-            b = slab_load(mesh, j, spec, flux, bc, source=source, **quad)
+            b = slab_load(mesh, j, spec, flux, bc, source=source)
         else:
             if not reuse:
                 system = factor = R = None      # free slab j - 1's LU and R first
-            system = assemble_slab(mesh, j, spec, flux, bc, source=source, **quad)
+            system = assemble_slab(mesh, j, spec, flux, bc, source=source)
             if not reuse:
                 factor = _factor(system.A, f"slab {j} matrix")
             R, b = system.R, system.b
@@ -159,7 +158,7 @@ def march(mesh, spec, flux, bc, initial_data, source=None,
     return sol
 
 
-def update_matrix(mesh, spec, flux, bc, face_quad=None):
+def update_matrix(mesh, spec, flux, bc):
     """Dense one-slab update operator U = A^{-1} R.
 
     Requires at least two identical slabs and a boundary condition
@@ -175,7 +174,7 @@ def update_matrix(mesh, spec, flux, bc, face_quad=None):
         raise UnsupportedBC(
             "update operator is defined for data-free boundary conditions"
         )
-    system = assemble_slab(mesh, 1, spec, flux, bc, face_quad=face_quad)
+    system = assemble_slab(mesh, 1, spec, flux, bc)
     factor = _factor(system.A)
     return linalg.lu_solve(factor, system.R, check_finite=False)
 

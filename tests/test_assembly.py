@@ -27,12 +27,7 @@ from trefftzdg import (
     slab_load,
     uniform_mesh,
 )
-from trefftzdg.errors import (
-    DimensionMismatch,
-    MismatchedDomain,
-    QuadratureOrderTooLow,
-    TrefftzWithSource,
-)
+from trefftzdg.errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
 
 UNIT = MaterialLayout.constant()
 
@@ -213,14 +208,6 @@ def test_volume_source_reproduces_manufactured_solution():
                 InitialData.zero(), source=lambda x, t: t**2 + x * (1.0 - x))
     assert l2_relative_error(sol, _ManufacturedSource()) <= 1e-11
     assert dg_norm(sol) > 0.0
-
-
-def test_low_face_quadrature_is_rejected():
-    mesh = _unit_square_mesh()
-    with pytest.raises(QuadratureOrderTooLow):
-        assemble_slab(mesh, 0, BasisSpec(TREFFTZ, 3), FluxParams(),
-                      BoundaryCondition.pec(), initial_data=InitialData.zero(),
-                      face_quad=2)
 
 
 def test_quadratic_form_checks_vector_lengths():

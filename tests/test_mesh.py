@@ -239,11 +239,14 @@ def test_random_meshes_are_consistent(case):
     assert {kind: len(table.pos) for kind, table in tables.items()} == counts
     assert np.array_equal(np.diff(mesh.hor_starts), interfaces)
     assert np.array_equal(np.diff(mesh.ver_starts), [len(p) - 2 for p in parts])
+    # widths are x1 - x0 and heights the slab heights as given, not t1 - t0;
     # the element views equal their array rows
+    assert np.array_equal(mesh.hx, mesh.x1 - mesh.x0)
+    assert np.array_equal(mesh.ht, np.asarray(heights)[mesh.slab])
     for i, e in enumerate(mesh.elements):
-        assert (e.index, e.slab, e.col, e.x0, e.x1, e.t0, e.t1, e.eps, e.mu) == (
+        assert (e.index, e.slab, e.col, e.x0, e.x1, e.t0, e.t1, e.eps, e.mu, e.hx, e.ht) == (
             i, mesh.slab[i], mesh.col[i], mesh.x0[i], mesh.x1[i], mesh.t0[i], mesh.t1[i],
-            mesh.eps[i], mesh.mu[i])
+            mesh.eps[i], mesh.mu[i], mesh.hx[i], mesh.ht[i])
     # point location at the element centres finds every element
     centres = 0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1)
     assert np.array_equal(mesh.elements_at(*centres), np.arange(mesh.n_elements))
