@@ -31,7 +31,6 @@ from .errors import (
 )
 from .quadrature import gauss_rule, map_to_segment, tensor_rule
 from .mesh import (
-    Element,
     FaceKind,
     MaterialLayout,
     Mesh,
@@ -45,16 +44,13 @@ from .basis import (
     FAMILIES,
     FULL,
     TREFFTZ,
-    BasisFunction,
     BasisSpec,
     ElementBasis,
     element_basis,
     embedding_indices,
-    full_basis,
     full_dim,
     pde_residual,
     space_dim,
-    trefftz_basis,
     trefftz_dim,
 )
 from .reference import (

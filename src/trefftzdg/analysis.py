@@ -52,7 +52,7 @@ def l2_relative_error(sol, reference, quad_order=None):
     # appearance: the order the sums are fixed in
     pieces = []
     for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
-        dx, dt, W = local_tensor_rule(n, basis.element.hx, basis.element.ht)
+        dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
         table = (basis, basis.eval_local(dx, dt), dx, dt, W)
         cuts = np.flatnonzero(np.diff(mesh.slab[ids])) + 1
         pieces += [(slab_ids, table) for slab_ids in np.split(ids, cuts)]
@@ -225,19 +225,12 @@ def discrete_energy(sol, t, side=None):
     side.
     """
     mesh = sol.mesh
-    times = mesh.slab_times
     tol = 1e-12 * max(mesh.domain.t_final, 1.0)
-    interior = np.any(np.abs(times[1:-1] - t) <= tol)
-    if interior and side is None:
+    if side is None and np.any(np.abs(mesh.slab_times[1:-1] - t) <= tol):
         raise AmbiguousTrace(
             f"t = {t} lies on a slab interface; pass side='below' or side='above'"
         )
-    if abs(t - times[0]) <= tol:
-        slab = 0
-    elif abs(t - times[-1]) <= tol:
-        slab = mesh.n_slabs - 1
-    else:
-        slab = mesh.slab_of_time(t, side=side)
+    slab = mesh.slab_of_time(t, side=side)
     return float(_Skeleton(sol).energies([slab], [t], face_nodes(_max_degree(sol)))[0])
 
 
@@ -376,8 +369,7 @@ def project_to_space(mesh, spec, reference):
     starts, total = global_layout(mesh, spec)
     flat = np.zeros(total)
     for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
-        e = basis.element
-        dx, dt, W = local_tensor_rule(n, e.hx, e.ht)
+        dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
         f = basis.eval_local(dx, dt)
         gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
         for i in ids:

@@ -184,7 +184,7 @@ def _edge_stack(mesh, basis, ids, xq, sign):
     stack whose slice r equals the field evaluated at row r alone.
     """
     dx = xq - 0.5 * (mesh.x0[ids] + mesh.x1[ids])[:, None]
-    f = basis.eval_local(dx.ravel(), np.full(dx.size, sign * 0.5 * basis.element.ht))
+    f = basis.eval_local(dx.ravel(), np.full(dx.size, sign * 0.5 * basis.ht))
     return {name: np.ascontiguousarray(f[name].reshape(basis.n, *dx.shape).transpose(1, 0, 2))
             for name in ("E", "H")}
 
@@ -252,23 +252,21 @@ def _walls(mesh, slab, spec, flux, n):
     for kind, column, side in ((FaceKind.LEFT, 1, -1), (FaceKind.RIGHT, 0, +1)):
         walls = mesh.face_tables[kind].elements
         i = int(walls[slab, column])
-        basis = element_basis(spec, mesh.elements[i])
-        e = basis.element
-        dt = 0.5 * e.ht * xi
-        fields = basis.eval_local(np.full_like(dt, side * 0.5 * e.hx), dt)
+        basis = element_basis(mesh, spec, i)
+        dt = 0.5 * basis.ht * xi
+        fields = basis.eval_local(np.full_like(dt, side * 0.5 * basis.hx), dt)
         alpha = flux.penalties(mesh, walls[slab:slab + 1])[0][0]
-        yield side, i - mesh.slab_starts[slab], basis, fields, dt, 0.5 * e.ht * w, alpha
+        yield side, i - mesh.slab_starts[slab], basis, fields, dt, 0.5 * basis.ht * w, alpha
 
 
 def _volume_block(basis, n_quad):
     """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i)."""
-    e = basis.element
-    dx, dt, W = local_tensor_rule(n_quad, e.hx, e.ht)
+    dx, dt, W = local_tensor_rule(n_quad, basis.hx, basis.ht)
     f = basis.eval_local(dx, dt)
     blk = (f["Hx"] * W) @ f["E"].T
-    blk += e.mu * (f["Ht"] * W) @ f["H"].T
+    blk += basis.mu * (f["Ht"] * W) @ f["H"].T
     blk += (f["Ex"] * W) @ f["H"].T
-    blk += e.eps * (f["Et"] * W) @ f["E"].T
+    blk += basis.eps * (f["Et"] * W) @ f["E"].T
     return -blk
 
 
@@ -316,8 +314,7 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     # lateral boundary data
     t_mid = 0.5 * (mesh.slab_times[slab] + mesh.slab_times[slab + 1])
     for side, k, basis, f, dt, wq, alpha in _walls(mesh, slab, spec, flux, n_data):
-        e = basis.element
-        load = _lateral_load(f, wq, t_mid + dt, side, bc, alpha, flux.delta, e.eps, e.mu)
+        load = _lateral_load(f, wq, t_mid + dt, side, bc, alpha, flux.delta, basis.eps, basis.mu)
         if load is not None:
             b[offsets[k]:offsets[k] + basis.n] += load
 
@@ -325,8 +322,7 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     # signature, the source at each element's own points
     if source is not None:
         for basis, g in signature_groups(mesh, spec, ids):
-            e = basis.element
-            dx, dt, W = local_tensor_rule(n_data, e.hx, e.ht)
+            dx, dt, W = local_tensor_rule(n_data, basis.hx, basis.ht)
             el = ids.start + g
             X = 0.5 * (mesh.x0[el] + mesh.x1[el])[:, None] + dx
             T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
@@ -340,11 +336,10 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
         e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
         h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
         for basis, g in signature_groups(mesh, spec, ids):
-            e = basis.element
             f = _edge_stack(mesh, basis, ids.start + g, xq[g], -1)
             b[offsets[g][:, None] + np.arange(basis.n)] += (
-                np.matmul(f["E"], (wq[g] * e.eps * e0[g])[:, :, None])
-                + np.matmul(f["H"], (wq[g] * e.mu * h0[g])[:, :, None]))[:, :, 0]
+                np.matmul(f["E"], (wq[g] * basis.eps * e0[g])[:, :, None])
+                + np.matmul(f["H"], (wq[g] * basis.mu * h0[g])[:, :, None]))[:, :, 0]
 
     return b
 
@@ -370,9 +365,9 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     # against this one, the final-time term on the last slab
     xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], n_face)
     for basis, g in signature_groups(mesh, spec, ids):
-        e = basis.element
         f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
-        _add_blocks(A, offsets[g], offsets[g], _pair_mass(f, f, wq[g][:, None], e.eps, e.mu))
+        _add_blocks(A, offsets[g], offsets[g],
+                    _pair_mass(f, f, wq[g][:, None], basis.eps, basis.mu))
 
     # coupling to the previous slab across interface pieces
     if slab > 0:
@@ -383,10 +378,10 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
         for basis_b, gb in signature_groups(mesh, spec, below):
             f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
             for basis_a, ga in signature_groups(mesh, spec, above[gb]):
-                g, ea = gb[ga], basis_a.element
+                g = gb[ga]
                 f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
                 blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
-                                    wq[g][:, None], ea.eps, ea.mu)
+                                    wq[g][:, None], basis_a.eps, basis_a.mu)
                 _add_blocks(R, offsets[above[g] - ids.start],
                             prev_offsets[below[g] - prev_ids.start], blocks)
 
@@ -397,12 +392,11 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     alpha, beta = flux.penalties(mesh, pairs)
     groups = []
     for basis_l, gl in signature_groups(mesh, spec, pairs[:, 0]):
-        el = basis_l.element
-        dt = 0.5 * el.ht * xi_f
-        wq = 0.5 * el.ht * w_f
-        f_l = basis_l.eval_local(np.full_like(dt, 0.5 * el.hx), dt)
+        dt = 0.5 * basis_l.ht * xi_f
+        wq = 0.5 * basis_l.ht * w_f
+        f_l = basis_l.eval_local(np.full_like(dt, 0.5 * basis_l.hx), dt)
         for basis_r, gr in signature_groups(mesh, spec, pairs[gl, 1]):
-            f_r = basis_r.eval_local(np.full_like(dt, -0.5 * basis_r.element.hx), dt)
+            f_r = basis_r.eval_local(np.full_like(dt, -0.5 * basis_r.hx), dt)
             # per sign: the side's traces and its column in pairs
             groups.append((gl[gr], {+1: (f_l, 0), -1: (f_r, 1)}, wq))
     # a face-by-face loop adds face i - 1's right-right block to element i's
@@ -417,9 +411,8 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
 
     # lateral boundary terms
     for side, k, basis, f, _, wq, alpha_f in _walls(mesh, slab, spec, flux, n_face):
-        e = basis.element
         sl = slice(offsets[k], offsets[k] + basis.n)
-        A[sl, sl] += _lateral_block(f, wq, side, bc, alpha_f, flux.delta, e.eps, e.mu)
+        A[sl, sl] += _lateral_block(f, wq, side, bc, alpha_f, flux.delta, basis.eps, basis.mu)
 
     # first-order volume terms, full polynomial family only
     if spec.family == FULL:

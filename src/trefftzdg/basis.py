@@ -11,7 +11,11 @@ Two families:
   separately in the E slot and the H slot. Dimension (p + 1)(p + 2).
 
 Basis functions evaluate to the six fields
-(v_E, v_H, dx v_E, dt v_E, dx v_H, dt v_H).
+(v_E, v_H, dx v_E, dt v_E, dx v_H, dt v_H), at offsets from the element
+centre. A basis is set by the family, the degree p and the element's
+signature: width hx, height ht and materials eps, mu. element_basis
+builds element i's basis from the mesh arrays; signature_groups builds
+one basis per group of elements that share a signature.
 """
 
 from dataclasses import dataclass
@@ -115,55 +119,19 @@ class BasisSpec:
         return space_dim(self.family, self.degree_for(element_index))
 
 
-class BasisFunction:
-    """Single basis function; evaluates the six field components."""
-
-    def __init__(self, parent, index):
-        self.parent = parent
-        self.index = index
-
-    def evaluate(self, x, t):
-        """Return (v_E, v_H, dx v_E, dt v_E, dx v_H, dt v_H) at (x, t)."""
-        fields = self.parent.eval(np.atleast_1d(x), np.atleast_1d(t))
-        i = self.index
-        out = tuple(fields[k][i] for k in ("E", "H", "Ex", "Et", "Hx", "Ht"))
-        if np.ndim(x) == 0:
-            out = tuple(float(v[0]) for v in out)
-        return out
-
-
 class ElementBasis:
-    """Evaluated basis of one family on one element."""
+    """Basis of one family and degree on an element of width hx, height ht
+    and materials eps, mu: all that eval_local depends on."""
 
-    def __init__(self, element, family, p):
+    def __init__(self, family, p, hx, ht, eps, mu):
         if p < 0:
             raise MismatchedDomain(f"degree must be non-negative, got {p}")
         if family not in FAMILIES:
             raise MismatchedDomain(f"unknown basis family {family!r}")
-        self.element = element
         self.family = family
         self.p = p
         self.n = space_dim(family, p)
-
-    def __len__(self):
-        return self.n
-
-    @property
-    def functions(self):
-        return [BasisFunction(self, i) for i in range(self.n)]
-
-    def eval(self, x, t):
-        """Evaluate all functions at flat arrays x, t.
-
-        Returns a dict with keys E, H, Ex, Et, Hx, Ht, each an array of
-        shape (n_functions, n_points).
-        """
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if x.shape != t.shape:
-            raise MismatchedDomain(f"x shape {x.shape} != t shape {t.shape}")
-        xc, tc = self.element.center
-        return self.eval_local(x - xc, t - tc)
+        self.hx, self.ht, self.eps, self.mu = hx, ht, eps, mu
 
     def eval_local(self, dx, dt):
         """Evaluate at offsets from the element centre.
@@ -181,11 +149,10 @@ class ElementBasis:
         return self._eval_full(dx, dt)
 
     def _eval_trefftz(self, dx, dt):
-        e = self.element
-        c = e.wave_speed
-        se = 1.0 / np.sqrt(e.eps)
-        sm = 1.0 / np.sqrt(e.mu)
-        scale = 0.5 * (e.hx + c * e.ht)
+        c = 1.0 / np.sqrt(self.eps * self.mu)
+        se = 1.0 / np.sqrt(self.eps)
+        sm = 1.0 / np.sqrt(self.mu)
+        scale = 0.5 * (self.hx + c * self.ht)
         xi_minus = (dx - c * dt) / scale
         xi_plus = (dx + c * dt) / scale
         Vm, Dm = legendre_table(self.p, xi_minus)
@@ -199,9 +166,8 @@ class ElementBasis:
         return {"E": E, "H": H, "Ex": Ex, "Et": Et, "Hx": Hx, "Ht": Ht}
 
     def _eval_full(self, dx, dt):
-        e = self.element
-        xi = 2.0 * dx / e.hx
-        tau = 2.0 * dt / e.ht
+        xi = 2.0 * dx / self.hx
+        tau = 2.0 * dt / self.ht
         Vx, Dx = legendre_table(self.p, xi)
         Vt, Dt = legendre_table(self.p, tau)
         pairs = _degree_pairs(self.p)
@@ -211,8 +177,8 @@ class ElementBasis:
         St = np.empty_like(S)
         for i, (jx, jt) in enumerate(pairs):
             S[i] = Vx[jx] * Vt[jt]
-            Sx[i] = (2.0 / e.hx) * Dx[jx] * Vt[jt]
-            St[i] = (2.0 / e.ht) * Vx[jx] * Dt[jt]
+            Sx[i] = (2.0 / self.hx) * Dx[jx] * Vt[jt]
+            St[i] = (2.0 / self.ht) * Vx[jx] * Dt[jt]
         Z = np.zeros_like(S)
         E = np.concatenate([S, Z])
         H = np.concatenate([Z, S])
@@ -223,18 +189,10 @@ class ElementBasis:
         return {"E": E, "H": H, "Ex": Ex, "Et": Et, "Hx": Hx, "Ht": Ht}
 
 
-def trefftz_basis(element, p):
-    """Transport-polynomial basis of degree p on the element."""
-    return ElementBasis(element, TREFFTZ, p)
-
-
-def full_basis(element, p):
-    """Total-degree-p polynomial basis on the element, one copy per slot."""
-    return ElementBasis(element, FULL, p)
-
-
-def element_basis(spec, element):
-    return ElementBasis(element, spec.family, spec.degree_for(element.index))
+def element_basis(mesh, spec, i):
+    """The basis of element i of the mesh under spec."""
+    return ElementBasis(spec.family, spec.degree_for(i), mesh.hx[i], mesh.ht[i],
+                        mesh.eps[i], mesh.mu[i])
 
 
 def signature_groups(mesh, spec, ids):
@@ -252,7 +210,7 @@ def signature_groups(mesh, spec, ids):
     order = np.lexsort(keys.T)
     breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
     groups = sorted(np.split(order, breaks + 1), key=lambda group: group[0])
-    return [(element_basis(spec, mesh.elements[ids[group[0]]]), group) for group in groups]
+    return [(element_basis(mesh, spec, ids[group[0]]), group) for group in groups]
 
 
 def embedding_indices(family, p_from, p_to):
@@ -273,19 +231,20 @@ def embedding_indices(family, p_from, p_to):
     return np.concatenate([scal, m_to + scal])
 
 
-def pde_residual(basis_fn, element, points):
-    """Max Maxwell residual of one basis function at sample points.
+def pde_residual(basis, dx, dt):
+    """Max Maxwell residual of each basis function at offsets from the element centre.
 
-    Computes max over the points of |dx v_E + mu dt v_H| and
-    |dx v_H + eps dt v_E|. Points must lie in the closed element.
+    Computes, per function, the max over the points of |dx v_E + mu dt v_H|
+    and |dx v_H + eps dt v_E|. The points must lie in the closed element.
     """
-    pts = [(float(x), float(t)) for x, t in points]
-    for x, t in pts:
-        if not element.contains(x, t):
-            raise PointOutsideElement(f"({x}, {t}) outside element {element.index}")
-    xs = np.array([q[0] for q in pts])
-    ts = np.array([q[1] for q in pts])
-    _, _, vEx, vEt, vHx, vHt = basis_fn.evaluate(xs, ts)
-    r1 = np.abs(vEx + element.mu * vHt)
-    r2 = np.abs(vHx + element.eps * vEt)
-    return float(max(r1.max(), r2.max()))
+    dx = np.asarray(dx, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    outside = ((np.abs(dx) > 0.5 * basis.hx + 1e-12 * max(basis.hx, 1.0))
+               | (np.abs(dt) > 0.5 * basis.ht + 1e-12 * max(basis.ht, 1.0)))
+    if outside.any():
+        k = np.flatnonzero(outside)[0]
+        raise PointOutsideElement(f"offset ({dx.flat[k]}, {dt.flat[k]}) outside the element")
+    f = basis.eval_local(dx, dt)
+    r1 = np.abs(f["Ex"] + basis.mu * f["Ht"])
+    r2 = np.abs(f["Hx"] + basis.eps * f["Et"])
+    return np.maximum(r1, r2).reshape(basis.n, -1).max(axis=1)

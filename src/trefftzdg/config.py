@@ -10,14 +10,13 @@ repr(), so a written manifest re-parses to bit-identical values.
 from dataclasses import dataclass
 from sys import float_info
 
-from .assembly import BoundaryCondition, FluxParams, InitialData
+from .assembly import BC_KINDS, BoundaryCondition, FluxParams, InitialData
 from .basis import FAMILIES, BasisSpec
 from .errors import ConfigParse
 from .mesh import MaterialLayout, SpaceTimeDomain, mesh_from_spacing
 from .reference import Constant, GaussianPulse, ZERO, CharacteristicProfile
 
 EXPERIMENTS = ("run", "sweep_h", "sweep_p", "sweep_flux", "spectrum", "energy")
-BC_CHOICES = ("pec", "dirichlet", "robin")
 IC_CHOICES = ("gaussian", "constant", "zero")
 MAX_CELLS = 2**24      # elements per direction: numpy can size every mesh array below it
 
@@ -302,7 +301,7 @@ def validate(cfg):
     if delta is not None and not 0 < delta < 1:
         diagnostics.append(f"flux.delta = {delta} must lie strictly between 0 and 1")
 
-    choice("bc.kind", BC_CHOICES)
+    choice("bc.kind", BC_KINDS)
     ic_kind = choice("ic.kind", IC_CHOICES)
     if ic_kind == "gaussian":
         width = num("ic.width")

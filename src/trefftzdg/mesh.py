@@ -15,14 +15,12 @@ Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
 the two adjacent element ids. hor_starts and ver_starts are the
 per-interface and per-slab offsets into the HOR_INTERNAL and
 VER_INTERNAL tables; the lateral tables hold one row per slab. Code that
-works on faces reads these rows. mesh.elements[i] builds an Element view
-of one row on demand.
+works on faces reads these rows. An element's row index is its only handle:
+its basis (basis.element_basis) is built from the row's hx, ht, eps and mu.
 """
 
 import enum
-import operator
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -110,37 +108,6 @@ class MaterialLayout:
         return 1.0 / np.sqrt(self.eps_at(x) * self.mu_at(x))
 
 
-@dataclass(frozen=True)
-class Element:
-    """Axis-aligned space-time cell with constant materials: a view of one mesh row,
-    with the mesh's width hx and height ht."""
-
-    index: int
-    slab: int
-    col: int
-    x0: float
-    x1: float
-    t0: float
-    t1: float
-    eps: float
-    mu: float
-    hx: float
-    ht: float
-
-    @property
-    def wave_speed(self):
-        return 1.0 / np.sqrt(self.eps * self.mu)
-
-    @property
-    def center(self):
-        return 0.5 * (self.x0 + self.x1), 0.5 * (self.t0 + self.t1)
-
-    def contains(self, x, t, tol=1e-12):
-        sx = tol * max(self.hx, 1.0)
-        st = tol * max(self.ht, 1.0)
-        return (self.x0 - sx <= x <= self.x1 + sx) and (self.t0 - st <= t <= self.t1 + st)
-
-
 class FaceKind(enum.Enum):
     BOTTOM = "bottom"          # initial-time boundary t = 0
     TOP = "top"                # final-time boundary t = T
@@ -204,19 +171,6 @@ def _validate_partition(partition, domain, materials, slab_index):
 #: kinds) or left (vertical kinds) of the face, then the one above or
 #: right, with -1 outside the boundary.
 FaceTable = namedtuple("FaceTable", "pos lo hi elements")
-
-
-class _Rows(Sequence):
-    """Sequence of n row views, each built on demand by make(i)."""
-
-    def __init__(self, n, make):
-        self._n, self._make = n, make
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, i):
-        return self._make(range(self._n)[operator.index(i)])
 
 
 def _pair(a, b):
@@ -296,55 +250,30 @@ class Mesh:
         bounds = self.slab_starts.tolist()
         return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    @cached_property
-    def elements(self):
-        """Element views, built on demand."""
-        return _Rows(self.n_elements, lambda i: Element(
-            i, int(self.slab[i]), int(self.col[i]), self.x0[i], self.x1[i],
-            self.t0[i], self.t1[i], float(self.eps[i]), float(self.mu[i]),
-            self.hx[i], self.ht[i]))
-
     def slab_of_time(self, t, side=None):
-        """Index of the slab containing time t; `side` breaks interface ties."""
+        """Index of the slab containing each time t (an array or a scalar).
+
+        On a slab interface the time belongs to the upper slab; side
+        ('below'/'above') picks the neighbour instead.
+        """
+        t = np.asarray(t, dtype=float)
         times = self.slab_times
         tol = 1e-12 * max(self.domain.t_final, 1.0)
-        if t < times[0] - tol or t > times[-1] + tol:
-            raise MismatchedDomain(f"time {t} outside [0, {times[-1]}]")
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), self.n_slabs - 1)
-        # on an interface, searchsorted lands in the upper slab
-        if side == "below" and j > 0 and abs(t - times[j]) <= tol:
-            return j - 1
-        if side == "above" and j < self.n_slabs - 1 and abs(t - times[j + 1]) <= tol:
-            return j + 1
+        outside = (t < times[0] - tol) | (t > times[-1] + tol)
+        if outside.any():
+            raise MismatchedDomain(f"time {t[outside][0]} outside [0, {times[-1]}]")
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, self.n_slabs - 1)
+        if side == "below":
+            j = j - ((j > 0) & (np.abs(t - times[j]) <= tol))
+        elif side == "above":
+            j = j + ((j < self.n_slabs - 1) & (np.abs(t - times[j + 1]) <= tol))
         return j
-
-    def element_at(self, x, t, t_side=None, x_side=None):
-        """Element containing (x, t).
-
-        On a slab interface the point belongs to the upper slab; on a
-        vertical edge, to the left element.  t_side ('below'/'above') and
-        x_side ('left'/'right') pick the neighbour instead.
-        """
-        tol = 1e-12 * max(self.domain.length, 1.0)
-        if x < self.domain.x_l - tol or x > self.domain.x_r + tol:
-            raise MismatchedDomain(f"x = {x} outside [{self.domain.x_l}, {self.domain.x_r}]")
-        j = self.slab_of_time(t, side=t_side)
-        p = self.partitions[j]
-        k = int(np.searchsorted(p, x, side="right")) - 1
-        k = min(max(k, 0), len(p) - 2)
-        if x_side == "left" and k > 0 and abs(x - p[k]) <= tol:
-            k -= 1
-        elif x_side is None and k > 0 and abs(x - p[k]) <= tol:
-            k -= 1  # tie toward the smaller element index
-        return self.elements[self.slab_starts[j] + k]
 
     def elements_at(self, x, t, t_side=None, x_side=None):
         """Indices of the elements containing the points (x, t).
 
-        The array form of element_at, with the same tie rules and
-        tolerances: searchsorted on the slab times, then on each slab's
-        partition.
+        Slabs come from slab_of_time(t, t_side). On a vertical edge a point
+        belongs to the left element; x_side='right' picks the right one.
         """
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         tol_x = 1e-12 * max(self.domain.length, 1.0)
@@ -352,16 +281,7 @@ class Mesh:
         if outside.any():
             raise MismatchedDomain(
                 f"x = {x[outside][0]} outside [{self.domain.x_l}, {self.domain.x_r}]")
-        times = self.slab_times
-        tol_t = 1e-12 * max(self.domain.t_final, 1.0)
-        outside = (t < times[0] - tol_t) | (t > times[-1] + tol_t)
-        if outside.any():
-            raise MismatchedDomain(f"time {t[outside][0]} outside [0, {times[-1]}]")
-        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, self.n_slabs - 1)
-        if t_side == "below":
-            j = j - ((j > 0) & (np.abs(t - times[j]) <= tol_t))
-        elif t_side == "above":
-            j = j + ((j < self.n_slabs - 1) & (np.abs(t - times[j + 1]) <= tol_t))
+        j = self.slab_of_time(t, side=t_side)
         out = np.empty(x.shape, dtype=int)
         for slab in np.unique(j):
             here = j == slab

@@ -4,32 +4,43 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg.assembly import global_layout
 
 from trefftzdg.basis import (
+    FAMILIES,
     FULL,
     TREFFTZ,
     BasisSpec,
     element_basis,
     embedding_indices,
-    full_basis,
     full_dim,
     legendre_table,
     pde_residual,
+    signature_groups,
     space_dim,
-    trefftz_basis,
     trefftz_dim,
 )
 from trefftzdg.errors import MismatchedDomain, PointOutsideElement
 from trefftzdg.mesh import MaterialLayout, SpaceTimeDomain, build_mesh, uniform_mesh
+from trefftzdg.quadrature import tensor_rule
+
+from conftest import random_meshes
 
 
 def _single_element(hx=1.0, ht=1.0, eps=1.0, mu=1.0, x0=0.0, t0=0.0):
+    """A mesh of one element, element 0."""
     domain = SpaceTimeDomain(x0, x0 + hx, ht)
     mats = MaterialLayout.constant(eps, mu)
-    mesh = build_mesh(domain, mats, [ht], [np.array([x0, x0 + hx])])
-    return mesh.elements[0]
+    return build_mesh(domain, mats, [ht], [np.array([x0, x0 + hx])])
+
+
+def _offsets(mesh, x, t):
+    """Offsets of the points (x, t) from the centre of element 0."""
+    xc, tc = 0.5 * (mesh.x0[0] + mesh.x1[0]), 0.5 * (mesh.t0[0] + mesh.t1[0])
+    return np.asarray(x, dtype=float) - xc, np.asarray(t, dtype=float) - tc
 
 
 def _random_element(rng):
@@ -46,9 +57,9 @@ def test_dimensions():
     assert [full_dim(p) for p in range(5)] == [2, 6, 12, 20, 30]
     assert space_dim(TREFFTZ, 3) == 8
     assert space_dim(FULL, 3) == 20
-    e = _single_element()
-    assert len(trefftz_basis(e, 4)) == 10
-    assert len(full_basis(e, 4)) == 30
+    mesh = _single_element()
+    assert element_basis(mesh, BasisSpec(TREFFTZ, 4), 0).n == 10
+    assert element_basis(mesh, BasisSpec(FULL, 4), 0).n == 30
 
 
 def test_legendre_table_values_and_derivatives():
@@ -67,63 +78,63 @@ def test_legendre_table_values_and_derivatives():
 def test_transport_basis_solves_the_system_pointwise(p):
     rng = np.random.default_rng(300 + p)
     for _ in range(20):
-        e = _random_element(rng)
-        basis = trefftz_basis(e, p)
-        xs = rng.uniform(e.x0, e.x1, size=25)
-        ts = rng.uniform(e.t0, e.t1, size=25)
-        fields = basis.eval(xs, ts)
+        mesh = _random_element(rng)
+        basis = element_basis(mesh, BasisSpec(TREFFTZ, p), 0)
+        xs = rng.uniform(mesh.x0[0], mesh.x1[0], size=25)
+        ts = rng.uniform(mesh.t0[0], mesh.t1[0], size=25)
+        fields = basis.eval_local(*_offsets(mesh, xs, ts))
         scale = max(
             np.max(np.abs(fields[k])) for k in ("Ex", "Et", "Hx", "Ht")
         ) or 1.0
-        r1 = np.max(np.abs(fields["Ex"] + e.mu * fields["Ht"]))
-        r2 = np.max(np.abs(fields["Hx"] + e.eps * fields["Et"]))
+        r1 = np.max(np.abs(fields["Ex"] + mesh.mu[0] * fields["Ht"]))
+        r2 = np.max(np.abs(fields["Hx"] + mesh.eps[0] * fields["Et"]))
         assert max(r1, r2) <= 1e-12 * scale
 
 
 def test_full_basis_mass_matrix_is_diagonal_with_known_entries():
-    e = _single_element(hx=1.5, ht=0.75, eps=2.0, mu=0.5, x0=-0.3)
+    mesh = _single_element(hx=1.5, ht=0.75, eps=2.0, mu=0.5, x0=-0.3)
     p = 3
-    basis = full_basis(e, p)
-    from trefftzdg.quadrature import tensor_rule
-
-    X, T, W = tensor_rule(p + 2, p + 2, (e.x0, e.x1, e.t0, e.t1))
-    f = basis.eval(X, T)
+    basis = element_basis(mesh, BasisSpec(FULL, p), 0)
+    X, T, W = tensor_rule(p + 2, p + 2, (mesh.x0[0], mesh.x1[0], mesh.t0[0], mesh.t1[0]))
+    f = basis.eval_local(*_offsets(mesh, X, T))
     gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
     pairs = [(jx, d - jx) for d in range(p + 1) for jx in range(d + 1)]
     expected = np.zeros(len(pairs))
     for k, (jx, jt) in enumerate(pairs):
-        expected[k] = e.hx * e.ht / ((2 * jx + 1) * (2 * jt + 1))
+        expected[k] = mesh.hx[0] * mesh.ht[0] / ((2 * jx + 1) * (2 * jt + 1))
     expected = np.concatenate([expected, expected])    # E slots then H slots
     assert np.allclose(gram, np.diag(expected), atol=1e-13)
 
 
 def test_full_basis_linear_function_residual():
     # E = L1(2 dx / hx), H = 0 has residual |dx E| = 2 / hx, constant
-    e = _single_element(hx=2.5, ht=1.0)
-    basis = full_basis(e, 1)
-    fn = basis.functions[2]          # degree pairs: (0,0), (0,1), (1,0)
-    pts = [(e.x0 + 0.3 * e.hx, e.t0 + 0.6 * e.ht), (e.x0 + 0.9 * e.hx, e.t0)]
-    vals = fn.evaluate(pts[0][0], pts[0][1])
-    assert vals[1] == 0.0            # H slot empty
-    assert pde_residual(fn, e, pts) == pytest.approx(2.0 / e.hx, rel=1e-14)
+    mesh = _single_element(hx=2.5, ht=1.0)
+    basis = element_basis(mesh, BasisSpec(FULL, 1), 0)
+    fn = 2                           # degree pairs: (0,0), (0,1), (1,0)
+    x0, x1, t0, hx, ht = mesh.x0[0], mesh.x1[0], mesh.t0[0], mesh.hx[0], mesh.ht[0]
+    dx, dt = _offsets(mesh, [x0 + 0.3 * hx, x0 + 0.9 * hx], [t0 + 0.6 * ht, t0])
+    vals = basis.eval_local(dx[:1], dt[:1])
+    assert vals["H"][fn, 0] == 0.0   # H slot empty
+    assert pde_residual(basis, dx, dt)[fn] == pytest.approx(2.0 / hx, rel=1e-14)
     with pytest.raises(PointOutsideElement):
-        pde_residual(fn, e, [(e.x1 + 1.0, e.t0)])
+        pde_residual(basis, *_offsets(mesh, [x1 + 1.0], [t0]))
 
 
 @pytest.mark.parametrize("family", [TREFFTZ, FULL])
 def test_derivative_components_match_finite_differences(family):
     rng = np.random.default_rng(11)
-    e = _random_element(rng)
-    basis = element_basis(BasisSpec(family, 3), e)
-    xs = rng.uniform(e.x0 + 0.1 * e.hx, e.x1 - 0.1 * e.hx, size=9)
-    ts = rng.uniform(e.t0 + 0.1 * e.ht, e.t1 - 0.1 * e.ht, size=9)
-    f = basis.eval(xs, ts)
-    hx = 1e-6 * e.hx
-    ht = 1e-6 * e.ht
-    fx1 = basis.eval(xs + hx, ts)
-    fx0 = basis.eval(xs - hx, ts)
-    ft1 = basis.eval(xs, ts + ht)
-    ft0 = basis.eval(xs, ts - ht)
+    mesh = _random_element(rng)
+    basis = element_basis(mesh, BasisSpec(family, 3), 0)
+    x0, x1, t0, t1 = mesh.x0[0], mesh.x1[0], mesh.t0[0], mesh.t1[0]
+    xs = rng.uniform(x0 + 0.1 * mesh.hx[0], x1 - 0.1 * mesh.hx[0], size=9)
+    ts = rng.uniform(t0 + 0.1 * mesh.ht[0], t1 - 0.1 * mesh.ht[0], size=9)
+    f = basis.eval_local(*_offsets(mesh, xs, ts))
+    hx = 1e-6 * mesh.hx[0]
+    ht = 1e-6 * mesh.ht[0]
+    fx1 = basis.eval_local(*_offsets(mesh, xs + hx, ts))
+    fx0 = basis.eval_local(*_offsets(mesh, xs - hx, ts))
+    ft1 = basis.eval_local(*_offsets(mesh, xs, ts + ht))
+    ft0 = basis.eval_local(*_offsets(mesh, xs, ts - ht))
     scale = max(np.max(np.abs(f["Ex"])), np.max(np.abs(f["Ht"])), 1.0)
     assert np.max(np.abs((fx1["E"] - fx0["E"]) / (2 * hx) - f["Ex"])) <= 1e-6 * scale
     assert np.max(np.abs((ft1["E"] - ft0["E"]) / (2 * ht) - f["Et"])) <= 1e-6 * scale
@@ -134,15 +145,15 @@ def test_derivative_components_match_finite_differences(family):
 @pytest.mark.parametrize("family", [TREFFTZ, FULL])
 def test_lower_degree_space_is_embedded(family):
     rng = np.random.default_rng(5)
-    e = _random_element(rng)
-    small = element_basis(BasisSpec(family, 2), e)
-    big = element_basis(BasisSpec(family, 5), e)
+    mesh = _random_element(rng)
+    small = element_basis(mesh, BasisSpec(family, 2), 0)
+    big = element_basis(mesh, BasisSpec(family, 5), 0)
     idx = embedding_indices(family, 2, 5)
     assert len(idx) == small.n
-    xs = rng.uniform(e.x0, e.x1, size=7)
-    ts = rng.uniform(e.t0, e.t1, size=7)
-    fs = small.eval(xs, ts)
-    fb = big.eval(xs, ts)
+    xs = rng.uniform(mesh.x0[0], mesh.x1[0], size=7)
+    ts = rng.uniform(mesh.t0[0], mesh.t1[0], size=7)
+    fs = small.eval_local(*_offsets(mesh, xs, ts))
+    fb = big.eval_local(*_offsets(mesh, xs, ts))
     for key in ("E", "H", "Ex", "Et", "Hx", "Ht"):
         assert np.allclose(fb[key][idx], fs[key], atol=1e-14)
 
@@ -150,12 +161,10 @@ def test_lower_degree_space_is_embedded(family):
 @pytest.mark.parametrize("family", [TREFFTZ, FULL])
 def test_basis_is_linearly_independent(family):
     rng = np.random.default_rng(77)
-    e = _random_element(rng)
-    basis = element_basis(BasisSpec(family, 3), e)
-    from trefftzdg.quadrature import tensor_rule
-
-    X, T, W = tensor_rule(8, 8, (e.x0, e.x1, e.t0, e.t1))
-    f = basis.eval(X, T)
+    mesh = _random_element(rng)
+    basis = element_basis(mesh, BasisSpec(family, 3), 0)
+    X, T, W = tensor_rule(8, 8, (mesh.x0[0], mesh.x1[0], mesh.t0[0], mesh.t1[0]))
+    f = basis.eval_local(*_offsets(mesh, X, T))
     gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
     assert np.linalg.eigvalsh(gram).min() > 1e-12
 
@@ -172,7 +181,25 @@ def test_spec_validation_and_per_element_degrees():
     assert spec.dim_for(0) == 4
     assert spec.dim_for(1) == 8
     assert spec.max_degree() == 3
-    assert element_basis(spec, mesh.elements[1]).n == 8
+    assert element_basis(mesh, spec, 1).n == 8
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 4), st.booleans())
+def test_a_signature_group_basis_is_every_member_basis(case, family, p, mixed):
+    # eval_local depends on the signature (hx, ht, eps, mu, p) alone, so the
+    # one basis of a group must evaluate as each member's own basis, bit for bit
+    mesh = build_mesh(*case)
+    degree = {i: i % (p + 1) for i in range(mesh.n_elements)} if mixed else p
+    spec = BasisSpec(family, degree)
+    dx = np.array([-0.5, -0.2, 0.0, 0.1, 0.5, 1.3])
+    dt = np.array([0.0, 0.4, -0.5, 0.25, 0.5, -1.1])
+    ids = np.arange(mesh.n_elements)
+    for basis, group in signature_groups(mesh, spec, ids):
+        want = basis.eval_local(dx, dt)
+        for i in ids[group]:
+            got = element_basis(mesh, spec, i).eval_local(dx, dt)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 class _CountingDegrees(Mapping):

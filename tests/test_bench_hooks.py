@@ -1,0 +1,47 @@
+"""The benchmark's tracing hooks still fit the package.
+
+perfbench/workloads.py wraps named functions and methods of the package
+(solver.assemble_slab, ElementBasis.eval_local, SolutionField.evaluate, ...).
+A rename that breaks one of them fails here, not only in a benchmark run.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from trefftzdg import (
+    BasisSpec,
+    BoundaryCondition,
+    FluxParams,
+    GaussianPulse,
+    InitialData,
+    MaterialLayout,
+    SpaceTimeDomain,
+    solver,
+    uniform_mesh,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_workload_hooks_install_record_and_close(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import compare_outputs  # noqa: F401  (workloads imports it too)
+    import tracing
+    import workloads
+
+    march = solver.march
+    tracer = tracing.Tracer()
+    workloads.install(tracer)
+    try:
+        assert solver.march is not march
+        mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), MaterialLayout.constant(), 2, 2)
+        pulse = GaussianPulse(1.0, 0.2)
+        sol = solver.march(mesh, BasisSpec("trefftz", 1), FluxParams(),
+                           BoundaryCondition.pec(), InitialData(pulse, pulse))
+        sol.evaluate(np.array([0.5]), np.array([0.5]))
+    finally:
+        tracer.close()
+    assert solver.march is march
+    names = {span.name for span in tracer.spans}
+    assert {"solver.march", "assembly.slab", "basis.eval", "solver.evaluate"} <= names

@@ -20,7 +20,7 @@ from trefftzdg.mesh import (
     union_interface,
 )
 
-from conftest import random_meshes
+from conftest import locate, random_meshes
 
 UNIT = MaterialLayout.constant(1.0, 1.0)
 
@@ -74,7 +74,7 @@ def test_element_areas_tile_the_domain():
         np.array([-1.0, -0.5, 0.5, 2.0, 3.0]),
     ]
     mesh = build_mesh(domain, UNIT, [0.5, 0.75, 0.75], parts)
-    area = sum(e.hx * e.ht for e in mesh.elements)
+    area = sum(hx * ht for hx, ht in zip(mesh.hx, mesh.ht))
     assert area == pytest.approx(domain.length * domain.t_final, abs=1e-12)
 
 
@@ -86,10 +86,10 @@ def test_hanging_interface_pieces_cover_the_interface():
     pieces = range(mesh.hor_starts[0], mesh.hor_starts[1])
     assert sorted((hor.lo[r], hor.hi[r]) for r in pieces) == [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0)]
     for r in pieces:
-        below, above = (mesh.elements[i] for i in hor.elements[r])
-        assert below.t1 == above.t0 == hor.pos[r]
-        assert below.x0 <= hor.lo[r] and hor.hi[r] <= below.x1
-        assert above.x0 <= hor.lo[r] and hor.hi[r] <= above.x1
+        below, above = hor.elements[r]
+        assert mesh.t1[below] == mesh.t0[above] == hor.pos[r]
+        assert mesh.x0[below] <= hor.lo[r] and hor.hi[r] <= mesh.x1[below]
+        assert mesh.x0[above] <= hor.lo[r] and hor.hi[r] <= mesh.x1[above]
 
 
 def test_vertical_faces_join_horizontal_neighbours():
@@ -97,10 +97,10 @@ def test_vertical_faces_join_horizontal_neighbours():
     ver = mesh.face_tables[FaceKind.VER_INTERNAL]
     for j in range(mesh.n_slabs):
         for r in range(mesh.ver_starts[j], mesh.ver_starts[j + 1]):
-            left, right = (mesh.elements[i] for i in ver.elements[r])
-            assert left.x1 == right.x0 == ver.pos[r]
-            assert left.slab == right.slab == j
-            assert left.col + 1 == right.col
+            left, right = ver.elements[r]
+            assert mesh.x1[left] == mesh.x0[right] == ver.pos[r]
+            assert mesh.slab[left] == mesh.slab[right] == j
+            assert mesh.col[left] + 1 == mesh.col[right]
 
 
 def test_union_interface_merges_partitions():
@@ -117,8 +117,8 @@ def test_material_jump_must_sit_on_every_partition():
     layered = MaterialLayout(breakpoints=(1.0,), eps=(1.0, 4.0), mu=(1.0, 1.0))
     mesh = build_mesh(domain, layered, [1.0],
                       [np.array([0.0, 1.0, 2.0])])
-    assert mesh.elements[0].eps == 1.0
-    assert mesh.elements[1].eps == 4.0
+    assert mesh.eps[0] == 1.0
+    assert mesh.eps[1] == 4.0
     with pytest.raises(NonconformingMaterial):
         build_mesh(domain, layered, [1.0], [np.array([0.0, 0.7, 2.0])])
 
@@ -137,22 +137,27 @@ def test_invalid_meshes_raise():
 
 def test_point_location_and_tie_breaking():
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, 2, 2)
-    assert mesh.element_at(0.5, 0.5).index == 0
-    assert mesh.element_at(1.5, 1.5).index == 3
-    # interior cross point: upper slab in t, left neighbour in x
-    assert mesh.element_at(1.0, 1.0).index == 2
-    assert mesh.element_at(1.0, 1.0, t_side="below").index == 0
-    assert mesh.element_at(1.0, 1.0, x_side="right").index == 3
-    assert mesh.element_at(1.0, 1.0, t_side="below", x_side="right").index == 1
+    cases = [(0.5, 0.5, {}, 0), (1.5, 1.5, {}, 3),
+             # interior cross point: upper slab in t, left neighbour in x
+             (1.0, 1.0, {}, 2), (1.0, 1.0, {"t_side": "below"}, 0),
+             (1.0, 1.0, {"x_side": "right"}, 3),
+             (1.0, 1.0, {"t_side": "below", "x_side": "right"}, 1)]
+    for x, t, sides, want in cases:
+        assert locate(mesh, x, t, **sides) == want
+        assert mesh.elements_at(x, t, **sides) == want
     assert mesh.slab_of_time(1.0, side="below") == 0
     assert mesh.slab_of_time(1.0, side="above") == 1
+    ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    assert mesh.slab_of_time(ts).tolist() == [0, 0, 1, 1, 1]
+    assert mesh.slab_of_time(ts, side="below").tolist() == [0, 0, 0, 1, 1]
+    assert mesh.slab_of_time(ts, side="above").tolist() == [0, 0, 1, 1, 1]
 
 
 def test_spacing_constructor_rounds_to_integer_counts():
     mesh = mesh_from_spacing(SpaceTimeDomain(0.0, 60.0, 60.0), UNIT, 0.3, 2.0)
     assert len(mesh.elem_grid[0]) == 200
     assert mesh.n_slabs == 30
-    widths = {round(e.hx, 12) for e in mesh.elements}
+    widths = {round(hx, 12) for hx in mesh.hx.tolist()}
     assert widths == {0.3}
 
 
@@ -172,8 +177,7 @@ def test_vectorized_point_location_matches_element_at():
     for t_side in (None, "below", "above"):
         for x_side in (None, "left", "right"):
             got = mesh.elements_at(X, T, t_side=t_side, x_side=x_side)
-            want = [mesh.element_at(x, t, t_side=t_side, x_side=x_side).index
-                    for x, t in zip(X, T)]
+            want = [locate(mesh, x, t, t_side=t_side, x_side=x_side) for x, t in zip(X, T)]
             assert got.tolist() == want
     with pytest.raises(MismatchedDomain):
         mesh.elements_at(np.array([0.5, 2.1]), np.array([0.5, 0.5]))
@@ -239,14 +243,9 @@ def test_random_meshes_are_consistent(case):
     assert {kind: len(table.pos) for kind, table in tables.items()} == counts
     assert np.array_equal(np.diff(mesh.hor_starts), interfaces)
     assert np.array_equal(np.diff(mesh.ver_starts), [len(p) - 2 for p in parts])
-    # widths are x1 - x0 and heights the slab heights as given, not t1 - t0;
-    # the element views equal their array rows
+    # widths are x1 - x0 and heights the slab heights as given, not t1 - t0
     assert np.array_equal(mesh.hx, mesh.x1 - mesh.x0)
     assert np.array_equal(mesh.ht, np.asarray(heights)[mesh.slab])
-    for i, e in enumerate(mesh.elements):
-        assert (e.index, e.slab, e.col, e.x0, e.x1, e.t0, e.t1, e.eps, e.mu, e.hx, e.ht) == (
-            i, mesh.slab[i], mesh.col[i], mesh.x0[i], mesh.x1[i], mesh.t0[i], mesh.t1[i],
-            mesh.eps[i], mesh.mu[i], mesh.hx[i], mesh.ht[i])
     # point location at the element centres finds every element
     centres = 0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1)
     assert np.array_equal(mesh.elements_at(*centres), np.arange(mesh.n_elements))

@@ -117,11 +117,12 @@ def test_constant_material_required_for_closed_form():
 
 
 def _element(x0, x1, t0, t1):
+    """The rectangle (x0, x1, t0, t1) of the last element of a mesh ending in it."""
     domain = SpaceTimeDomain(x0, x1, t1)
     heights = [t0, t1 - t0] if t0 > 0 else [t1]
     mesh = build_mesh(domain, MaterialLayout.constant(), heights,
                       [np.array([x0, x1])] * len(heights))
-    return mesh.elements[-1]
+    return mesh.x0[-1], mesh.x1[-1], mesh.t0[-1], mesh.t1[-1]
 
 
 def test_polynomial_profiles_are_projected_exactly():

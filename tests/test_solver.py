@@ -31,6 +31,8 @@ from trefftzdg import (
 from trefftzdg import solver
 from trefftzdg.errors import InhomogeneousSlabs, UnsupportedBC
 
+from conftest import locate
+
 UNIT = MaterialLayout.constant()
 
 
@@ -294,8 +296,10 @@ def test_evaluate_matches_per_point_location_on_hanging_mesh():
         for x_side in (None, "left", "right"):
             E, H = sol.evaluate(X, T, t_side=t_side, x_side=x_side)
             for k in range(X.size):
-                e = mesh.element_at(X[k], T[k], t_side=t_side, x_side=x_side)
-                f = element_basis(sol.spec, e).eval(X[k:k + 1], T[k:k + 1])
-                c = sol.element_coefficients(e.index)
+                i = locate(mesh, X[k], T[k], t_side=t_side, x_side=x_side)
+                f = element_basis(mesh, sol.spec, i).eval_local(
+                    X[k:k + 1] - 0.5 * (mesh.x0[i] + mesh.x1[i]),
+                    T[k:k + 1] - 0.5 * (mesh.t0[i] + mesh.t1[i]))
+                c = sol.element_coefficients(i)
                 assert E[k] == pytest.approx(float(c @ f["E"][:, 0]), rel=1e-14, abs=1e-15)
                 assert H[k] == pytest.approx(float(c @ f["H"][:, 0]), rel=1e-14, abs=1e-15)
