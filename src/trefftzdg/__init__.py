@@ -71,7 +71,6 @@ from .assembly import (
     apply_bilinear_global,
     assemble_global,
     assemble_slab,
-    dump_matrix,
     global_layout,
     slab_load,
 )

@@ -13,7 +13,9 @@ carries the upwind trace of slab j - 1 to the right-hand side, so time
 stepping is A_j f_j = R_j f_{j-1} + b_j. assemble_slab is the one
 assembly of the form; assemble_global stacks its slab systems, and the
 slab march is forward substitution on that stacked system. slab_load
-assembles b_j alone, for assemble_slab and for slabs whose A, R are known.
+assembles b_j alone, for assemble_slab; load_plan evaluates its wall and
+source tables once for all slabs laid out alike, whose A and R the march
+already holds.
 
 Both read the mesh's face tables. A basis depends only on its element's
 signature (hx, ht, eps, mu, p), so each term evaluates it once per
@@ -225,22 +227,19 @@ def _lateral_block(fields, w, side, bc, alpha, delta, eps, mu):
     return blk
 
 
-def _lateral_load(fields, w, t_abs, side, bc, alpha, delta, eps, mu):
+def _lateral_load(fields, side, bc, alpha, delta, eps, mu):
+    """The wall's data callable g and the table T of its load T @ (w * g(t));
+    None where the wall carries no data."""
     E, H = fields["E"], fields["H"]
     if bc.kind == PEC:
         return None
     if bc.kind == DIRICHLET:
         data = bc.e_l if side < 0 else bc.e_r
-        if _is_zero(data):
-            return None
-        g = np.asarray(data(t_abs), dtype=float)
-        return (-side * H + alpha * E) @ (w * g)
+        return None if _is_zero(data) else (data, -side * H + alpha * E)
     data = bc.g_l if side < 0 else bc.g_r
     if _is_zero(data):
         return None
-    g = np.asarray(data(t_abs), dtype=float)
-    comb = -side * delta / np.sqrt(eps) * H + (1.0 - delta) / np.sqrt(mu) * E
-    return comb @ (w * g)
+    return data, -side * delta / np.sqrt(eps) * H + (1.0 - delta) / np.sqrt(mu) * E
 
 
 def _walls(mesh, slab, spec, flux, n):
@@ -263,10 +262,11 @@ def _volume_block(basis, n_quad):
     """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i)."""
     dx, dt, W = local_tensor_rule(n_quad, basis.hx, basis.ht)
     f = basis.eval_local(dx, dt)
-    blk = (f["Hx"] * W) @ f["E"].T
-    blk += basis.mu * (f["Ht"] * W) @ f["H"].T
-    blk += (f["Ex"] * W) @ f["H"].T
-    blk += basis.eps * (f["Et"] * W) @ f["E"].T
+    d = basis.eval_derivatives(dx, dt)
+    blk = (d["Hx"] * W) @ f["E"].T
+    blk += basis.mu * (d["Ht"] * W) @ f["H"].T
+    blk += (d["Ex"] * W) @ f["H"].T
+    blk += basis.eps * (d["Et"] * W) @ f["E"].T
     return -blk
 
 
@@ -286,16 +286,58 @@ def _slab_frame(mesh, slab, spec):
     return ids, prev_ids, int(degrees.max()), offsets, prev_offsets
 
 
+def load_plan(mesh, slab, spec, flux, bc, source=None):
+    """Wall and source loads of slab `slab`, as a function j -> b_j that
+    serves every slab j laid out as it is (same partition, height and
+    degrees: every slab of a mesh with identical_slabs).
+
+    The wall traces, weights, source tables and slab offsets are evaluated
+    here once (the walls only when they carry data); a call evaluates only
+    the wall data and the source at slab j's own points, so b_j equals
+    slab_load's bit for bit. source is as in slab_load.
+    """
+    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
+    n_data = data_nodes(p_max)
+    walls = []
+    if not bc.homogeneous:
+        for side, k, basis, f, dt, wq, alpha in _walls(mesh, slab, spec, flux, n_data):
+            term = _lateral_load(f, side, bc, alpha, flux.delta, basis.eps, basis.mu)
+            if term is not None:
+                walls.append((slice(offsets[k], offsets[k] + basis.n), dt, wq, *term))
+    # volume source: offsets shared by a signature, the source at each
+    # element's own points
+    volume = []
+    if source is not None:
+        for basis, g in signature_groups(mesh, spec, ids):
+            dx, dt, W = local_tensor_rule(n_data, basis.hx, basis.ht)
+            volume.append((g, offsets[g][:, None] + np.arange(basis.n), dx, dt, W,
+                           basis.eval_local(dx, dt)["E"]))
+
+    def load(j):
+        b = np.zeros(int(offsets[-1]))
+        t_mid = 0.5 * (mesh.slab_times[j] + mesh.slab_times[j + 1])
+        for rows, dt, wq, data, table in walls:
+            b[rows] += table @ (wq * np.asarray(data(t_mid + dt), dtype=float))
+        for g, rows, dx, dt, W, E in volume:
+            el = mesh.slab_starts[j] + g
+            X = 0.5 * (mesh.x0[el] + mesh.x1[el])[:, None] + dx
+            T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
+            J = np.broadcast_to(np.asarray(source(X, T), dtype=float), X.shape)
+            b[rows] += np.matmul(E, (W * J)[:, :, None])[:, :, 0]
+        return b
+
+    return load
+
+
 def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     """Load vector b of one time slab: wall data, volume source, initial data.
 
     This is the only part of the slab system that changes from slab to
     slab on identical slabs, so the march assembles A and R once and
-    calls this for every further slab. With homogeneous walls and no
-    source it returns zeros for slab > 0 without touching the elements.
-    A volume source is only admissible with the full polynomial family;
-    source(x, t) is the current density J on the right of
-    dH/dx + eps dE/dt = J and loads the electric test slot. Slab 0
+    computes every further load with load_plan, which holds the wall and
+    source terms. A volume source is only admissible with the full
+    polynomial family; source(x, t) is the current density J on the right
+    of dH/dx + eps dE/dt = J and loads the electric test slot. Slab 0
     integrates the initial data and requires it.
     """
     if source is not None and spec.family == TREFFTZ:
@@ -305,34 +347,12 @@ def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
         )
     if slab == 0 and initial_data is None:
         raise MismatchedDomain("slab 0 requires initial data")
-    if slab > 0 and bc.homogeneous and source is None:
-        return np.zeros(int(space_dim(spec.family, spec.degrees(mesh.elem_grid[slab])).sum()))
-    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
-    n_data = data_nodes(p_max)
-    b = np.zeros(int(offsets[-1]))
-
-    # lateral boundary data
-    t_mid = 0.5 * (mesh.slab_times[slab] + mesh.slab_times[slab + 1])
-    for side, k, basis, f, dt, wq, alpha in _walls(mesh, slab, spec, flux, n_data):
-        load = _lateral_load(f, wq, t_mid + dt, side, bc, alpha, flux.delta, basis.eps, basis.mu)
-        if load is not None:
-            b[offsets[k]:offsets[k] + basis.n] += load
-
-    # volume source, full polynomial family only: offsets shared by a
-    # signature, the source at each element's own points
-    if source is not None:
-        for basis, g in signature_groups(mesh, spec, ids):
-            dx, dt, W = local_tensor_rule(n_data, basis.hx, basis.ht)
-            el = ids.start + g
-            X = 0.5 * (mesh.x0[el] + mesh.x1[el])[:, None] + dx
-            T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
-            J = np.broadcast_to(np.asarray(source(X, T), dtype=float), X.shape)
-            b[offsets[g][:, None] + np.arange(basis.n)] += np.matmul(
-                basis.eval_local(dx, dt)["E"], (W * J)[:, :, None])[:, :, 0]
+    b = load_plan(mesh, slab, spec, flux, bc, source=source)(slab)
 
     # initial data enters the first slab through the lower edges
     if slab == 0:
-        xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], n_data)
+        ids, _, p_max, offsets, _ = _slab_frame(mesh, 0, spec)
+        xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], data_nodes(p_max))
         e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
         h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
         for basis, g in signature_groups(mesh, spec, ids):
@@ -474,12 +494,3 @@ def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v):
     system = assemble_global(mesh, spec, flux, bc)
     return float(coeffs_v @ system.matrix @ coeffs_u)
 
-
-def dump_matrix(matrix, path):
-    """Write non-zero entries as `row col value` triplets."""
-    matrix = np.asarray(matrix)
-    rows, cols = np.nonzero(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# {matrix.shape[0]} {matrix.shape[1]}\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r} {c} {float(matrix[r, c])!r}\n")

@@ -10,12 +10,15 @@ Two families:
 * ``full``: all polynomials of total degree <= p in (x, t), placed
   separately in the E slot and the H slot. Dimension (p + 1)(p + 2).
 
-Basis functions evaluate to the six fields
-(v_E, v_H, dx v_E, dt v_E, dx v_H, dt v_H), at offsets from the element
-centre. A basis is set by the family, the degree p and the element's
-signature: width hx, height ht and materials eps, mu. element_basis
-builds element i's basis from the mesh arrays; signature_groups builds
-one basis per group of elements that share a signature.
+Basis functions evaluate at offsets from the element centre. eval_local
+gives the two fields (v_E, v_H) from the Legendre values alone;
+eval_derivatives gives the four first derivatives
+(dx v_E, dt v_E, dx v_H, dt v_H), which only the full family's volume
+terms and pde_residual read. A basis is set by the family, the degree p
+and the element's signature: width hx, height ht and materials eps, mu.
+element_basis builds element i's basis from the mesh arrays;
+signature_groups builds one basis per group of elements that share a
+signature.
 """
 
 from dataclasses import dataclass
@@ -45,18 +48,26 @@ def space_dim(family, p):
     raise MismatchedDomain(f"unknown basis family {family!r}")
 
 
-def legendre_table(p, xi):
-    """Values and derivatives of L_0..L_p at points xi, shape (p+1, n)."""
+def legendre_values(p, xi):
+    """Values of L_0..L_p at points xi, shape (p+1, n)."""
     xi = np.asarray(xi, dtype=float)
     V = np.empty((p + 1,) + xi.shape)
-    D = np.empty_like(V)
     V[0] = 1.0
-    D[0] = 0.0
     if p >= 1:
         V[1] = xi
-        D[1] = 1.0
     for j in range(1, p):
         V[j + 1] = ((2 * j + 1) * xi * V[j] - j * V[j - 1]) / (j + 1)
+    return V
+
+
+def legendre_table(p, xi):
+    """Values and derivatives of L_0..L_p at points xi, shape (p+1, n)."""
+    V = legendre_values(p, xi)
+    D = np.empty_like(V)
+    D[0] = 0.0
+    if p >= 1:
+        D[1] = 1.0
+    for j in range(1, p):
         D[j + 1] = D[j - 1] + (2 * j + 1) * V[j]
     return V, D
 
@@ -134,59 +145,65 @@ class ElementBasis:
         self.hx, self.ht, self.eps, self.mu = hx, ht, eps, mu
 
     def eval_local(self, dx, dt):
-        """Evaluate at offsets from the element centre.
+        """E and H of every basis function at offsets from the element centre.
 
         Integrals computed from offsets derived purely from (hx, ht) are
         translation invariant, which lets the solver reuse slab matrices
         bit-for-bit.
         """
+        dx, dt = self._offsets(dx, dt)
+        if self.family == TREFFTZ:
+            c, scale, se, sm = self._characteristic()
+            Vm = legendre_values(self.p, (dx - c * dt) / scale)
+            Vp = legendre_values(self.p, (dx + c * dt) / scale)
+            return {"E": np.concatenate([se * Vm, se * Vp]),
+                    "H": np.concatenate([sm * Vm, -sm * Vp])}
+        Vx = legendre_values(self.p, 2.0 * dx / self.hx)
+        Vt = legendre_values(self.p, 2.0 * dt / self.ht)
+        pairs = _degree_pairs(self.p)
+        S = np.empty((len(pairs),) + dx.shape)
+        for i, (jx, jt) in enumerate(pairs):
+            S[i] = Vx[jx] * Vt[jt]
+        Z = np.zeros_like(S)
+        return {"E": np.concatenate([S, Z]), "H": np.concatenate([Z, S])}
+
+    def eval_derivatives(self, dx, dt):
+        """dx v_E, dt v_E, dx v_H and dt v_H ("Ex", "Et", "Hx", "Ht") at offsets
+        from the element centre, laid out as eval_local's fields."""
+        dx, dt = self._offsets(dx, dt)
+        if self.family == TREFFTZ:
+            c, scale, se, sm = self._characteristic()
+            _, Dm = legendre_table(self.p, (dx - c * dt) / scale)
+            _, Dp = legendre_table(self.p, (dx + c * dt) / scale)
+            return {"Ex": np.concatenate([se * Dm, se * Dp]) / scale,
+                    "Et": np.concatenate([-c * se * Dm, c * se * Dp]) / scale,
+                    "Hx": np.concatenate([sm * Dm, -sm * Dp]) / scale,
+                    "Ht": np.concatenate([-c * sm * Dm, -c * sm * Dp]) / scale}
+        Vx, Dx = legendre_table(self.p, 2.0 * dx / self.hx)
+        Vt, Dt = legendre_table(self.p, 2.0 * dt / self.ht)
+        pairs = _degree_pairs(self.p)
+        Sx = np.empty((len(pairs),) + dx.shape)
+        St = np.empty_like(Sx)
+        for i, (jx, jt) in enumerate(pairs):
+            Sx[i] = (2.0 / self.hx) * Dx[jx] * Vt[jt]
+            St[i] = (2.0 / self.ht) * Vx[jx] * Dt[jt]
+        Z = np.zeros_like(Sx)
+        return {"Ex": np.concatenate([Sx, Z]), "Et": np.concatenate([St, Z]),
+                "Hx": np.concatenate([Z, Sx]), "Ht": np.concatenate([Z, St])}
+
+    @staticmethod
+    def _offsets(dx, dt):
         dx = np.asarray(dx, dtype=float)
         dt = np.asarray(dt, dtype=float)
         if dx.shape != dt.shape:
             raise MismatchedDomain(f"dx shape {dx.shape} != dt shape {dt.shape}")
-        if self.family == TREFFTZ:
-            return self._eval_trefftz(dx, dt)
-        return self._eval_full(dx, dt)
+        return dx, dt
 
-    def _eval_trefftz(self, dx, dt):
+    def _characteristic(self):
+        """Trefftz family: wave speed c, the scale of the characteristic
+        variables, and the field weights 1 / sqrt(eps), 1 / sqrt(mu)."""
         c = 1.0 / np.sqrt(self.eps * self.mu)
-        se = 1.0 / np.sqrt(self.eps)
-        sm = 1.0 / np.sqrt(self.mu)
-        scale = 0.5 * (self.hx + c * self.ht)
-        xi_minus = (dx - c * dt) / scale
-        xi_plus = (dx + c * dt) / scale
-        Vm, Dm = legendre_table(self.p, xi_minus)
-        Vp, Dp = legendre_table(self.p, xi_plus)
-        E = np.concatenate([se * Vm, se * Vp])
-        H = np.concatenate([sm * Vm, -sm * Vp])
-        Ex = np.concatenate([se * Dm, se * Dp]) / scale
-        Et = np.concatenate([-c * se * Dm, c * se * Dp]) / scale
-        Hx = np.concatenate([sm * Dm, -sm * Dp]) / scale
-        Ht = np.concatenate([-c * sm * Dm, -c * sm * Dp]) / scale
-        return {"E": E, "H": H, "Ex": Ex, "Et": Et, "Hx": Hx, "Ht": Ht}
-
-    def _eval_full(self, dx, dt):
-        xi = 2.0 * dx / self.hx
-        tau = 2.0 * dt / self.ht
-        Vx, Dx = legendre_table(self.p, xi)
-        Vt, Dt = legendre_table(self.p, tau)
-        pairs = _degree_pairs(self.p)
-        m = len(pairs)
-        S = np.empty((m,) + dx.shape)
-        Sx = np.empty_like(S)
-        St = np.empty_like(S)
-        for i, (jx, jt) in enumerate(pairs):
-            S[i] = Vx[jx] * Vt[jt]
-            Sx[i] = (2.0 / self.hx) * Dx[jx] * Vt[jt]
-            St[i] = (2.0 / self.ht) * Vx[jx] * Dt[jt]
-        Z = np.zeros_like(S)
-        E = np.concatenate([S, Z])
-        H = np.concatenate([Z, S])
-        Ex = np.concatenate([Sx, Z])
-        Et = np.concatenate([St, Z])
-        Hx = np.concatenate([Z, Sx])
-        Ht = np.concatenate([Z, St])
-        return {"E": E, "H": H, "Ex": Ex, "Et": Et, "Hx": Hx, "Ht": Ht}
+        return c, 0.5 * (self.hx + c * self.ht), 1.0 / np.sqrt(self.eps), 1.0 / np.sqrt(self.mu)
 
 
 def element_basis(mesh, spec, i):
@@ -244,7 +261,7 @@ def pde_residual(basis, dx, dt):
     if outside.any():
         k = np.flatnonzero(outside)[0]
         raise PointOutsideElement(f"offset ({dx.flat[k]}, {dt.flat[k]}) outside the element")
-    f = basis.eval_local(dx, dt)
+    f = basis.eval_derivatives(dx, dt)
     r1 = np.abs(f["Ex"] + basis.mu * f["Ht"])
     r2 = np.abs(f["Hx"] + basis.eps * f["Et"])
     return np.maximum(r1, r2).reshape(basis.n, -1).max(axis=1)

@@ -104,9 +104,6 @@ class MaterialLayout:
     def mu_at(self, x):
         return np.asarray(self.mu)[self._interval(x)]
 
-    def wave_speed_at(self, x):
-        return 1.0 / np.sqrt(self.eps_at(x) * self.mu_at(x))
-
 
 class FaceKind(enum.Enum):
     BOTTOM = "bottom"          # initial-time boundary t = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_table
+from .basis import legendre_table, legendre_values
 from .errors import NonconstantMaterial
 from .quadrature import map_to_segment, tensor_rule
 
@@ -305,7 +305,7 @@ def _projection_residual(f, df, a, b, p, n):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     zq, wq = map_to_segment(n, a, b)
     xi_q = (zq - mid) / half
-    V, _ = legendre_table(p, xi_q)
+    V = legendre_values(p, xi_q)
     vals = f(zq)
     j = np.arange(p + 1)
     coeffs = (2 * j + 1) / (2.0 * half) * ((V * wq) @ vals)
@@ -313,7 +313,7 @@ def _projection_residual(f, df, a, b, p, n):
     def e(z):
         z = np.asarray(z, dtype=float)
         xi = (z - mid) / half
-        Vz, _ = legendre_table(p, xi)
+        Vz = legendre_values(p, xi)
         return f(z) - coeffs @ Vz
 
     def de(z):

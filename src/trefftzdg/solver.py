@@ -8,21 +8,22 @@ of A, and a forward sweep. When all slabs share height and partition the
 matrices are bit-identical by construction: the assembly works in
 element-local offsets, and every element's ht is its slab's height as
 given (Mesh.ht), not a difference of slab times that rounds differently
-from slab to slab. So one LU and one R serve every slab, and only the
-load b_j (wall data, source) is computed per slab.
+from slab to slab. So slab 1's A, factored in place, and its R serve
+every slab, and the march holds two n x n arrays: slab 0 keeps only its
+load b_0, and every further slab computes only its load b_j (wall data,
+source) from one load_plan.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups);
 point evaluation and the skeleton terms of analysis both go through it.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .assembly import assemble_slab, global_layout, slab_load
+from .assembly import assemble_slab, global_layout, load_plan
 from .basis import signature_groups
 from .errors import (
     DimensionMismatch,
@@ -46,7 +47,7 @@ def _factor(A, what="slab matrix"):
     return lu, piv
 
 
-#: functions x points per eval_local call: bounds its six-field tables at 0.75 MB
+#: functions x points per eval_local call: bounds its E and H tables at 0.25 MB
 _CHUNK = 1 << 14
 
 
@@ -117,44 +118,37 @@ class SolutionField:
         x_side = side if side in ("left", "right") else None
         return self.evaluate(x, t, t_side=t_side, x_side=x_side)
 
-    def to_csv(self, path):
-        """Dump coefficients as (slab, element, basis index, value) rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slab", "element", "basis", "value"])
-            for j, row_ids in enumerate(self.mesh.elem_grid):
-                for idx in row_ids:
-                    c = self.element_coefficients(idx)
-                    for k, v in enumerate(c):
-                        writer.writerow([j, idx, k, repr(float(v))])
-
 
 def march(mesh, spec, flux, bc, initial_data, source=None):
     """Solve the space-time system slab by slab.
 
     Returns a SolutionField. On identical slabs with a uniform degree the
-    slab operator is assembled and factored once (A_0 = A_j, R_1 = R_j)
-    and every further slab computes only its load with slab_load;
-    otherwise each slab assembles and factors its own system.
+    slab operator is the same bit for bit on every slab (A_0 = A_j,
+    R_1 = R_j): slab 0 keeps only its load, slab 1's A is factored in
+    place and serves every slab with R_1, and the loads of slabs 1, 2, ...
+    come from one load_plan, so at most two n x n arrays are held.
+    Otherwise each slab assembles and factors its own system, after slab
+    j - 1's LU and R are freed.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
-    system = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data, source=source)
-    factor = _factor(system.A, "slab 0 matrix")
-    coeffs[0][:] = linalg.lu_solve(factor, system.b, check_finite=False)
-    reuse = mesh.identical_slabs and spec.uniform
-    for j in range(1, mesh.n_slabs):
-        if reuse and j > 1:
-            b = slab_load(mesh, j, spec, flux, bc, source=source)
-        else:
-            if not reuse:
-                system = factor = R = None      # free slab j - 1's LU and R first
-            system = assemble_slab(mesh, j, spec, flux, bc, source=source)
-            if not reuse:
-                factor = _factor(system.A, f"slab {j} matrix")
-            R, b = system.R, system.b
-            system = None                       # on identical slabs A_j is A_0, factored
-        coeffs[j][:] = linalg.lu_solve(factor, R @ coeffs[j - 1] + b, check_finite=False)
+    if mesh.identical_slabs and spec.uniform and mesh.n_slabs > 1:
+        b = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data, source=source).b
+        system = assemble_slab(mesh, 1, spec, flux, bc, source=source)
+        factor = _factor(system.A, "slab 1 matrix")
+        coeffs[0][:] = linalg.lu_solve(factor, b, check_finite=False)
+        load = load_plan(mesh, 1, spec, flux, bc, source=source)
+        for j in range(1, mesh.n_slabs):
+            b = system.R @ coeffs[j - 1] + load(j)
+            coeffs[j][:] = linalg.lu_solve(factor, b, check_finite=False)
+        return sol
+    for j in range(mesh.n_slabs):
+        system = factor = None                  # free slab j - 1's LU and R first
+        system = assemble_slab(mesh, j, spec, flux, bc,
+                               initial_data=initial_data if j == 0 else None, source=source)
+        factor = _factor(system.A, f"slab {j} matrix")
+        b = system.R @ coeffs[j - 1] + system.b if j else system.b
+        coeffs[j][:] = linalg.lu_solve(factor, b, check_finite=False)
     return sol
 
 

@@ -170,7 +170,7 @@ def test_c02_transport_basis_functions_solve_the_pde():
         dx, dt = xs - 0.5 * (x0 + x1), ts - 0.5 * (t0 + t1)
         for p in range(7):
             basis = element_basis(mesh, BasisSpec(TREFFTZ, p), 0)
-            f = basis.eval_local(dx, dt)
+            f = basis.eval_derivatives(dx, dt)
             res = pde_residual(basis, dx, dt)
             for k in range(basis.n):
                 ex, et, hx_, ht_ = (f[name][k] for name in ("Ex", "Et", "Hx", "Ht"))

@@ -19,7 +19,6 @@ from trefftzdg import (
     assemble_slab,
     build_mesh,
     dg_norm,
-    dump_matrix,
     field_from_coefficients,
     global_layout,
     l2_relative_error,
@@ -249,22 +248,6 @@ def test_face_scaled_penalties_track_local_size_and_materials():
     # scaling off: plain constants everywhere
     plain = FluxParams(alpha=0.5, beta=0.5)
     assert plain.penalties(mesh, by_pos[1.0])[0][0] == 0.5
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    mesh = _unit_square_mesh()
-    system = assemble_slab(mesh, 0, BasisSpec(TREFFTZ, 1), FluxParams(),
-                           BoundaryCondition.pec(), initial_data=InitialData.zero())
-    path = tmp_path / "matrix.txt"
-    dump_matrix(system.A, path)
-    lines = path.read_text().splitlines()
-    shape = tuple(int(v) for v in lines[0].lstrip("# ").split())
-    rebuilt = np.zeros(shape)
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert shape == system.A.shape
-    assert np.array_equal(rebuilt, system.A)
 
 
 def test_boundary_condition_kinds():

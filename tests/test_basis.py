@@ -14,6 +14,7 @@ from trefftzdg.basis import (
     FULL,
     TREFFTZ,
     BasisSpec,
+    ElementBasis,
     element_basis,
     embedding_indices,
     full_dim,
@@ -82,7 +83,7 @@ def test_transport_basis_solves_the_system_pointwise(p):
         basis = element_basis(mesh, BasisSpec(TREFFTZ, p), 0)
         xs = rng.uniform(mesh.x0[0], mesh.x1[0], size=25)
         ts = rng.uniform(mesh.t0[0], mesh.t1[0], size=25)
-        fields = basis.eval_local(*_offsets(mesh, xs, ts))
+        fields = basis.eval_derivatives(*_offsets(mesh, xs, ts))
         scale = max(
             np.max(np.abs(fields[k])) for k in ("Ex", "Et", "Hx", "Ht")
         ) or 1.0
@@ -128,7 +129,7 @@ def test_derivative_components_match_finite_differences(family):
     x0, x1, t0, t1 = mesh.x0[0], mesh.x1[0], mesh.t0[0], mesh.t1[0]
     xs = rng.uniform(x0 + 0.1 * mesh.hx[0], x1 - 0.1 * mesh.hx[0], size=9)
     ts = rng.uniform(t0 + 0.1 * mesh.ht[0], t1 - 0.1 * mesh.ht[0], size=9)
-    f = basis.eval_local(*_offsets(mesh, xs, ts))
+    f = basis.eval_derivatives(*_offsets(mesh, xs, ts))
     hx = 1e-6 * mesh.hx[0]
     ht = 1e-6 * mesh.ht[0]
     fx1 = basis.eval_local(*_offsets(mesh, xs + hx, ts))
@@ -152,8 +153,9 @@ def test_lower_degree_space_is_embedded(family):
     assert len(idx) == small.n
     xs = rng.uniform(mesh.x0[0], mesh.x1[0], size=7)
     ts = rng.uniform(mesh.t0[0], mesh.t1[0], size=7)
-    fs = small.eval_local(*_offsets(mesh, xs, ts))
-    fb = big.eval_local(*_offsets(mesh, xs, ts))
+    dx, dt = _offsets(mesh, xs, ts)
+    fs = {**small.eval_local(dx, dt), **small.eval_derivatives(dx, dt)}
+    fb = {**big.eval_local(dx, dt), **big.eval_derivatives(dx, dt)}
     for key in ("E", "H", "Ex", "Et", "Hx", "Ht"):
         assert np.allclose(fb[key][idx], fs[key], atol=1e-14)
 
@@ -200,6 +202,61 @@ def test_a_signature_group_basis_is_every_member_basis(case, family, p, mixed):
         for i in ids[group]:
             got = element_basis(mesh, spec, i).eval_local(dx, dt)
             assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def _six_fields(family, p, hx, ht, eps, mu, dx, dt):
+    """(E, H, Ex, Et, Hx, Ht) by the formulas that computed all six in one
+    evaluation, from Legendre values and derivatives together."""
+    if family == TREFFTZ:
+        c = 1.0 / np.sqrt(eps * mu)
+        se = 1.0 / np.sqrt(eps)
+        sm = 1.0 / np.sqrt(mu)
+        scale = 0.5 * (hx + c * ht)
+        Vm, Dm = legendre_table(p, (dx - c * dt) / scale)
+        Vp, Dp = legendre_table(p, (dx + c * dt) / scale)
+        return {"E": np.concatenate([se * Vm, se * Vp]),
+                "H": np.concatenate([sm * Vm, -sm * Vp]),
+                "Ex": np.concatenate([se * Dm, se * Dp]) / scale,
+                "Et": np.concatenate([-c * se * Dm, c * se * Dp]) / scale,
+                "Hx": np.concatenate([sm * Dm, -sm * Dp]) / scale,
+                "Ht": np.concatenate([-c * sm * Dm, -c * sm * Dp]) / scale}
+    Vx, Dx = legendre_table(p, 2.0 * dx / hx)
+    Vt, Dt = legendre_table(p, 2.0 * dt / ht)
+    pairs = [(jx, d - jx) for d in range(p + 1) for jx in range(d + 1)]
+    S = np.empty((len(pairs),) + dx.shape)
+    Sx = np.empty_like(S)
+    St = np.empty_like(S)
+    for i, (jx, jt) in enumerate(pairs):
+        S[i] = Vx[jx] * Vt[jt]
+        Sx[i] = (2.0 / hx) * Dx[jx] * Vt[jt]
+        St[i] = (2.0 / ht) * Vx[jx] * Dt[jt]
+    Z = np.zeros_like(S)
+    return {"E": np.concatenate([S, Z]), "H": np.concatenate([Z, S]),
+            "Ex": np.concatenate([Sx, Z]), "Et": np.concatenate([St, Z]),
+            "Hx": np.concatenate([Z, Sx]), "Ht": np.concatenate([Z, St])}
+
+
+_positive = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 5), _positive, _positive, _positive,
+       _positive, st.integers(0, 2**32 - 1))
+def test_fields_and_derivatives_equal_the_six_field_formulas(family, p, hx, ht, eps, mu, seed):
+    # eval_local reads the Legendre values alone and eval_derivatives the
+    # derivatives; each must give what the one six-field evaluation gave, bit for bit
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(-0.5 * hx, 0.5 * hx, (3, 5))
+    dt = rng.uniform(-0.5 * ht, 0.5 * ht, (3, 5))
+    basis = ElementBasis(family, p, hx, ht, eps, mu)
+    want = _six_fields(family, p, hx, ht, eps, mu, dx, dt)
+    got = basis.eval_local(dx, dt)
+    assert set(got) == {"E", "H"}
+    got.update(basis.eval_derivatives(dx, dt))
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].shape == want[key].shape == (basis.n, 3, 5)
+        assert np.array_equal(got[key], want[key]), key
 
 
 class _CountingDegrees(Mapping):

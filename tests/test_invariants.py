@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from trefftzdg import (
     FAMILIES,
+    FULL,
     BasisSpec,
     BoundaryCondition,
     FluxParams,
@@ -115,3 +117,42 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
     for system in systems[1:]:
         assert np.array_equal(system.A, systems[0].A)
         assert np.array_equal(system.R, systems[1].R)
+
+
+@pytest.mark.parametrize("family, wall", [(family, wall) for family in FAMILIES
+                                          for wall in ("pec", "robin", "dirichlet")]
+                         + [(FULL, "robin+source")])
+@settings(max_examples=15, deadline=None)
+@given(random_meshes(), st.integers(1, 5), st.integers(0, 3))
+def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n_slabs, p):
+    # on identical slabs the march factors slab 1's A once, multiplies by its
+    # R and computes later loads from one load plan; every slab must still get
+    # exactly the coefficients of its own system's LU, R and b
+    domain, materials, heights, parts = case
+    heights = [heights[0]] * n_slabs
+    mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum(heights)), materials,
+                      heights, [parts[0]] * n_slabs)
+    assert mesh.identical_slabs
+    t_final = mesh.domain.t_final
+    bc = BoundaryCondition.pec()
+    if wall.startswith("robin"):
+        bc = BoundaryCondition.robin(g_l=lambda t: np.exp(-((t - 0.3 * t_final) / t_final) ** 2),
+                                     g_r=lambda t: 0.5 * np.sin(t / t_final))
+    elif wall == "dirichlet":
+        bc = BoundaryCondition.dirichlet(lambda t: np.cos(t / t_final),
+                                         lambda t: 0.2 * t / t_final)
+    source = None
+    if wall.endswith("source"):
+        source = lambda x, t: np.cos(x / domain.length) * np.exp(-t / t_final)
+    spec, flux = BasisSpec(family, p), FluxParams()
+    pulse = GaussianPulse(domain.x_l + 0.4 * domain.length, 0.2 * domain.length)
+    data = InitialData(pulse, pulse)
+
+    sol = march(mesh, spec, flux, bc, data, source=source)
+    x = None
+    for j in range(mesh.n_slabs):
+        system = assemble_slab(mesh, j, spec, flux, bc,
+                               initial_data=data if j == 0 else None, source=source)
+        lu = linalg.lu_factor(system.A)
+        x = linalg.lu_solve(lu, system.b if j == 0 else system.R @ x + system.b)
+        assert np.array_equal(sol.coefficients[j], x)

@@ -40,9 +40,6 @@ def test_material_lookup():
     assert m.eps_at(1.0) == 1.0
     assert m.eps_at(3.0) == 4.0
     assert m.mu_at(7.0) == 9.0
-    assert m.wave_speed_at(3.0) == 0.5
-    assert m.wave_speed_at(7.0) == pytest.approx(1.0 / 3.0)
-    assert MaterialLayout.constant(2.0, 8.0).wave_speed_at(0.0) == 0.25
 
 
 def test_uniform_mesh_counts_sixty_by_sixty():
