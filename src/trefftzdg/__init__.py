@@ -72,7 +72,7 @@ from .assembly import (
     assemble_global,
     assemble_slab,
     global_layout,
-    slab_load,
+    load_plan,
 )
 from .solver import SolutionField, Spectrum, march, spectrum, update_matrix
 from .analysis import (

@@ -10,12 +10,14 @@ the volume terms vanish identically and are skipped.
 The space-time system is block lower bidiagonal in the time slabs: the
 matrix A_j couples unknowns within slab j, the coupling matrix R_j
 carries the upwind trace of slab j - 1 to the right-hand side, so time
-stepping is A_j f_j = R_j f_{j-1} + b_j. assemble_slab is the one
-assembly of the form; assemble_global stacks its slab systems, and the
-slab march is forward substitution on that stacked system. slab_load
-assembles b_j alone, for assemble_slab; load_plan evaluates its wall and
-source tables once for all slabs laid out alike, whose A and R the march
-already holds.
+stepping is A_j f_j = R_j f_{j-1} + b_j. The operator A_j, R_j depends
+only on the mesh, the basis, the flux and the kind of wall, and
+assemble_slab is its one assembly; the data (initial fields, wall data,
+source) enter only through b_j, and load_plan is its one assembly. A
+plan evaluates its wall and source tables once and serves every slab
+laid out as its own. assemble_global stacks the slab operators and
+loads, and the slab march is forward substitution on that stacked
+system.
 
 Both read the mesh's face tables. A basis depends only on its element's
 signature (hx, ht, eps, mu, p), so each term evaluates it once per
@@ -150,12 +152,10 @@ class InitialData:
 
 @dataclass
 class SlabSystem:
-    """One slab of the block-triangular space-time system."""
+    """Operator of one slab of the block-triangular space-time system."""
 
-    slab: int
     A: np.ndarray
     R: np.ndarray          # empty (n, 0) for the first slab
-    b: np.ndarray
     n_dofs: int
     n_prev: int
 
@@ -286,16 +286,28 @@ def _slab_frame(mesh, slab, spec):
     return ids, prev_ids, int(degrees.max()), offsets, prev_offsets
 
 
-def load_plan(mesh, slab, spec, flux, bc, source=None):
-    """Wall and source loads of slab `slab`, as a function j -> b_j that
-    serves every slab j laid out as it is (same partition, height and
-    degrees: every slab of a mesh with identical_slabs).
+def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
+    """Load of slab `slab`, as a function j -> b_j that serves every slab j
+    laid out as it is (same partition, height and degrees: every slab of a
+    mesh with identical_slabs).
+
+    b_j integrates the wall data, the volume source and, for j = 0, the
+    initial data on slab 0's lower edges; load(0) raises MismatchedDomain
+    without initial data. A volume source is only admissible with the full
+    polynomial family, so the plan raises TrefftzWithSource for the
+    transport family; source(x, t) is the current density J on the right
+    of dH/dx + eps dE/dt = J and loads the electric test slot.
 
     The wall traces, weights, source tables and slab offsets are evaluated
     here once (the walls only when they carry data); a call evaluates only
-    the wall data and the source at slab j's own points, so b_j equals
-    slab_load's bit for bit. source is as in slab_load.
+    the wall data and the source at slab j's own points, so every plan of a
+    slab laid out as slab j gives the same b_j bit for bit.
     """
+    if source is not None and spec.family == TREFFTZ:
+        raise TrefftzWithSource(
+            "transport-polynomial spaces solve the homogeneous system; "
+            "a volume source requires the full family"
+        )
     ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
     n_data = data_nodes(p_max)
     walls = []
@@ -324,61 +336,39 @@ def load_plan(mesh, slab, spec, flux, bc, source=None):
             T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
             J = np.broadcast_to(np.asarray(source(X, T), dtype=float), X.shape)
             b[rows] += np.matmul(E, (W * J)[:, :, None])[:, :, 0]
+        if j == 0:
+            # initial data enters slab 0 through its lower edges
+            if initial_data is None:
+                raise MismatchedDomain("slab 0 requires initial data")
+            ids0 = mesh.elem_grid[0]
+            xq, wq = _segments(mesh.x0[ids0], mesh.x1[ids0], n_data)
+            e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
+            h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
+            for basis, g in signature_groups(mesh, spec, ids0):
+                f = _edge_stack(mesh, basis, ids0.start + g, xq[g], -1)
+                b[offsets[g][:, None] + np.arange(basis.n)] += (
+                    np.matmul(f["E"], (wq[g] * basis.eps * e0[g])[:, :, None])
+                    + np.matmul(f["H"], (wq[g] * basis.mu * h0[g])[:, :, None]))[:, :, 0]
         return b
 
     return load
 
 
-def slab_load(mesh, slab, spec, flux, bc, initial_data=None, source=None):
-    """Load vector b of one time slab: wall data, volume source, initial data.
-
-    This is the only part of the slab system that changes from slab to
-    slab on identical slabs, so the march assembles A and R once and
-    computes every further load with load_plan, which holds the wall and
-    source terms. A volume source is only admissible with the full
-    polynomial family; source(x, t) is the current density J on the right
-    of dH/dx + eps dE/dt = J and loads the electric test slot. Slab 0
-    integrates the initial data and requires it.
-    """
-    if source is not None and spec.family == TREFFTZ:
-        raise TrefftzWithSource(
-            "transport-polynomial spaces solve the homogeneous system; "
-            "a volume source requires the full family"
-        )
-    if slab == 0 and initial_data is None:
-        raise MismatchedDomain("slab 0 requires initial data")
-    b = load_plan(mesh, slab, spec, flux, bc, source=source)(slab)
-
-    # initial data enters the first slab through the lower edges
-    if slab == 0:
-        ids, _, p_max, offsets, _ = _slab_frame(mesh, 0, spec)
-        xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], data_nodes(p_max))
-        e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
-        h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
-        for basis, g in signature_groups(mesh, spec, ids):
-            f = _edge_stack(mesh, basis, ids.start + g, xq[g], -1)
-            b[offsets[g][:, None] + np.arange(basis.n)] += (
-                np.matmul(f["E"], (wq[g] * basis.eps * e0[g])[:, :, None])
-                + np.matmul(f["H"], (wq[g] * basis.mu * h0[g])[:, :, None]))[:, :, 0]
-
-    return b
-
-
-def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
-    """Assemble A, R, b for one time slab.
+def assemble_slab(mesh, slab, spec, flux, bc):
+    """Assemble the operator A, R of one time slab.
 
     For slab > 0 the coupling matrix R is built against the previous
     slab's basis traces on the interface; the previous coefficients
-    multiply R at solve time. The load b is slab_load's, so slab 0
-    requires initial_data and a source requires the full family. A is
-    allocated in Fortran order, so the march can factor it in place.
+    multiply R at solve time. The operator depends only on the mesh, the
+    basis, the flux and the kind of wall; the data enter through
+    load_plan's b. A is allocated in Fortran order, so the march can
+    factor it in place.
     """
-    b = slab_load(mesh, slab, spec, flux, bc, initial_data=initial_data, source=source)
     ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
     n_face = face_nodes(p_max)
-    n_prev = int(prev_offsets[-1]) if prev_ids else 0
-    A = np.zeros((b.size, b.size), order="F")
-    R = np.zeros((b.size, n_prev))
+    n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
+    A = np.zeros((n, n), order="F")
+    R = np.zeros((n, n_prev))
     xi_f, w_f = gauss_rule(n_face)
 
     # upper-edge energy pairing: the upwind term when the next slab tests
@@ -440,7 +430,7 @@ def assemble_slab(mesh, slab, spec, flux, bc, initial_data=None, source=None):
             _add_blocks(A, offsets[g], offsets[g],
                         np.broadcast_to(_volume_block(basis, n_face), (len(g), basis.n, basis.n)))
 
-    return SlabSystem(slab=slab, A=A, R=R, b=b, n_dofs=b.size, n_prev=n_prev)
+    return SlabSystem(A=A, R=R, n_dofs=n, n_prev=n_prev)
 
 
 @dataclass
@@ -469,11 +459,11 @@ def assemble_global(mesh, spec, flux, bc, initial_data=None, source=None):
     load = np.zeros(n)
     prev = lo = 0
     for j in range(mesh.n_slabs):
-        system = assemble_slab(mesh, j, spec, flux, bc, initial_data=initial_data, source=source)
+        system = assemble_slab(mesh, j, spec, flux, bc)
         hi = lo + system.n_dofs
         G[lo:hi, lo:hi] = system.A
         G[lo:hi, prev:lo] = -system.R
-        load[lo:hi] = system.b
+        load[lo:hi] = load_plan(mesh, j, spec, flux, bc, initial_data, source)(j)
         prev, lo = lo, hi
     return GlobalSystem(matrix=G, load=load, n_dofs=n)
 
@@ -481,16 +471,21 @@ def assemble_global(mesh, spec, flux, bc, initial_data=None, source=None):
 def apply_bilinear_global(mesh, spec, flux, bc, coeffs_u, coeffs_v):
     """Evaluate the space-time bilinear form a(u; v) for coefficient fields.
 
-    Assembles the dense global matrix internally, so keep the mesh small.
+    Sums v_j . (A_j u_j - R_j u_{j-1}) slab by slab, so it holds one slab
+    operator at a time and no global matrix.
     """
     coeffs_u = np.asarray(coeffs_u, dtype=float)
     coeffs_v = np.asarray(coeffs_v, dtype=float)
-    _, n = global_layout(mesh, spec)
+    starts, n = global_layout(mesh, spec)
     if coeffs_u.shape != (n,) or coeffs_v.shape != (n,):
         raise DimensionMismatch(
             f"coefficient vectors must have length {n}, got "
             f"{coeffs_u.shape} and {coeffs_v.shape}"
         )
-    system = assemble_global(mesh, spec, flux, bc)
-    return float(coeffs_v @ system.matrix @ coeffs_u)
-
+    cuts = starts[mesh.slab_starts[1:-1]]
+    total, u_prev = 0.0, np.zeros(0)
+    for j, (u, v) in enumerate(zip(np.split(coeffs_u, cuts), np.split(coeffs_v, cuts))):
+        system = assemble_slab(mesh, j, spec, flux, bc)
+        total += v @ (system.A @ u - system.R @ u_prev)
+        u_prev = u
+    return float(total)

@@ -4,14 +4,14 @@ The space-time system is block lower bidiagonal in time, with slab
 matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix, computed in place
-of A, and a forward sweep. When all slabs share height and partition the
-matrices are bit-identical by construction: the assembly works in
-element-local offsets, and every element's ht is its slab's height as
-given (Mesh.ht), not a difference of slab times that rounds differently
-from slab to slab. So slab 1's A, factored in place, and its R serve
-every slab, and the march holds two n x n arrays: slab 0 keeps only its
-load b_0, and every further slab computes only its load b_j (wall data,
-source) from one load_plan.
+of A, and a forward sweep. The slab operator (A_j, R_j, assemble_slab)
+does not depend on the data; the data enter only through the load b_j
+(load_plan). When all slabs share height and partition the operators
+are bit-identical by construction: the assembly works in element-local
+offsets, and every element's ht is its slab's height as given (Mesh.ht),
+not a difference of slab times that rounds differently from slab to
+slab. So one slab's A, factored in place, and its R serve every slab,
+one load plan gives every b_j, and the march holds two n x n arrays.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups);
@@ -122,32 +122,26 @@ class SolutionField:
 def march(mesh, spec, flux, bc, initial_data, source=None):
     """Solve the space-time system slab by slab.
 
-    Returns a SolutionField. On identical slabs with a uniform degree the
-    slab operator is the same bit for bit on every slab (A_0 = A_j,
-    R_1 = R_j): slab 0 keeps only its load, slab 1's A is factored in
-    place and serves every slab with R_1, and the loads of slabs 1, 2, ...
-    come from one load_plan, so at most two n x n arrays are held.
-    Otherwise each slab assembles and factors its own system, after slab
-    j - 1's LU and R are freed.
+    Returns a SolutionField. Slab j solves A_j c_j = R_j c_{j-1} + b_j,
+    with the operator from assemble_slab and the load from a load_plan.
+    On identical slabs with a uniform degree the operator is the same bit
+    for bit on every slab (A_0 = A_j, R_1 = R_j), so slab 1's operator and
+    load plan (slab 0's on a one-slab mesh) are built once: its A, factored
+    in place, and its R serve every slab, and at most two n x n arrays are
+    held. Otherwise each slab assembles and factors its own operator and
+    builds its own plan, after slab j - 1's LU and R are freed.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
-    if mesh.identical_slabs and spec.uniform and mesh.n_slabs > 1:
-        b = assemble_slab(mesh, 0, spec, flux, bc, initial_data=initial_data, source=source).b
-        system = assemble_slab(mesh, 1, spec, flux, bc, source=source)
-        factor = _factor(system.A, "slab 1 matrix")
-        coeffs[0][:] = linalg.lu_solve(factor, b, check_finite=False)
-        load = load_plan(mesh, 1, spec, flux, bc, source=source)
-        for j in range(1, mesh.n_slabs):
-            b = system.R @ coeffs[j - 1] + load(j)
-            coeffs[j][:] = linalg.lu_solve(factor, b, check_finite=False)
-        return sol
+    shared = mesh.identical_slabs and spec.uniform
     for j in range(mesh.n_slabs):
-        system = factor = None                  # free slab j - 1's LU and R first
-        system = assemble_slab(mesh, j, spec, flux, bc,
-                               initial_data=initial_data if j == 0 else None, source=source)
-        factor = _factor(system.A, f"slab {j} matrix")
-        b = system.R @ coeffs[j - 1] + system.b if j else system.b
+        if j == 0 or not shared:
+            k = min(1, mesh.n_slabs - 1) if shared else j
+            system = factor = None              # free slab j - 1's LU and R first
+            load = load_plan(mesh, k, spec, flux, bc, initial_data, source)
+            system = assemble_slab(mesh, k, spec, flux, bc)
+            factor = _factor(system.A, f"slab {k} matrix")
+        b = system.R @ coeffs[j - 1] + load(j) if j else load(0)
         coeffs[j][:] = linalg.lu_solve(factor, b, check_finite=False)
     return sol
 

@@ -22,8 +22,9 @@ from trefftzdg import (
     field_from_coefficients,
     global_layout,
     l2_relative_error,
+    load_plan,
     march,
-    slab_load,
+    solver,
     uniform_mesh,
 )
 from trefftzdg.errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
@@ -40,14 +41,13 @@ def test_single_element_constant_field_oracle():
     # both transport constants see mass 2 on the top edge plus 1 from the
     # conducting walls, and the walls couple them with weight 1
     mesh = _unit_square_mesh()
-    spec = BasisSpec(TREFFTZ, 0)
-    system = assemble_slab(
-        mesh, 0, spec, FluxParams(), BoundaryCondition.pec(),
-        initial_data=InitialData(lambda x: np.zeros_like(x), lambda x: np.ones_like(x)),
-    )
+    spec, flux, bc = BasisSpec(TREFFTZ, 0), FluxParams(), BoundaryCondition.pec()
+    system = assemble_slab(mesh, 0, spec, flux, bc)
+    b = load_plan(mesh, 0, spec, flux, bc, initial_data=InitialData(
+        lambda x: np.zeros_like(x), lambda x: np.ones_like(x)))(0)
     assert np.allclose(system.A, [[3.0, 1.0], [1.0, 3.0]], atol=1e-13)
-    assert np.allclose(system.b, [1.0, -1.0], atol=1e-13)
-    c = np.linalg.solve(system.A, system.b)
+    assert np.allclose(b, [1.0, -1.0], atol=1e-13)
+    c = np.linalg.solve(system.A, b)
     assert np.allclose(c, [0.5, -0.5], atol=1e-13)
     assert system.R.shape == (2, 0)
     assert system.n_prev == 0
@@ -55,9 +55,9 @@ def test_single_element_constant_field_oracle():
 
 def test_first_slab_requires_initial_data():
     mesh = _unit_square_mesh()
+    load = load_plan(mesh, 0, BasisSpec(TREFFTZ, 0), FluxParams(), BoundaryCondition.pec())
     with pytest.raises(MismatchedDomain):
-        assemble_slab(mesh, 0, BasisSpec(TREFFTZ, 0), FluxParams(),
-                      BoundaryCondition.pec())
+        load(0)
 
 
 @pytest.mark.parametrize("family", [TREFFTZ, FULL])
@@ -80,9 +80,10 @@ def test_quadratic_form_equals_squared_dg_norm(family, bc_kind):
 
 
 @pytest.mark.parametrize("scaling", [False, True])
-def test_slab_operator_is_translation_invariant_and_slab_load_is_the_load(scaling):
+def test_slab_operator_and_load_plan_are_translation_invariant(scaling):
     # what the march relies on: on identical slabs A_j = A_0 and R_j = R_1 bit
-    # for bit, while slab_load reproduces each slab's own b
+    # for bit, and slab 1's load plan gives every slab's own b_j, slab 0's
+    # initial-data term included
     layered = MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6))
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), layered, 4, 4)
     flux = FluxParams(alpha=0.3, beta=0.6, per_face_scaling=scaling)
@@ -91,15 +92,16 @@ def test_slab_operator_is_translation_invariant_and_slab_load_is_the_load(scalin
     data = InitialData(lambda x: np.sin(np.pi * x), lambda x: np.cos(x))
     for family, source in ((TREFFTZ, None), (FULL, lambda x, t: x * np.exp(-t))):
         spec = BasisSpec(family, 2)
-        systems = [assemble_slab(mesh, j, spec, flux, bc, initial_data=data, source=source)
-                   for j in range(mesh.n_slabs)]
+        systems = [assemble_slab(mesh, j, spec, flux, bc) for j in range(mesh.n_slabs)]
+        shared = load_plan(mesh, 1, spec, flux, bc, initial_data=data, source=source)
+        loads = [load_plan(mesh, j, spec, flux, bc, initial_data=data, source=source)(j)
+                 for j in range(mesh.n_slabs)]
         for j, system in enumerate(systems):
             assert np.array_equal(system.A, systems[0].A)
             if j >= 1:
                 assert np.array_equal(system.R, systems[1].R)
-            load = slab_load(mesh, j, spec, flux, bc, initial_data=data, source=source)
-            assert np.array_equal(load, system.b)
-        assert not np.array_equal(systems[2].b, systems[3].b)
+            assert np.array_equal(shared(j), loads[j])
+        assert not np.array_equal(loads[2], loads[3])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -174,16 +176,28 @@ def test_higher_degree_keeps_linear_solution_exact():
         assert l2_relative_error(sol, prof) <= 1e-10
 
 
-def test_source_rejected_for_transport_spaces():
+def test_source_rejected_for_transport_spaces(monkeypatch):
     mesh = _unit_square_mesh()
     with pytest.raises(TrefftzWithSource):
-        assemble_slab(mesh, 0, BasisSpec(TREFFTZ, 1), FluxParams(),
-                      BoundaryCondition.pec(), initial_data=InitialData.zero(),
-                      source=lambda x, t: np.ones_like(x))
+        load_plan(mesh, 0, BasisSpec(TREFFTZ, 1), FluxParams(),
+                  BoundaryCondition.pec(), initial_data=InitialData.zero(),
+                  source=lambda x, t: np.ones_like(x))
     with pytest.raises(TrefftzWithSource):
         assemble_global(mesh, BasisSpec(TREFFTZ, 1), FluxParams(),
                         BoundaryCondition.pec(), initial_data=InitialData.zero(),
                         source=lambda x, t: np.ones_like(x))
+    # the march rejects it before it assembles any slab
+    assembled = []
+
+    def counting(mesh, slab, *args, **kwargs):
+        assembled.append(slab)
+        return assemble_slab(mesh, slab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_slab", counting)
+    with pytest.raises(TrefftzWithSource):
+        march(mesh, BasisSpec(TREFFTZ, 1), FluxParams(), BoundaryCondition.pec(),
+              InitialData.zero(), source=lambda x, t: np.ones_like(x))
+    assert assembled == []
 
 
 class _ManufacturedSource:

@@ -23,6 +23,7 @@ from trefftzdg import (
     energy_budget,
     field_from_coefficients,
     global_layout,
+    load_plan,
     march,
 )
 
@@ -112,8 +113,7 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
                       materials, [heights[0]] * n_slabs, parts[0])
     assert mesh.identical_slabs
     spec, flux = BasisSpec(family, p), FluxParams()
-    systems = [assemble_slab(mesh, j, spec, flux, bc, initial_data=InitialData.zero())
-               for j in range(n_slabs)]
+    systems = [assemble_slab(mesh, j, spec, flux, bc) for j in range(n_slabs)]
     for system in systems[1:]:
         assert np.array_equal(system.A, systems[0].A)
         assert np.array_equal(system.R, systems[1].R)
@@ -126,8 +126,9 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
 @given(random_meshes(), st.integers(1, 5), st.integers(0, 3))
 def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n_slabs, p):
     # on identical slabs the march factors slab 1's A once, multiplies by its
-    # R and computes later loads from one load plan; every slab must still get
-    # exactly the coefficients of its own system's LU, R and b
+    # R and computes every load from slab 1's load plan; every slab must still
+    # get exactly the coefficients of its own operator's LU and R and its own
+    # plan's b
     domain, materials, heights, parts = case
     heights = [heights[0]] * n_slabs
     mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum(heights)), materials,
@@ -151,8 +152,8 @@ def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n
     sol = march(mesh, spec, flux, bc, data, source=source)
     x = None
     for j in range(mesh.n_slabs):
-        system = assemble_slab(mesh, j, spec, flux, bc,
-                               initial_data=data if j == 0 else None, source=source)
+        system = assemble_slab(mesh, j, spec, flux, bc)
+        b = load_plan(mesh, j, spec, flux, bc, initial_data=data, source=source)(j)
         lu = linalg.lu_factor(system.A)
-        x = linalg.lu_solve(lu, system.b if j == 0 else system.R @ x + system.b)
+        x = linalg.lu_solve(lu, b if j == 0 else system.R @ x + b)
         assert np.array_equal(sol.coefficients[j], x)

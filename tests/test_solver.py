@@ -129,7 +129,7 @@ def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, 
         mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 0.5 * n_t), UNIT, 2, n_t)
         assembled.clear()
         march(mesh, BasisSpec(TREFFTZ, 2), flux, bc, data)
-        assert assembled == [0, 1]
+        assert assembled == [1]
         # per-element degrees: every slab assembles and factors its own system
         assembled.clear()
         march(mesh, BasisSpec(TREFFTZ, {i: 1 + i % 2 for i in range(mesh.n_elements)}),
@@ -145,9 +145,9 @@ def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, 
 def test_march_factors_in_place_and_frees_each_slab(per_element):
     # slabs of n dofs. Each slab's LU overwrites its A, and slab j - 1's LU
     # and R are freed before slab j assembles, so at most 2 n x n arrays live
-    # at once with per-element degrees. On identical slabs slab 0 keeps only
-    # its load, and slab 1's A, factored in place, serves every slab with its
-    # R: 2 n x n arrays too (3 if A_0 or A_1 were held beside the LU).
+    # at once with per-element degrees. On identical slabs slab 1's A,
+    # factored in place, serves every slab with its R: 2 n x n arrays too (3
+    # if A_1 were held beside the LU).
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 2.0), UNIT, 120, 4)
     spec = BasisSpec(TREFFTZ, {i: 3 for i in range(mesh.n_elements)} if per_element else 3)
     n = 120 * spec.dim_for(0)
