@@ -10,16 +10,18 @@ once.
 
 dg_error, dg_norm, energy_budget and the discrete energies share one
 batched trace evaluator: per face kind and side, one basis evaluation
-per element signature and one reference trace on all the points.
+per element signature and one reference trace on all the points. It
+reads the faces through mesh.FACE_SIDES and quadrature.map_to_segment,
+as assembly does, so a(v; v) and |||v|||^2 sum the same faces.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg
 
-from .assembly import ROBIN, global_layout
+from .assembly import global_layout
 from .basis import BasisSpec, embedding_indices, signature_groups
 from .errors import (
     AmbiguousTrace,
@@ -28,9 +30,9 @@ from .errors import (
     NonpositiveError,
     UnsupportedBC,
 )
-from .mesh import FaceKind
-from .quadrature import data_nodes, error_nodes, face_nodes, gauss_rule, local_tensor_rule
-from .reference import ZeroField
+from .mesh import FACE_SIDES, FaceKind
+from .quadrature import data_nodes, error_nodes, face_nodes, local_tensor_rule, map_to_segment
+from .reference import ROBIN, ZeroField
 from .solver import SolutionField
 
 
@@ -60,8 +62,8 @@ def l2_relative_error(sol, reference, quad_order=None):
         C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
         E = C @ fields["E"]
         H = C @ fields["H"]
-        X = 0.5 * (mesh.x0[ids] + mesh.x1[ids])[:, None] + dx[None, :]
-        T = 0.5 * (mesh.t0[ids] + mesh.t1[ids])[:, None] + dt[None, :]
+        X = mesh.xc[ids][:, None] + dx[None, :]
+        T = mesh.tc[ids][:, None] + dt[None, :]
         Er, Hr = reference.evaluate(X, T)
         num += float(np.sum(W * ((Er - E) ** 2 + (Hr - H) ** 2)))
         den += float(np.sum(W * (Er**2 + Hr**2)))
@@ -69,19 +71,6 @@ def l2_relative_error(sol, reference, quad_order=None):
         return 0.0 if num == 0.0 else float("inf")
     return math.sqrt(num / den)
 
-
-# Face kinds in the order the DG norm sums them: whether they run along x,
-# and per adjacent element its column in the FaceTable's elements, the sign
-# of the edge's offset from the element centre and the side a reference is
-# traced from.
-_KINDS = {
-    FaceKind.HOR_INTERNAL: (True, ((0, +1, "below"), (1, -1, "above"))),
-    FaceKind.BOTTOM: (True, ((1, -1, "above"),)),
-    FaceKind.TOP: (True, ((0, +1, "below"),)),
-    FaceKind.VER_INTERNAL: (False, ((0, +1, "left"), (1, -1, "right"))),
-    FaceKind.LEFT: (False, ((1, -1, "right"),)),
-    FaceKind.RIGHT: (False, ((0, +1, "left"),)),
-}
 
 def _running_sum(terms):
     """Sum in order, term by term, as a loop accumulating a float does."""
@@ -119,38 +108,32 @@ class _Skeleton:
 
     def __init__(self, sol, flux=None):
         self.sol, self.flux = sol, flux
-        mesh = sol.mesh
-        # columns: xc, tc, hx, ht, eps, mu
-        self.geo = np.column_stack([0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1),
-                                    mesh.hx, mesh.ht, mesh.eps, mesh.mu])
 
-    def faces(self, horizontal, pos, mid, half, sides, n, weights, factor):
-        """Pieces mid +- half at pos with n Gauss points each; sides lists
+    def faces(self, horizontal, pos, lo, hi, sides, n, weights, factor):
+        """Segments (lo, hi) at pos with n Gauss points each; sides lists
         (element ids, their edge's offset from the centres, reference side)."""
-        xi, w = gauss_rule(n)
-        along = mid[:, None] + half[:, None] * xi
+        mesh = self.sol.mesh
+        along, W = map_to_segment(n, lo, hi)
         fixed = np.broadcast_to(pos[:, None], along.shape)
         traced = []
         for ids, across, side in sides:
-            local = along - self.geo[ids, 0 if horizontal else 1][:, None]
+            local = along - (mesh.xc if horizontal else mesh.tc)[ids][:, None]
             normal = np.broadcast_to(across[:, None], along.shape)
             dx, dt = (local, normal) if horizontal else (normal, local)
             traced.append((*self.sol.traces(ids, dx, dt), side))
         X, T = (along, fixed) if horizontal else (fixed, along)
-        return _Faces(X, T, half[:, None] * w, *weights, factor, traced)
+        return _Faces(X, T, W, *weights, factor, traced)
 
     def kind(self, kind, n):
-        """The faces of one kind with n Gauss points each, or None if there are none."""
+        """The faces of one kind with n Gauss points each."""
         mesh, flux = self.sol.mesh, self.flux
-        horizontal, sides = _KINDS[kind]
+        horizontal, sides = FACE_SIDES[kind]
         table = mesh.face_tables[kind]
-        if not len(table.pos):
-            return None
         stacked = []
         for column, sign, side in sides:
             ids = table.elements[:, column]
-            stacked.append((ids, sign * 0.5 * self.geo[ids, 3 if horizontal else 2], side))
-        eps, mu = self.geo[ids, 4], self.geo[ids, 5]
+            stacked.append((ids, sign * 0.5 * (mesh.ht if horizontal else mesh.hx)[ids], side))
+        eps, mu = mesh.eps[ids], mesh.mu[ids]
         wall = kind in (FaceKind.LEFT, FaceKind.RIGHT)
         if horizontal:
             weights = eps, mu
@@ -160,17 +143,14 @@ class _Skeleton:
         else:
             alpha, beta = flux.penalties(mesh, table.elements)
             weights = alpha, (np.zeros(len(table.pos)) if wall else beta)
-        lo, hi = table.lo, table.hi
-        return self.faces(horizontal, table.pos, 0.5 * (lo + hi), 0.5 * (hi - lo), stacked, n,
+        return self.faces(horizontal, table.pos, table.lo, table.hi, stacked, n,
                           weights, 0.5 if horizontal else 1.0)
 
     def squared_jumps(self, kinds, n, reference):
         """Squared DG norm of reference - field on the kinds' faces, summed in mesh order."""
-        terms = [np.zeros(0)]
+        terms = []
         for kind in kinds:
             faces = self.kind(kind, n)
-            if faces is None:
-                continue
             je = jh = 0.0
             for sign, (E, H, side) in zip((1.0, -1.0), faces.sides):
                 Re, Rh = (reference.trace(faces.X, faces.T, side=side)
@@ -182,13 +162,12 @@ class _Skeleton:
 
     def energies(self, slabs, times, n):
         """Energy 0.5 * int (eps E^2 + mu H^2) dx of each slab at its time."""
-        grid = self.sol.mesh.elem_grid
-        ids = np.concatenate([grid[j] for j in slabs])
-        which = np.repeat(np.arange(len(slabs)), [len(grid[j]) for j in slabs])
+        mesh = self.sol.mesh
+        ids = np.concatenate([mesh.elem_grid[j] for j in slabs])
+        which = np.repeat(np.arange(len(slabs)), [len(mesh.elem_grid[j]) for j in slabs])
         t = np.asarray(times, dtype=float)[which]
-        g = self.geo[ids]
-        line = self.faces(True, t, g[:, 0], 0.5 * g[:, 2], [(ids, t - g[:, 1], "below")], n,
-                          (g[:, 4], g[:, 5]), 0.5)
+        line = self.faces(True, t, mesh.x0[ids], mesh.x1[ids], [(ids, t - mesh.tc[ids], "below")],
+                          n, (mesh.eps[ids], mesh.mu[ids]), 0.5)
         E, H, _ = line.sides[0]
         return np.bincount(which, weights=line.terms(E, H), minlength=len(slabs))
 
@@ -214,7 +193,7 @@ def dg_error(sol, reference, flux=None, quad_order=None):
     Robin walls.
     """
     n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
-    return math.sqrt(_Skeleton(sol, _flux_of(sol, flux)).squared_jumps(_KINDS, n, reference))
+    return math.sqrt(_Skeleton(sol, _flux_of(sol, flux)).squared_jumps(FACE_SIDES, n, reference))
 
 
 def discrete_energy(sol, t, side=None):
@@ -255,15 +234,7 @@ class EnergyBudget:
     residual: float
 
     def as_dict(self):
-        return {
-            "initial_energy": self.initial_energy,
-            "initial_mismatch": self.initial_mismatch,
-            "time_jump_loss": self.time_jump_loss,
-            "space_jump_loss": self.space_jump_loss,
-            "lateral_loss": self.lateral_loss,
-            "final_energy": self.final_energy,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def energy_budget(sol, initial_data):
@@ -373,8 +344,7 @@ def project_to_space(mesh, spec, reference):
         f = basis.eval_local(dx, dt)
         gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
         for i in ids:
-            xc, tc = 0.5 * (mesh.x0[i] + mesh.x1[i]), 0.5 * (mesh.t0[i] + mesh.t1[i])
-            Er, Hr = reference.evaluate(xc + dx, tc + dt)
+            Er, Hr = reference.evaluate(mesh.xc[i] + dx, mesh.tc[i] + dt)
             rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
             flat[starts[i]:starts[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
     return field_from_coefficients(mesh, spec, flat)

@@ -19,14 +19,17 @@ laid out as its own. assemble_global stacks the slab operators and
 loads, and the slab march is forward substitution on that stacked
 system.
 
-Both read the mesh's face tables. A basis depends only on its element's
-signature (hx, ht, eps, mu, p), so each term evaluates it once per
-signature: on the stacked Gauss points of the elements' own edges
-(upper edges, interface pieces, initial data, source), or once for the
-whole group where the offsets from the centre depend on the signature
-alone (vertical sides, walls, volume). Stacked matrix products give the
-blocks, and index arrays place them in the order a face-by-face loop
-adds them, so A, R and b do not depend on the batching.
+Both read the mesh's face tables with the Gauss points of
+quadrature.map_to_segment, the walls through mesh.FACE_SIDES as the DG
+norm does, and evaluate the basis at offsets from mesh.xc, mesh.tc.
+A basis depends only on its element's signature (hx, ht, eps, mu, p),
+so each term evaluates it once per signature: on the stacked Gauss
+points of the elements' own edges (upper edges, interface pieces,
+initial data, source), or once for the whole group where the offsets
+from the centre depend on the signature alone (vertical sides, walls,
+volume). Stacked matrix products give the blocks, and index arrays place
+them in the order a face-by-face loop adds them, so A, R and b do not
+depend on the batching.
 """
 
 import warnings
@@ -36,13 +39,11 @@ import numpy as np
 
 from .basis import FULL, TREFFTZ, element_basis, signature_groups, space_dim
 from .errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
-from .mesh import FaceKind
-from .quadrature import data_nodes, face_nodes, gauss_rule, local_tensor_rule
-from .reference import Constant, ZERO
+from .mesh import FACE_SIDES, FaceKind
+from .quadrature import data_nodes, face_nodes, local_tensor_rule, map_to_segment
+from .reference import PEC, ROBIN, Constant, ZERO
 
-PEC = "pec"
 DIRICHLET = "dirichlet"
-ROBIN = "robin"
 BC_KINDS = (PEC, DIRICHLET, ROBIN)
 
 
@@ -98,23 +99,25 @@ class FluxParams:
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Lateral boundary condition.
+    """Lateral boundary condition: its kind and the data left(t) at x_l and
+    right(t) at x_r, callables of t.
 
-    kind "pec": perfectly conducting walls, E = 0 on both sides.
-    kind "dirichlet": E prescribed by callables e_l(t), e_r(t).
-    kind "robin": impedance condition with data g_l(t), g_r(t) on
-    sqrt(eps) E +- sqrt(mu) H.
+    kind "pec": perfectly conducting walls, E = 0 on both sides; it takes
+    no data.
+    kind "dirichlet": E prescribed, E = left(t) and E = right(t).
+    kind "robin": impedance condition, left(t) and right(t) prescribe
+    sqrt(eps) E +- sqrt(mu) H (the incoming characteristic).
     """
 
     kind: str
-    e_l: object = ZERO
-    e_r: object = ZERO
-    g_l: object = ZERO
-    g_r: object = ZERO
+    left: object = ZERO
+    right: object = ZERO
 
     def __post_init__(self):
         if self.kind not in BC_KINDS:
             raise MismatchedDomain(f"unknown bc kind {self.kind!r}, expected {BC_KINDS}")
+        if self.kind == PEC and not self.homogeneous:
+            raise MismatchedDomain("pec walls take no boundary data")
 
     @classmethod
     def pec(cls):
@@ -122,20 +125,15 @@ class BoundaryCondition:
 
     @classmethod
     def dirichlet(cls, e_l, e_r):
-        return cls(DIRICHLET, e_l=e_l, e_r=e_r)
+        return cls(DIRICHLET, e_l, e_r)
 
     @classmethod
     def robin(cls, g_l=None, g_r=None):
-        return cls(ROBIN, g_l=g_l if g_l is not None else ZERO,
-                   g_r=g_r if g_r is not None else ZERO)
+        return cls(ROBIN, g_l if g_l is not None else ZERO, g_r if g_r is not None else ZERO)
 
     @property
     def homogeneous(self):
-        if self.kind == PEC:
-            return True
-        if self.kind == DIRICHLET:
-            return _is_zero(self.e_l) and _is_zero(self.e_r)
-        return _is_zero(self.g_l) and _is_zero(self.g_r)
+        return _is_zero(self.left) and _is_zero(self.right)
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,6 @@ def global_layout(mesh, spec):
     return ends - dims, int(ends[-1])
 
 
-def _segments(lo, hi, n):
-    """map_to_segment's n Gauss points and weights on each segment (lo, hi), one row each."""
-    xi, w = gauss_rule(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * xi, half[:, None] * w
-
-
 def _edge_stack(mesh, basis, ids, xq, sign):
     """E and H of the elements ids, which share basis, at the points xq (one row
     per element) of their upper (sign +1) or lower (sign -1) edges.
@@ -185,7 +176,7 @@ def _edge_stack(mesh, basis, ids, xq, sign):
     One eval_local call; each field comes back as a C-contiguous (k, n, m)
     stack whose slice r equals the field evaluated at row r alone.
     """
-    dx = xq - 0.5 * (mesh.x0[ids] + mesh.x1[ids])[:, None]
+    dx = xq - mesh.xc[ids][:, None]
     f = basis.eval_local(dx.ravel(), np.full(dx.size, sign * 0.5 * basis.ht))
     return {name: np.ascontiguousarray(f[name].reshape(basis.n, *dx.shape).transpose(1, 0, 2))
             for name in ("E", "H")}
@@ -231,14 +222,11 @@ def _lateral_load(fields, side, bc, alpha, delta, eps, mu):
     """The wall's data callable g and the table T of its load T @ (w * g(t));
     None where the wall carries no data."""
     E, H = fields["E"], fields["H"]
-    if bc.kind == PEC:
-        return None
-    if bc.kind == DIRICHLET:
-        data = bc.e_l if side < 0 else bc.e_r
-        return None if _is_zero(data) else (data, -side * H + alpha * E)
-    data = bc.g_l if side < 0 else bc.g_r
+    data = bc.left if side < 0 else bc.right
     if _is_zero(data):
         return None
+    if bc.kind == DIRICHLET:
+        return data, -side * H + alpha * E
     return data, -side * delta / np.sqrt(eps) * H + (1.0 - delta) / np.sqrt(mu) * E
 
 
@@ -247,15 +235,15 @@ def _walls(mesh, slab, spec, flux, n):
     wall element's position in the slab and its basis, the basis fields at
     the wall's n Gauss points, their offsets dt from the element's centre
     time and weights, and alpha on the wall."""
-    xi, w = gauss_rule(n)
-    for kind, column, side in ((FaceKind.LEFT, 1, -1), (FaceKind.RIGHT, 0, +1)):
+    for kind in (FaceKind.LEFT, FaceKind.RIGHT):
+        [(column, side, _)] = FACE_SIDES[kind][1]
         walls = mesh.face_tables[kind].elements
         i = int(walls[slab, column])
         basis = element_basis(mesh, spec, i)
-        dt = 0.5 * basis.ht * xi
+        dt, wq = map_to_segment(n, -0.5 * basis.ht, 0.5 * basis.ht)
         fields = basis.eval_local(np.full_like(dt, side * 0.5 * basis.hx), dt)
         alpha = flux.penalties(mesh, walls[slab:slab + 1])[0][0]
-        yield side, i - mesh.slab_starts[slab], basis, fields, dt, 0.5 * basis.ht * w, alpha
+        yield side, i - mesh.slab_starts[slab], basis, fields, dt, wq, alpha
 
 
 def _volume_block(basis, n_quad):
@@ -327,13 +315,13 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
 
     def load(j):
         b = np.zeros(int(offsets[-1]))
-        t_mid = 0.5 * (mesh.slab_times[j] + mesh.slab_times[j + 1])
+        t_mid = mesh.tc[mesh.slab_starts[j]]
         for rows, dt, wq, data, table in walls:
             b[rows] += table @ (wq * np.asarray(data(t_mid + dt), dtype=float))
         for g, rows, dx, dt, W, E in volume:
             el = mesh.slab_starts[j] + g
-            X = 0.5 * (mesh.x0[el] + mesh.x1[el])[:, None] + dx
-            T = 0.5 * (mesh.t0[el] + mesh.t1[el])[:, None] + dt
+            X = mesh.xc[el][:, None] + dx
+            T = mesh.tc[el][:, None] + dt
             J = np.broadcast_to(np.asarray(source(X, T), dtype=float), X.shape)
             b[rows] += np.matmul(E, (W * J)[:, :, None])[:, :, 0]
         if j == 0:
@@ -341,7 +329,7 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
             if initial_data is None:
                 raise MismatchedDomain("slab 0 requires initial data")
             ids0 = mesh.elem_grid[0]
-            xq, wq = _segments(mesh.x0[ids0], mesh.x1[ids0], n_data)
+            xq, wq = map_to_segment(n_data, mesh.x0[ids0], mesh.x1[ids0])
             e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
             h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
             for basis, g in signature_groups(mesh, spec, ids0):
@@ -369,11 +357,10 @@ def assemble_slab(mesh, slab, spec, flux, bc):
     n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
     A = np.zeros((n, n), order="F")
     R = np.zeros((n, n_prev))
-    xi_f, w_f = gauss_rule(n_face)
 
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab
-    xq, wq = _segments(mesh.x0[ids], mesh.x1[ids], n_face)
+    xq, wq = map_to_segment(n_face, mesh.x0[ids], mesh.x1[ids])
     for basis, g in signature_groups(mesh, spec, ids):
         f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
         _add_blocks(A, offsets[g], offsets[g],
@@ -384,7 +371,7 @@ def assemble_slab(mesh, slab, spec, flux, bc):
         hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
         pieces = slice(mesh.hor_starts[slab - 1], mesh.hor_starts[slab])
         below, above = hor.elements[pieces].T
-        xq, wq = _segments(hor.lo[pieces], hor.hi[pieces], n_face)
+        xq, wq = map_to_segment(n_face, hor.lo[pieces], hor.hi[pieces])
         for basis_b, gb in signature_groups(mesh, spec, below):
             f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
             for basis_a, ga in signature_groups(mesh, spec, above[gb]):
@@ -402,8 +389,7 @@ def assemble_slab(mesh, slab, spec, flux, bc):
     alpha, beta = flux.penalties(mesh, pairs)
     groups = []
     for basis_l, gl in signature_groups(mesh, spec, pairs[:, 0]):
-        dt = 0.5 * basis_l.ht * xi_f
-        wq = 0.5 * basis_l.ht * w_f
+        dt, wq = map_to_segment(n_face, -0.5 * basis_l.ht, 0.5 * basis_l.ht)
         f_l = basis_l.eval_local(np.full_like(dt, 0.5 * basis_l.hx), dt)
         for basis_r, gr in signature_groups(mesh, spec, pairs[gl, 1]):
             f_r = basis_r.eval_local(np.full_like(dt, -0.5 * basis_r.hx), dt)

@@ -13,8 +13,9 @@ from sys import float_info
 from .assembly import BC_KINDS, BoundaryCondition, FluxParams, InitialData
 from .basis import FAMILIES, BasisSpec
 from .errors import ConfigParse
-from .mesh import MaterialLayout, SpaceTimeDomain, mesh_from_spacing
-from .reference import Constant, GaussianPulse, ZERO, CharacteristicProfile
+from .mesh import (MaterialLayout, SpaceTimeDomain, mesh_from_spacing, missed_breakpoints,
+                   spacing_partition)
+from .reference import Constant, GaussianPulse, CharacteristicProfile
 
 EXPERIMENTS = ("run", "sweep_h", "sweep_p", "sweep_flux", "spectrum", "energy")
 IC_CHOICES = ("gaussian", "constant", "zero")
@@ -163,9 +164,6 @@ class ExperimentConfig:
 
     # typed access ----------------------------------------------------
 
-    def get(self, key):
-        return self.values[key]
-
     def number(self, key):
         v = self.values[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= float_info.max:
@@ -238,10 +236,14 @@ def validate(cfg):
         return value
 
     def spacing(key, h, extent):
+        """Whether meshes can be built at spacing h; diagnoses why not."""
         if not h > 0:
             diagnostics.append(f"{key} = {h} must be positive")
         elif extent is not None and not extent / h <= MAX_CELLS:
             diagnostics.append(f"{key} = {h} gives more than {MAX_CELLS} elements per direction")
+        else:
+            return True
+        return False
 
     x_l, x_r = num("domain.x_l"), num("domain.x_r")
     t_final = num("domain.t_final")
@@ -252,9 +254,9 @@ def validate(cfg):
         diagnostics.append(f"domain.t_final = {t_final} must be positive")
 
     h_x, h_t = num("mesh.h_x"), num("mesh.h_t")
-    for key, h, extent in (("mesh.h_x", h_x, length), ("mesh.h_t", h_t, t_final)):
-        if h is not None:
-            spacing(key, h, extent)
+    h_x_usable = h_x is not None and spacing("mesh.h_x", h_x, length)
+    if h_t is not None:
+        spacing("mesh.h_t", h_t, t_final)
 
     try:
         breaks = cfg.numbers("materials.breakpoints")
@@ -272,17 +274,13 @@ def validate(cfg):
         diagnostics.append("materials.eps and materials.mu must be positive")
     if any(b1 <= b0 for b0, b1 in zip(breaks, breaks[1:])):
         diagnostics.append("materials.breakpoints must be strictly increasing")
-    if x_l is not None and x_r is not None and h_x and h_x > 0:
+    inside = []         # the breakpoints the partitions must contain
+    if length is not None and length > 0:
         for b in breaks:
-            if not (x_l < b < x_r):
+            if x_l < b < x_r:
+                inside.append(b)
+            else:
                 diagnostics.append(f"material breakpoint {b} outside the open domain")
-                continue
-            steps = (b - x_l) / h_x
-            if abs(steps - round(steps)) > 1e-9:
-                diagnostics.append(
-                    f"material breakpoint {b} misses the partition of slab 0 "
-                    f"(and of every slab: the mesh is uniform)"
-                )
 
     family = choice("basis.family", FAMILIES)
     try:
@@ -326,15 +324,25 @@ def validate(cfg):
             )
 
     kind = choice("experiment.kind", EXPERIMENTS)
+    # the spatial spacings the experiment builds its meshes with
+    built = [("mesh.h_x", h_x)] if h_x_usable else []
     if kind == "sweep_h":
+        built = []
         try:
             hs = cfg.numbers("experiment.h_values")
             if len(hs) < 1:
                 diagnostics.append("experiment.h_values must not be empty for sweep_h")
             for h in hs:
-                spacing("experiment.h_values", h, max(length or 0.0, t_final or 0.0))
+                if spacing("experiment.h_values", h, max(length or 0.0, t_final or 0.0)):
+                    built.append(("experiment.h_values", h))
         except ConfigParse as exc:
             diagnostics.append(str(exc))
+    for key, h in built if inside else []:
+        for b in missed_breakpoints(spacing_partition(x_l, x_r, h), inside, length):
+            diagnostics.append(
+                f"material breakpoint {b} misses the partition of slab 0 at {key} = {h} "
+                f"(and of every slab: the mesh is uniform)"
+            )
     if kind in ("sweep_p", "spectrum"):
         try:
             ps = cfg.integers("experiment.p_values")
@@ -395,12 +403,8 @@ def build_flux(cfg, alpha=None, beta=None):
 
 
 def build_bc(cfg):
-    kind = cfg.text("bc.kind")
-    if kind == "pec":
-        return BoundaryCondition.pec()
-    if kind == "dirichlet":
-        return BoundaryCondition.dirichlet(ZERO, ZERO)
-    return BoundaryCondition.robin()
+    """The configured walls; the flat config carries no boundary data."""
+    return BoundaryCondition(cfg.text("bc.kind"))
 
 
 def build_initial_data(cfg):
@@ -421,16 +425,13 @@ def build_profile(cfg):
     """Closed-form reference for the configured problem, or None.
 
     Available when the materials are constant; the boundary data in the
-    config is always homogeneous, so pec/dirichlet map to the
-    conducting-wall reference and robin to the zero-extended one.
+    config is always homogeneous, so pec/dirichlet walls get the
+    conducting-wall reference and robin walls the zero-extended one.
     """
     materials = build_materials(cfg)
     if not materials.is_constant:
         return None
-    domain = build_domain(cfg)
     data = build_initial_data(cfg)
-    bc_kind = cfg.text("bc.kind")
-    ref_kind = "robin" if bc_kind == "robin" else "pec"
     return CharacteristicProfile.for_problem(
-        domain, materials, data.e0, data.h0, ref_kind
+        build_domain(cfg), materials, data.e0, data.h0, cfg.text("bc.kind")
     )

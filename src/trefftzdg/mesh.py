@@ -8,15 +8,17 @@ breakpoints in every slab, which keeps the coefficients constant on
 each element.
 
 A Mesh is a set of read-only numpy arrays. Elements are numbered slab by
-slab, left to right: x0, x1, t0, t1, eps, mu, slab and col hold one
-entry per element (hx = x1 - x0, and ht is the slab's height), and slab
-j owns the index range slab_starts[j]:slab_starts[j + 1] (elem_grid[j]).
-Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
-the two adjacent element ids. hor_starts and ver_starts are the
+slab, left to right: x0, x1, t0, t1, eps, mu and slab hold one entry per
+element (hx = x1 - x0, ht is the slab's height, and xc, tc the centre),
+and slab j owns the index range slab_starts[j]:slab_starts[j + 1]
+(elem_grid[j]), so its partition is x0 of that range followed by the last
+x1. Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi
+and the two adjacent element ids. hor_starts and ver_starts are the
 per-interface and per-slab offsets into the HOR_INTERNAL and
-VER_INTERNAL tables; the lateral tables hold one row per slab. Code that
-works on faces reads these rows. An element's row index is its only handle:
-its basis (basis.element_basis) is built from the row's hx, ht, eps and mu.
+VER_INTERNAL tables; the lateral tables hold one row per slab, and
+FACE_SIDES says which side of each face its elements lie on. An element's
+row index is its only handle: its basis (basis.element_basis) is built
+from the row's hx, ht, eps and mu.
 """
 
 import enum
@@ -114,7 +116,7 @@ class FaceKind(enum.Enum):
     RIGHT = "right"            # lateral boundary x = x_r
 
 
-def union_interface(partition_a, partition_b, tol=None):
+def union_interface(partition_a, partition_b):
     """Merge two partitions of the same interval into interface pieces.
 
     Returns the sorted union breakpoints as an array; consecutive pairs
@@ -125,9 +127,7 @@ def union_interface(partition_a, partition_b, tol=None):
     b = np.asarray(partition_b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise EmptyPartition("partitions need at least two breakpoints")
-    span = max(a[-1] - a[0], b[-1] - b[0])
-    if tol is None:
-        tol = BREAKPOINT_RTOL * span
+    tol = BREAKPOINT_RTOL * max(a[-1] - a[0], b[-1] - b[0])
     if abs(a[0] - b[0]) > tol or abs(a[-1] - b[-1]) > tol:
         raise MismatchedDomain(
             f"partitions cover [{a[0]}, {a[-1]}] vs [{b[0]}, {b[-1]}]"
@@ -154,11 +154,23 @@ def _validate_partition(partition, domain, materials, slab_index):
             raise NonconformingMaterial(
                 f"material breakpoint {b} outside the open spatial interval"
             )
-        if np.min(np.abs(p - b)) > tol:
-            raise NonconformingMaterial(
-                f"slab {slab_index}: material breakpoint {b} is not a partition breakpoint"
-            )
+    missed = missed_breakpoints(p, materials.breakpoints, domain.length)
+    if missed:
+        raise NonconformingMaterial(
+            f"slab {slab_index}: material breakpoint {missed[0]} is not a partition breakpoint"
+        )
     return p
+
+
+def missed_breakpoints(partition, breakpoints, length):
+    """The breakpoints farther than BREAKPOINT_RTOL * length from every
+    breakpoint of the partition: build_mesh rejects the partition for them."""
+    return [b for b in breakpoints if np.min(np.abs(partition - b)) > BREAKPOINT_RTOL * length]
+
+
+def spacing_partition(x_l, x_r, h_x):
+    """mesh_from_spacing's partition of every slab: max(1, round((x_r - x_l) / h_x)) cells."""
+    return np.linspace(x_l, x_r, max(1, round((x_r - x_l) / h_x)) + 1)
 
 
 #: The faces of one kind in mesh order, as read-only arrays. Row r is the
@@ -168,6 +180,19 @@ def _validate_partition(partition, domain, materials, slab_index):
 #: kinds) or left (vertical kinds) of the face, then the one above or
 #: right, with -1 outside the boundary.
 FaceTable = namedtuple("FaceTable", "pos lo hi elements")
+
+#: Face kinds in the order the DG norm sums them: whether their faces run
+#: along x, and per adjacent element its column in the FaceTable's elements,
+#: the sign of the face's offset from the element's centre (the outward
+#: normal; -1 at x_l on a wall) and the side a reference is traced from.
+FACE_SIDES = {
+    FaceKind.HOR_INTERNAL: (True, ((0, +1, "below"), (1, -1, "above"))),
+    FaceKind.BOTTOM: (True, ((1, -1, "above"),)),
+    FaceKind.TOP: (True, ((0, +1, "below"),)),
+    FaceKind.VER_INTERNAL: (False, ((0, +1, "left"), (1, -1, "right"))),
+    FaceKind.LEFT: (False, ((1, -1, "right"),)),
+    FaceKind.RIGHT: (False, ((0, +1, "left"),)),
+}
 
 
 def _pair(a, b):
@@ -185,10 +210,8 @@ class Mesh:
     """Space-time mesh as read-only arrays (see the module docstring)."""
 
     domain: SpaceTimeDomain
-    materials: MaterialLayout
     slab_heights: np.ndarray
     slab_times: np.ndarray          # length n_slabs + 1, slab_times[0] == 0
-    partitions: tuple               # one breakpoint array per slab
     slab_starts: np.ndarray         # slab j owns elements slab_starts[j]:slab_starts[j + 1]
     x0: np.ndarray
     x1: np.ndarray
@@ -197,15 +220,13 @@ class Mesh:
     eps: np.ndarray
     mu: np.ndarray
     slab: np.ndarray
-    col: np.ndarray
     face_tables: dict               # FaceKind -> FaceTable
     hor_starts: np.ndarray          # first HOR_INTERNAL row of each interface, then the count
     ver_starts: np.ndarray          # first VER_INTERNAL row of each slab, then the count
 
     def __post_init__(self):
         # the cached properties below rely on the mesh staying as built
-        tables = self.face_tables.values()
-        for a in [*vars(self).values(), *self.partitions, *chain.from_iterable(tables)]:
+        for a in [*vars(self).values(), *chain.from_iterable(self.face_tables.values())]:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
@@ -220,6 +241,16 @@ class Mesh:
     @cached_property
     def hx(self):
         return _read_only(self.x1 - self.x0)
+
+    @cached_property
+    def xc(self):
+        """Element centres in x."""
+        return _read_only(0.5 * (self.x0 + self.x1))
+
+    @cached_property
+    def tc(self):
+        """Element centres in t."""
+        return _read_only(0.5 * (self.t0 + self.t1))
 
     @cached_property
     def ht(self):
@@ -282,9 +313,9 @@ class Mesh:
         out = np.empty(x.shape, dtype=int)
         for slab in np.unique(j):
             here = j == slab
-            p = self.partitions[slab]
+            p = self.x0[self.slab_starts[slab]:self.slab_starts[slab + 1]]
             xs = x[here]
-            k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 2)
+            k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 1)
             if x_side in ("left", None):
                 k = k - ((k > 0) & (np.abs(xs - p[k]) <= tol_x))
             out[here] = self.slab_starts[slab] + k
@@ -363,10 +394,8 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
     }
     return Mesh(
         domain=domain,
-        materials=materials,
         slab_heights=np.asarray(heights),
         slab_times=times,
-        partitions=tuple(parts),
         slab_starts=starts,
         x0=x0,
         x1=x1,
@@ -375,7 +404,6 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
         eps=materials.eps_at(mids),
         mu=materials.mu_at(mids),
         slab=slab,
-        col=np.arange(starts[-1]) - starts[slab],
         face_tables={kind: FaceTable(*columns) for kind, columns in tables.items()},
         hor_starts=np.cumsum([0] + [len(p[0]) for p in pieces]),
         ver_starts=starts - np.arange(n_slabs + 1),
@@ -395,6 +423,6 @@ def mesh_from_spacing(domain, materials, h_x, h_t):
     """Uniform mesh from target spacings; counts are rounded to integers."""
     if h_x <= 0 or h_t <= 0:
         raise NegativeExtent(f"spacings must be positive, got h_x={h_x}, h_t={h_t}")
-    n_x = max(1, round(domain.length / h_x))
     n_t = max(1, round(domain.t_final / h_t))
-    return uniform_mesh(domain, materials, n_x, n_t)
+    return build_mesh(domain, materials, [domain.t_final / n_t] * n_t,
+                      spacing_partition(domain.x_l, domain.x_r, h_x))

@@ -81,16 +81,21 @@ def gauss_rule(n):
 
 
 def map_to_segment(n, a, b):
-    """Map the n-point rule to the segment [a, b].
+    """Map the n-point rule to the segment [a, b], or to each segment
+    [a[k], b[k]] of the arrays a, b.
 
-    Returns (points, weights) with weights summing to b - a. Raises
-    DegenerateSegment when b <= a.
+    Returns (points, weights), of shape (n,) for scalars and (k, n) for
+    arrays, row k the mapped rule of segment k alone; the weights of a
+    segment sum to b - a. Raises DegenerateSegment when any b <= a.
     """
-    if not b > a:
-        raise DegenerateSegment(f"segment [{a}, {b}] has non-positive length")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bad = ~(b > a)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise DegenerateSegment(f"segment [{a.flat[k]}, {b.flat[k]}] has non-positive length")
     xi, w = gauss_rule(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)[..., None]
+    half = 0.5 * (b - a)[..., None]
     return mid + half * xi, half * w
 
 

@@ -82,12 +82,6 @@ class ZeroField:
     def trace(self, x, t, side=None):
         return self.evaluate(x, t)
 
-    def derivatives(self, x, t):
-        shape = np.broadcast(np.asarray(x, dtype=float),
-                             np.asarray(t, dtype=float)).shape
-        z = np.zeros(shape)
-        return z, z.copy(), z.copy(), z.copy()
-
 
 def _pec_fold(z, x_l, length):
     """Image m of z in [x_l, x_l + length] under the 2 length-periodic fold
@@ -207,33 +201,27 @@ class CharacteristicProfile:
         x_l, x_r = domain.x_l, domain.x_r
         u0_in, w0_in, du0_in, dw0_in = cls._split(e0, h0, eps, mu)
 
-        def u0(z):
-            z = np.asarray(z, dtype=float)
-            inside = z > x_l
-            data = np.where(z <= x_r, u0_in(np.clip(z, x_l, x_r)), 0.0)
-            return np.where(inside, data, g_l((x_l - z) / c))
+        def from_left(f, g):
+            # f on the domain, zero right of x_r, wall data g entering at x_l
+            def value(z):
+                z = np.asarray(z, dtype=float)
+                data = np.where(z <= x_r, f(np.clip(z, x_l, x_r)), 0.0)
+                return np.where(z > x_l, data, g((x_l - z) / c))
+            return value
 
-        def w0(z):
-            z = np.asarray(z, dtype=float)
-            inside = z < x_r
-            data = np.where(z >= x_l, w0_in(np.clip(z, x_l, x_r)), 0.0)
-            return np.where(inside, data, g_r((z - x_r) / c))
+        def from_right(f, g):
+            def value(z):
+                z = np.asarray(z, dtype=float)
+                data = np.where(z >= x_l, f(np.clip(z, x_l, x_r)), 0.0)
+                return np.where(z < x_r, data, g((z - x_r) / c))
+            return value
 
+        u0, w0 = from_left(u0_in, g_l), from_right(w0_in, g_r)
         du0 = dw0 = None
         dg_l, dg_r = getattr(g_l, "deriv", None), getattr(g_r, "deriv", None)
         if du0_in is not None and dg_l is not None and dg_r is not None:
-            def du0(z):
-                z = np.asarray(z, dtype=float)
-                inside = z > x_l
-                data = np.where(z <= x_r, du0_in(np.clip(z, x_l, x_r)), 0.0)
-                return np.where(inside, data, -dg_l((x_l - z) / c) / c)
-
-            def dw0(z):
-                z = np.asarray(z, dtype=float)
-                inside = z < x_r
-                data = np.where(z >= x_l, dw0_in(np.clip(z, x_l, x_r)), 0.0)
-                return np.where(inside, data, dg_r((z - x_r) / c) / c)
-
+            du0 = from_left(du0_in, lambda s: -dg_l(s) / c)
+            dw0 = from_right(dw0_in, lambda s: dg_r(s) / c)
         return cls(domain, eps, mu, u0, w0, du0, dw0, kind=ROBIN)
 
     @classmethod

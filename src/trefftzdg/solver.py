@@ -39,7 +39,8 @@ def _factor(A, what="slab matrix"):
     assemble_slab allocates it) is overwritten, so the caller must own A."""
     lu, piv = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or diag.min() <= 10 * np.finfo(float).eps * diag.max():
+    finite = np.isfinite(lu.min()) and np.isfinite(lu.max())  # a NaN or inf shows in one
+    if not finite or diag.min() <= 10 * np.finfo(float).eps * diag.max():
         raise SingularSlabMatrix(
             f"{what} is numerically singular (pivot ratio "
             f"{diag.min():.3e} / {diag.max():.3e})"
@@ -105,8 +106,8 @@ class SolutionField:
         tf = np.atleast_1d(t_arr).ravel()
         mesh = self.mesh
         ids = mesh.elements_at(xf, tf, t_side=t_side, x_side=x_side)
-        dx = xf - 0.5 * (mesh.x0[ids] + mesh.x1[ids])
-        dt = tf - 0.5 * (mesh.t0[ids] + mesh.t1[ids])
+        dx = xf - mesh.xc[ids]
+        dt = tf - mesh.tc[ids]
         E, H = self.traces(ids, dx[:, None], dt[:, None])
         if x_arr.ndim == 0:
             return float(E[0, 0]), float(H[0, 0])

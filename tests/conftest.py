@@ -46,7 +46,8 @@ def locate(mesh, x, t, t_side=None, x_side=None):
         j -= 1
     elif t_side == "above" and j < mesh.n_slabs - 1 and abs(t - times[j + 1]) <= tol_t:
         j += 1
-    p = mesh.partitions[j]
+    ids = mesh.elem_grid[j]
+    p = np.append(mesh.x0[ids], mesh.x1[ids][-1])  # the slab's partition
     k = int(np.searchsorted(p, x, side="right")) - 1
     k = min(max(k, 0), len(p) - 2)
     if x_side in ("left", None) and k > 0 and abs(x - p[k]) <= tol:

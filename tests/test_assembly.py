@@ -6,9 +6,11 @@ import pytest
 from trefftzdg import (
     FULL,
     TREFFTZ,
+    ZERO,
     BasisSpec,
     BoundaryCondition,
     CharacteristicProfile,
+    Constant,
     FaceKind,
     FluxParams,
     InitialData,
@@ -270,3 +272,16 @@ def test_boundary_condition_kinds():
     assert not BoundaryCondition.dirichlet(lambda t: t, lambda t: t).homogeneous
     with pytest.raises(MismatchedDomain):
         BoundaryCondition("absorbing")
+
+
+def test_boundary_condition_holds_one_data_pair():
+    f, g = (lambda t: t), (lambda t: 2.0 * t)
+    bc = BoundaryCondition.robin(g_l=f)
+    assert bc.left is f and bc.right == ZERO and not bc.homogeneous
+    bc = BoundaryCondition.dirichlet(e_l=f, e_r=g)
+    assert bc.left is f and bc.right is g
+    # conducting walls carry no data: any given is an error, not ignored
+    for left, right in ((f, ZERO), (ZERO, g)):
+        with pytest.raises(MismatchedDomain):
+            BoundaryCondition("pec", left, right)
+    assert BoundaryCondition("pec", ZERO, Constant(0.0)).homogeneous

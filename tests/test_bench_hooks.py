@@ -1,13 +1,16 @@
-"""The benchmark's tracing hooks still fit the package.
+"""The benchmark's workloads and tracing hooks still fit the package.
 
-perfbench/workloads.py wraps named functions and methods of the package
-(solver.assemble_slab, ElementBasis.eval_local, SolutionField.evaluate, ...).
-A rename that breaks one of them fails here, not only in a benchmark run.
+perfbench/workloads.py builds its inputs through the package's API
+(config builders, BoundaryCondition.robin(g_l=...)) and wraps named
+functions and methods of it (solver.assemble_slab, ElementBasis.eval_local,
+SolutionField.evaluate, ...). A change that breaks one of them fails here,
+not only in a benchmark run.
 """
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from trefftzdg import (
     BasisSpec,
@@ -48,3 +51,13 @@ def test_workload_hooks_install_record_and_close(monkeypatch):
     # identical slabs: slab 1's operator, assembled once through
     # solver.assemble_slab, serves every slab
     assert names.count("assembly.slab") == 1
+
+
+@pytest.mark.parametrize("name", ["march_pec", "march_robin_data", "audit_default"])
+def test_workloads_run_and_pass_their_checks_on_tiny_meshes(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inputs = workloads.build_inputs(name, 0, tiny=True)
+    out, problems = workloads.checked_run(name, inputs, None, lambda phase, fn: fn(), tiny=True)
+    assert out is not None and problems == []

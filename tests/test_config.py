@@ -22,7 +22,7 @@ from trefftzdg.config import (
     parse_config_text,
     validate,
 )
-from trefftzdg.errors import ConfigParse
+from trefftzdg.errors import ConfigParse, NonconformingMaterial
 
 
 def test_grammar_scalars_lists_and_comments():
@@ -144,6 +144,34 @@ def test_material_breakpoint_diagnostics():
                           "materials.eps": [1.0, 4.0],
                           "materials.mu": [1.0, 1.0]})
     assert "outside the open domain" in diag
+
+
+def _two_materials(breakpoint):
+    return {"materials.breakpoints": breakpoint, "materials.eps": [1.0, 2.0],
+            "materials.mu": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("overrides, spacings, missed", [
+    # 60 / 7 rounds to 9 cells of 6.67: x = 7 is no breakpoint
+    ({"mesh.h_x": 7.0, **_two_materials(7.0)}, [7.0], True),
+    # a sweep builds with its h_values only, never with mesh.h_x
+    ({"experiment.kind": "sweep_h", "mesh.h_x": 0.5, "experiment.h_values": [2.0, 1.0],
+      **_two_materials(10.5)}, [2.0, 1.0], True),
+    # within BREAKPOINT_RTOL * length of the breakpoint x = 10
+    ({"mesh.h_x": 1.0, **_two_materials(10.0 + 1e-8)}, [1.0], False),
+])
+def test_breakpoint_diagnostics_agree_with_the_mesh(overrides, spacings, missed):
+    diags = _diagnose(**overrides)
+    assert len(diags) == (len(spacings) if missed else 0)
+    assert all("misses the partition" in d for d in diags)
+    cfg = ExperimentConfig.defaults()
+    cfg.values.update(overrides)
+    for h in spacings:
+        if missed:
+            with pytest.raises(NonconformingMaterial):
+                build_mesh(cfg, h_x=h, h_t=h)
+        else:
+            assert build_mesh(cfg, h_x=h, h_t=h).n_elements == 60 * 60
 
 
 def test_sweep_lists_are_checked():

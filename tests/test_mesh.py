@@ -97,7 +97,8 @@ def test_vertical_faces_join_horizontal_neighbours():
             left, right = ver.elements[r]
             assert mesh.x1[left] == mesh.x0[right] == ver.pos[r]
             assert mesh.slab[left] == mesh.slab[right] == j
-            assert mesh.col[left] + 1 == mesh.col[right]
+            # slab-local positions k and k + 1
+            assert left - mesh.slab_starts[j] + 1 == right - mesh.slab_starts[j]
 
 
 def test_union_interface_merges_partitions():
@@ -187,9 +188,9 @@ def test_mesh_arrays_are_read_only():
     parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
              np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
     mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
-    arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab, mesh.col,
-              mesh.hx, mesh.ht, mesh.slab_starts, mesh.hor_starts, mesh.ver_starts,
-              mesh.slab_heights, mesh.slab_times, *mesh.partitions,
+    arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab,
+              mesh.hx, mesh.ht, mesh.xc, mesh.tc, mesh.slab_starts, mesh.hor_starts,
+              mesh.ver_starts, mesh.slab_heights, mesh.slab_times,
               *(a for table in mesh.face_tables.values() for a in table)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -204,12 +205,16 @@ def test_random_meshes_are_consistent(case):
     domain, materials, heights, parts = case
     mesh = build_mesh(domain, materials, heights, parts)
     tables = mesh.face_tables
+    # slab-local position of every element
+    local = np.arange(mesh.n_elements) - mesh.slab_starts[mesh.slab]
     # elements tile the domain, slab by slab and left to right
     assert np.sum(mesh.hx * mesh.ht) == pytest.approx(domain.length * domain.t_final, rel=1e-12)
     for j, ids in enumerate(mesh.elem_grid):
         assert np.array_equal(np.append(mesh.x0[ids], mesh.x1[ids][-1]), parts[j])
-        assert np.all(mesh.slab[ids] == j) and np.array_equal(mesh.col[ids], np.arange(len(ids)))
-    assert np.array_equal(mesh.eps, materials.eps_at(0.5 * (mesh.x0 + mesh.x1)))
+        assert np.all(mesh.slab[ids] == j) and np.array_equal(local[ids], np.arange(len(ids)))
+    assert np.array_equal(mesh.xc, 0.5 * (mesh.x0 + mesh.x1))
+    assert np.array_equal(mesh.tc, 0.5 * (mesh.t0 + mesh.t1))
+    assert np.array_equal(mesh.eps, materials.eps_at(mesh.xc))
     # the interface pieces of each slab interface cover it, inside both neighbours
     hor = tables[FaceKind.HOR_INTERNAL]
     for j in range(mesh.n_slabs - 1):
@@ -225,11 +230,11 @@ def test_random_meshes_are_consistent(case):
         assert np.all(mesh.t1[below] == pos) and np.all(mesh.t0[above] == pos)
         for e in (below, above):
             assert np.all(mesh.x0[e] <= lo) and np.all(hi <= mesh.x1[e])
-    # every internal vertical face joins col and col + 1 of one slab
+    # every internal vertical face joins slab-local positions k and k + 1 of one slab
     ver = tables[FaceKind.VER_INTERNAL]
     left, right = ver.elements.T
     assert np.array_equal(mesh.slab[left], mesh.slab[right])
-    assert np.array_equal(mesh.col[left] + 1, mesh.col[right])
+    assert np.array_equal(local[left] + 1, local[right])
     assert np.array_equal(ver.pos, mesh.x1[left]) and np.array_equal(ver.pos, mesh.x0[right])
     # face counts per kind
     interfaces = [len(np.union1d(a, b)) - 1 for a, b in zip(parts, parts[1:])]
@@ -244,7 +249,6 @@ def test_random_meshes_are_consistent(case):
     assert np.array_equal(mesh.hx, mesh.x1 - mesh.x0)
     assert np.array_equal(mesh.ht, np.asarray(heights)[mesh.slab])
     # point location at the element centres finds every element
-    centres = 0.5 * (mesh.x0 + mesh.x1), 0.5 * (mesh.t0 + mesh.t1)
-    assert np.array_equal(mesh.elements_at(*centres), np.arange(mesh.n_elements))
+    assert np.array_equal(mesh.elements_at(mesh.xc, mesh.tc), np.arange(mesh.n_elements))
     assert mesh.identical_slabs == (len(set(heights)) == 1
                                     and all(np.array_equal(p, parts[0]) for p in parts))

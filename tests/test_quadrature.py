@@ -68,6 +68,18 @@ def test_mapped_rule_on_unit_interval():
     assert abs(w @ np.exp(x) - (math.e - 1.0)) <= 1e-12
 
 
+def test_mapped_rule_on_rows_repeats_the_scalar_map():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-5.0, 5.0, 7)
+    b = a + rng.uniform(1e-6, 3.0, 7)
+    for n in (1, 4, 9):
+        x, w = map_to_segment(n, a, b)
+        assert x.shape == w.shape == (7, n)
+        for k in range(7):
+            xk, wk = map_to_segment(n, a[k], b[k])
+            assert np.array_equal(x[k], xk) and np.array_equal(w[k], wk)
+
+
 def test_tensor_rule_integrates_separable_function():
     X, T, W = tensor_rule(3, 4, (0.0, 2.0, 0.0, 3.0))
     assert X.shape == T.shape == W.shape == (12,)
@@ -85,3 +97,7 @@ def test_invalid_requests_raise():
         map_to_segment(2, 1.0, 1.0)
     with pytest.raises(DegenerateSegment):
         map_to_segment(2, 2.0, 1.0)
+    with pytest.raises(DegenerateSegment, match=r"\[3.0, 3.0\]"):
+        map_to_segment(2, np.array([0.0, 3.0, 1.0]), np.array([1.0, 3.0, 2.0]))
+    with pytest.raises(DegenerateSegment):
+        map_to_segment(2, np.array([0.0, np.nan]), np.array([1.0, 2.0]))

@@ -28,7 +28,7 @@ from trefftzdg import (
     update_matrix,
 )
 from trefftzdg import solver
-from trefftzdg.errors import InhomogeneousSlabs, UnsupportedBC
+from trefftzdg.errors import InhomogeneousSlabs, SingularSlabMatrix, UnsupportedBC
 
 from conftest import locate
 
@@ -147,7 +147,8 @@ def test_march_factors_in_place_and_frees_each_slab(per_element):
     # and R are freed before slab j assembles, so at most 2 n x n arrays live
     # at once with per-element degrees. On identical slabs slab 1's A,
     # factored in place, serves every slab with its R: 2 n x n arrays too (3
-    # if A_1 were held beside the LU).
+    # if A_1 were held beside the LU). The march peaks near 2.08 of them; an
+    # n x n temporary, even a boolean one, shows above 2.1.
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 2.0), UNIT, 120, 4)
     spec = BasisSpec(TREFFTZ, {i: 3 for i in range(mesh.n_elements)} if per_element else 3)
     n = 120 * spec.dim_for(0)
@@ -159,7 +160,25 @@ def test_march_factors_in_place_and_frees_each_slab(per_element):
     finally:
         tracemalloc.stop()
     assert sol.coefficients[0].size == n
-    assert peak <= 2.5 * 8 * n * n
+    assert peak <= 2.1 * 8 * n * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(3, 0), (0, 3)], ids=["lower", "upper"])
+def test_factor_rejects_a_non_finite_lu_entry(monkeypatch, bad, entry):
+    # off the diagonal, so the pivot ratio alone would pass
+    A = np.eye(4) + 0.1
+    lu_factor = solver.linalg.lu_factor
+    assert solver._factor(np.asfortranarray(A))[0].shape == (4, 4)
+
+    def poisoned(a, **kwargs):
+        lu, piv = lu_factor(a, **kwargs)
+        lu[entry] = bad
+        return lu, piv
+
+    monkeypatch.setattr(solver.linalg, "lu_factor", poisoned)
+    with pytest.raises(SingularSlabMatrix):
+        solver._factor(np.asfortranarray(A))
 
 
 def test_update_operator_advances_the_march():
