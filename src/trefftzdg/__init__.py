@@ -24,6 +24,7 @@ from .errors import (
     NonpositiveError,
     PointOutsideElement,
     SingularSlabMatrix,
+    TooManyCells,
     TrefftzDGError,
     TrefftzWithSource,
     UnsupportedBC,

@@ -32,6 +32,7 @@ from .config import (
     build_mesh,
     build_profile,
     build_spec,
+    experiment_points,
     validate,
 )
 from .errors import (
@@ -81,23 +82,14 @@ def _build_parser():
     return parser
 
 
-_COMMAND_KIND = {
-    "sweep-h": "sweep_h",
-    "sweep-p": "sweep_p",
-    "sweep-flux": "sweep_flux",
-    "spectrum": "spectrum",
-    "energy": "energy",
-}
-
-
 def _load_config(args):
     if args.config is None:
         cfg = ExperimentConfig.defaults()
     else:
         cfg = ExperimentConfig.from_file(args.config)
     cfg.override(args.overrides)
-    if args.command in _COMMAND_KIND:
-        cfg.values["experiment.kind"] = _COMMAND_KIND[args.command]
+    if args.command not in ("run", "validate"):     # the other commands name their kind
+        cfg.values["experiment.kind"] = args.command.replace("-", "_")
     return cfg
 
 
@@ -220,34 +212,17 @@ def _attach_rate(reports, xs, mode):
 
 
 def _experiment_rows(cfg, name):
+    points = [args for args, _ in experiment_points(cfg)]
+    reports = []
+    for args in points:
+        sol, _ = _solve_once(cfg, **args)
+        reports.append(_report(cfg, sol, name))
     kind = cfg.text("experiment.kind")
-    if kind == "run":
-        sol, _ = _solve_once(cfg)
-        return [_report(cfg, sol, name)]
     if kind == "sweep_h":
-        reports = []
-        hs = cfg.numbers("experiment.h_values")
-        for h in hs:
-            sol, _ = _solve_once(cfg, h=h)
-            reports.append(_report(cfg, sol, name))
-        _attach_rate(reports, hs, mode="h")
-        return reports
-    if kind == "sweep_p":
-        reports = []
-        ps = cfg.integers("experiment.p_values")
-        for p in ps:
-            sol, _ = _solve_once(cfg, degree=p)
-            reports.append(_report(cfg, sol, name))
-        _attach_rate(reports, [float(p) for p in ps], mode="p")
-        return reports
-    if kind == "sweep_flux":
-        reports = []
-        for alpha in cfg.numbers("experiment.alpha_values"):
-            for beta in cfg.numbers("experiment.beta_values"):
-                sol, _ = _solve_once(cfg, alpha=alpha, beta=beta)
-                reports.append(_report(cfg, sol, name))
-        return reports
-    raise TrefftzDGError(f"no tabular experiment for kind {kind!r}")
+        _attach_rate(reports, [args["h"] for args in points], mode="h")
+    elif kind == "sweep_p":
+        _attach_rate(reports, [float(args["degree"]) for args in points], mode="p")
+    return reports
 
 
 def _run_tabular(cfg, outdir, name):
@@ -278,7 +253,8 @@ def _run_spectrum(cfg, outdir, name):
     flux = build_flux(cfg)
     bc = build_bc(cfg)
     eig_rows, summary_rows = [], []
-    for p in cfg.integers("experiment.p_values"):
+    for args, _ in experiment_points(cfg):
+        p = args["degree"]
         spec = build_spec(cfg, degree=p)
         update = update_matrix(mesh, spec, flux, bc)
         spct = spectrum(update)

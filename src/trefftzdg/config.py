@@ -5,21 +5,25 @@ blank lines are skipped. Values parse as bool (true/false), int,
 float, or string; a comma turns the value into a list of scalars; an
 empty right-hand side is the empty list. Floats are serialized with
 repr(), so a written manifest re-parses to bit-identical values.
+
+The build_* functions turn a config into the solver's objects, and
+experiment_points lists the solves an experiment kind runs. validate
+checks a config by running those builders at those points: every rule
+lives in the constructor that enforces it.
 """
 
+import warnings
 from dataclasses import dataclass
 from sys import float_info
 
-from .assembly import BC_KINDS, BoundaryCondition, FluxParams, InitialData
-from .basis import FAMILIES, BasisSpec
-from .errors import ConfigParse
-from .mesh import (MaterialLayout, SpaceTimeDomain, mesh_from_spacing, missed_breakpoints,
+from .assembly import BoundaryCondition, FluxParams, InitialData
+from .basis import TREFFTZ, BasisSpec
+from .errors import ConfigParse, TrefftzDGError
+from .mesh import (MaterialLayout, SpaceTimeDomain, cell_count, mesh_from_spacing,
                    spacing_partition)
 from .reference import Constant, GaussianPulse, CharacteristicProfile
 
 EXPERIMENTS = ("run", "sweep_h", "sweep_p", "sweep_flux", "spectrum", "energy")
-IC_CHOICES = ("gaussian", "constant", "zero")
-MAX_CELLS = 2**24      # elements per direction: numpy can size every mesh array below it
 
 DEFAULTS = {
     "domain.x_l": 0.0,
@@ -215,104 +219,100 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+class _Reads(dict):
+    """Config values that note, in order, each key read from them."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = []
+
+    def __getitem__(self, key):
+        if key not in self.read:
+            self.read.append(key)
+        return super().__getitem__(key)
+
+
+def experiment_points(cfg):
+    """The solves the configured experiment runs, in order.
+
+    Each is (builder arguments, the config text that names them): h for
+    both spacings, degree, or alpha and beta; run and energy solve once
+    with the config's own values.
+    """
+    kind = cfg.text("experiment.kind")
+    if kind in ("run", "energy"):
+        return [({}, "")]
+    if kind == "sweep_h":
+        return [({"h": h}, f"experiment.h_values = {h}")
+                for h in cfg.numbers("experiment.h_values")]
+    if kind in ("sweep_p", "spectrum"):
+        return [({"degree": p}, f"experiment.p_values = {p}")
+                for p in cfg.integers("experiment.p_values")]
+    if kind == "sweep_flux":
+        alphas, betas = cfg.numbers("experiment.alpha_values"), cfg.numbers("experiment.beta_values")
+        return [({"alpha": a, "beta": b},
+                 f"experiment.alpha_values = {a}, experiment.beta_values = {b}")
+                for a in alphas for b in betas]
+    raise ConfigParse(f"experiment.kind must be one of {EXPERIMENTS}, got {kind!r}")
+
+
 def validate(cfg):
-    """Collect every configuration diagnostic; empty list means runnable."""
+    """Every diagnostic of the config; an empty list means it runs.
+
+    validate calls the builders the experiment calls, at every point it
+    solves (experiment_points), and at each spacing the mesh's own cell
+    count and partition check, without building a mesh. Each
+    TrefftzDGError becomes one line, prefixed by the point and the config
+    keys that the failing call read; identical lines appear once. Its own
+    rules are only those no builder makes: source.kind, and sweep lists
+    that are empty.
+    """
     diagnostics = []
 
-    def checked(read, key):
+    def attempt(build, *args, name="", values=None):
+        """build(cfg, *args), or None with its failure noted."""
+        values = _Reads(cfg.values) if values is None else values
         try:
-            return read(key)
-        except ConfigParse as exc:
-            diagnostics.append(str(exc))
-            return None
+            return build(ExperimentConfig(values), *args)
+        except TrefftzDGError as exc:
+            line = f"{', '.join(filter(None, [name, *values.read]))}: {exc}"
+            if line not in diagnostics:
+                diagnostics.append(line)
 
-    def num(key):
-        return checked(cfg.number, key)
+    domain = attempt(build_domain)
+    materials = attempt(build_materials)
+    attempt(build_bc)
+    attempt(build_initial_data)
+    listed = _Reads(cfg.values)
+    points = attempt(experiment_points, values=listed)
+    if points == []:        # a sweep over an empty list
+        diagnostics += [f"{key} must not be empty for {cfg.values['experiment.kind']}"
+                        for key in listed.read if cfg.values[key] == []]
 
-    def choice(key, choices):
-        value = checked(cfg.text, key)
-        if value is not None and value not in choices:
-            diagnostics.append(f"{key} must be one of {choices}, got {value!r}")
-        return value
+    # without a domain there is no extent to count cells across, only a sign to check
+    length, t_final = (domain.length, domain.t_final) if domain else (0.0, 0.0)
 
-    def spacing(key, h, extent):
-        """Whether meshes can be built at spacing h; diagnoses why not."""
-        if not h > 0:
-            diagnostics.append(f"{key} = {h} must be positive")
-        elif extent is not None and not extent / h <= MAX_CELLS:
-            diagnostics.append(f"{key} = {h} gives more than {MAX_CELLS} elements per direction")
+    def x_spacing(c, h):
+        h = c.number("mesh.h_x") if h is None else h
+        if domain and materials:
+            spacing_partition(domain, materials, h)
         else:
-            return True
-        return False
+            cell_count(length, h)
 
-    x_l, x_r = num("domain.x_l"), num("domain.x_r")
-    t_final = num("domain.t_final")
-    length = None if x_l is None or x_r is None else x_r - x_l
-    if length is not None and not x_l < x_r:
-        diagnostics.append(f"domain.x_l = {x_l} must be below domain.x_r = {x_r}")
-    if t_final is not None and not t_final > 0:
-        diagnostics.append(f"domain.t_final = {t_final} must be positive")
+    def t_spacing(c, h):
+        cell_count(t_final, c.number("mesh.h_t") if h is None else h)
 
-    h_x, h_t = num("mesh.h_x"), num("mesh.h_t")
-    h_x_usable = h_x is not None and spacing("mesh.h_x", h_x, length)
-    if h_t is not None:
-        spacing("mesh.h_t", h_t, t_final)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # alpha = 0 or beta = 0: the march warns
+        for args, point in points or []:
+            named = dict.fromkeys(args, point)      # the point names the calls it sets up
+            attempt(build_spec, args.get("degree"), name=named.get("degree"))
+            attempt(build_flux, args.get("alpha"), args.get("beta"), name=named.get("alpha"))
+            attempt(x_spacing, args.get("h"), name=named.get("h"))
+            attempt(t_spacing, args.get("h"), name=named.get("h"))
 
-    try:
-        breaks = cfg.numbers("materials.breakpoints")
-        eps = cfg.numbers("materials.eps")
-        mu = cfg.numbers("materials.mu")
-    except ConfigParse as exc:
-        diagnostics.append(str(exc))
-        breaks, eps, mu = [], [1.0], [1.0]
-    if len(eps) != len(breaks) + 1 or len(mu) != len(breaks) + 1:
-        diagnostics.append(
-            f"{len(breaks)} material breakpoints require {len(breaks) + 1} values "
-            f"in materials.eps and materials.mu, got {len(eps)} and {len(mu)}"
-        )
-    if any(e <= 0 for e in eps) or any(m <= 0 for m in mu):
-        diagnostics.append("materials.eps and materials.mu must be positive")
-    if any(b1 <= b0 for b0, b1 in zip(breaks, breaks[1:])):
-        diagnostics.append("materials.breakpoints must be strictly increasing")
-    inside = []         # the breakpoints the partitions must contain
-    if length is not None and length > 0:
-        for b in breaks:
-            if x_l < b < x_r:
-                inside.append(b)
-            else:
-                diagnostics.append(f"material breakpoint {b} outside the open domain")
-
-    family = choice("basis.family", FAMILIES)
-    try:
-        degree = cfg.integer("basis.degree")
-        if degree < 0:
-            diagnostics.append(f"basis.degree = {degree} must be non-negative")
-    except ConfigParse as exc:
-        diagnostics.append(str(exc))
-
-    alpha, beta, delta = num("flux.alpha"), num("flux.beta"), num("flux.delta")
-    checked(cfg.flag, "flux.per_face_scaling")
-    if alpha is not None and alpha < 0:
-        diagnostics.append("flux.alpha must be positive")
-    if beta is not None and beta < 0:
-        diagnostics.append("flux.beta must be positive")
-    if delta is not None and not 0 < delta < 1:
-        diagnostics.append(f"flux.delta = {delta} must lie strictly between 0 and 1")
-
-    choice("bc.kind", BC_KINDS)
-    ic_kind = choice("ic.kind", IC_CHOICES)
-    if ic_kind == "gaussian":
-        width = num("ic.width")
-        if width is not None and not width > 0:
-            diagnostics.append(f"ic.width = {width} must be positive")
-    # the other numbers build_initial_data reads for this kind
-    for key in {"gaussian": ("ic.center", "ic.amplitude_e", "ic.amplitude_h"),
-                "constant": ("ic.value_e", "ic.value_h")}.get(ic_kind, ()):
-        num(key)
-
-    source_kind = checked(cfg.text, "source.kind")
-    if source_kind not in (None, "none"):
-        if family == "trefftz":
+    if attempt(lambda c: c.text("source.kind")) not in (None, "none"):
+        if cfg.values["basis.family"] == TREFFTZ:
             diagnostics.append(
                 "source.kind != none is incompatible with basis.family = trefftz: "
                 "transport polynomials solve the homogeneous system exactly"
@@ -322,47 +322,6 @@ def validate(cfg):
                 "volume sources are not expressible in the flat config; "
                 "use the library API for source terms"
             )
-
-    kind = choice("experiment.kind", EXPERIMENTS)
-    # the spatial spacings the experiment builds its meshes with
-    built = [("mesh.h_x", h_x)] if h_x_usable else []
-    if kind == "sweep_h":
-        built = []
-        try:
-            hs = cfg.numbers("experiment.h_values")
-            if len(hs) < 1:
-                diagnostics.append("experiment.h_values must not be empty for sweep_h")
-            for h in hs:
-                if spacing("experiment.h_values", h, max(length or 0.0, t_final or 0.0)):
-                    built.append(("experiment.h_values", h))
-        except ConfigParse as exc:
-            diagnostics.append(str(exc))
-    for key, h in built if inside else []:
-        for b in missed_breakpoints(spacing_partition(x_l, x_r, h), inside, length):
-            diagnostics.append(
-                f"material breakpoint {b} misses the partition of slab 0 at {key} = {h} "
-                f"(and of every slab: the mesh is uniform)"
-            )
-    if kind in ("sweep_p", "spectrum"):
-        try:
-            ps = cfg.integers("experiment.p_values")
-            if len(ps) < 1:
-                diagnostics.append("experiment.p_values must not be empty")
-            if any(p < 0 for p in ps):
-                diagnostics.append("experiment.p_values must be non-negative")
-        except ConfigParse as exc:
-            diagnostics.append(str(exc))
-    if kind == "sweep_flux":
-        for key in ("experiment.alpha_values", "experiment.beta_values"):
-            try:
-                vals = cfg.numbers(key)
-                if len(vals) < 1:
-                    diagnostics.append(f"{key} must not be empty for sweep_flux")
-                if any(v < 0 for v in vals):
-                    diagnostics.append(f"{key} must be non-negative")
-            except ConfigParse as exc:
-                diagnostics.append(str(exc))
-
     return diagnostics
 
 
@@ -414,6 +373,8 @@ def build_initial_data(cfg):
     if kind == "constant":
         return InitialData(Constant(cfg.number("ic.value_e")),
                            Constant(cfg.number("ic.value_h")))
+    if kind != "gaussian":
+        raise ConfigParse(f"ic.kind must be one of ('gaussian', 'constant', 'zero'), got {kind!r}")
     center, width = cfg.number("ic.center"), cfg.number("ic.width")
     return InitialData(
         GaussianPulse(center, width, cfg.number("ic.amplitude_e")),

@@ -26,6 +26,10 @@ class MismatchedDomain(TrefftzDGError):
     """Partitions or data defined over inconsistent intervals."""
 
 
+class TooManyCells(TrefftzDGError):
+    """A spacing that asks for more cells per direction than a mesh can hold."""
+
+
 # quadrature
 class ZeroPoints(TrefftzDGError):
     """Quadrature rule requested with fewer than one node."""

@@ -34,10 +34,13 @@ from .errors import (
     MismatchedDomain,
     NegativeExtent,
     NonconformingMaterial,
+    TooManyCells,
 )
 
 #: relative tolerance for matching breakpoints against partitions
 BREAKPOINT_RTOL = 1e-9
+#: cells per direction: numpy can size every mesh array below it
+MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -151,26 +154,29 @@ def _validate_partition(partition, domain, materials, slab_index):
         )
     for b in materials.breakpoints:
         if not (domain.x_l < b < domain.x_r):
+            raise NonconformingMaterial(f"material breakpoint {b} outside the open domain")
+        if np.min(np.abs(p - b)) > tol:
             raise NonconformingMaterial(
-                f"material breakpoint {b} outside the open spatial interval"
+                f"material breakpoint {b} misses the partition of slab {slab_index}"
             )
-    missed = missed_breakpoints(p, materials.breakpoints, domain.length)
-    if missed:
-        raise NonconformingMaterial(
-            f"slab {slab_index}: material breakpoint {missed[0]} is not a partition breakpoint"
-        )
     return p
 
 
-def missed_breakpoints(partition, breakpoints, length):
-    """The breakpoints farther than BREAKPOINT_RTOL * length from every
-    breakpoint of the partition: build_mesh rejects the partition for them."""
-    return [b for b in breakpoints if np.min(np.abs(partition - b)) > BREAKPOINT_RTOL * length]
+def cell_count(extent, h):
+    """mesh_from_spacing's number of cells of spacing about h across extent:
+    round(extent / h), at least one."""
+    if not h > 0:
+        raise NegativeExtent(f"spacing {h} must be positive")
+    if not extent / h <= MAX_CELLS:
+        raise TooManyCells(f"spacing {h} gives more than {MAX_CELLS} cells across {extent}")
+    return max(1, round(extent / h))
 
 
-def spacing_partition(x_l, x_r, h_x):
-    """mesh_from_spacing's partition of every slab: max(1, round((x_r - x_l) / h_x)) cells."""
-    return np.linspace(x_l, x_r, max(1, round((x_r - x_l) / h_x)) + 1)
+def spacing_partition(domain, materials, h_x):
+    """mesh_from_spacing's partition of every slab, checked against the
+    domain and the material breakpoints."""
+    partition = np.linspace(domain.x_l, domain.x_r, cell_count(domain.length, h_x) + 1)
+    return _validate_partition(partition, domain, materials, 0)
 
 
 #: The faces of one kind in mesh order, as read-only arrays. Row r is the
@@ -421,8 +427,6 @@ def uniform_mesh(domain, materials, n_x, n_t):
 
 def mesh_from_spacing(domain, materials, h_x, h_t):
     """Uniform mesh from target spacings; counts are rounded to integers."""
-    if h_x <= 0 or h_t <= 0:
-        raise NegativeExtent(f"spacings must be positive, got h_x={h_x}, h_t={h_t}")
-    n_t = max(1, round(domain.t_final / h_t))
-    return build_mesh(domain, materials, [domain.t_final / n_t] * n_t,
-                      spacing_partition(domain.x_l, domain.x_r, h_x))
+    partition = spacing_partition(domain, materials, h_x)
+    n_t = cell_count(domain.t_final, h_t)
+    return build_mesh(domain, materials, [domain.t_final / n_t] * n_t, partition)

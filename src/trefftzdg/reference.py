@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table, legendre_values
-from .errors import NonconstantMaterial
+from .errors import NegativeExtent, NonconstantMaterial
 from .quadrature import map_to_segment, tensor_rule
 
 PEC = "pec"
@@ -38,6 +38,10 @@ class GaussianPulse:
     center: float = 0.0
     width: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise NegativeExtent(f"pulse width {self.width} must be positive")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -100,6 +100,15 @@ def test_h_sweep_attaches_rate_to_last_row(tmp_path):
     assert hs == [1.0, 0.5, 0.25]
 
 
+def test_h_sweep_ignores_the_spacings_it_replaces(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["sweep-h", cfg, "--set", "mesh.h_x=-1", "--out", str(out)]) == 0
+    assert len(_read_csv(out / "results.csv")) == 4
+    assert cli.main(["run", cfg, "--set", "mesh.h_x=-1", "--out", str(out)]) == 1
+    assert "mesh.h_x" in capsys.readouterr().err
+
+
 def test_p_sweep_and_svg(tmp_path):
     cfg = _write_cfg(tmp_path, SMALL + "output.svg = errors.svg\n")
     out = tmp_path / "out"

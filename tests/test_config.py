@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from trefftzdg.basis import TREFFTZ
 from trefftzdg.config import (
     DEFAULTS,
-    MAX_CELLS,
     ExperimentConfig,
     build_bc,
     build_domain,
@@ -19,10 +18,12 @@ from trefftzdg.config import (
     build_mesh,
     build_profile,
     build_spec,
+    experiment_points,
     parse_config_text,
     validate,
 )
 from trefftzdg.errors import ConfigParse, NonconformingMaterial
+from trefftzdg.mesh import MAX_CELLS
 
 
 def test_grammar_scalars_lists_and_comments():
@@ -113,7 +114,9 @@ def test_validation_collects_all_diagnostics():
 
 
 def test_validation_messages():
-    assert _diagnose(**{"flux.alpha": -0.5}) == ["flux.alpha must be positive"]
+    assert _diagnose(**{"flux.alpha": -0.5}) == [
+        "flux.alpha, flux.beta, flux.delta, flux.per_face_scaling: "
+        "flux penalties must be non-negative, got alpha=-0.5, beta=0.5"]
     assert _diagnose(**{"flux.alpha": 0.0}) == []    # zero passes, march warns
     assert any("basis.family" in d for d in _diagnose(**{"basis.family": "spectral"}))
     assert any("bc.kind" in d for d in _diagnose(**{"bc.kind": "absorbing"}))
@@ -186,6 +189,47 @@ def test_sweep_lists_are_checked():
     assert any("h_values" in d for d in diags)
     diags = _diagnose(**{"experiment.kind": "sweep_p", "experiment.p_values": -1})
     assert any("p_values" in d for d in diags)
+    # a sweep builds at its h_values only, so mesh.h_x and mesh.h_t go unread
+    assert _diagnose(**{"experiment.kind": "sweep_h", "mesh.h_x": -1.0, "mesh.h_t": -1.0}) == []
+    diags = _diagnose(**{"mesh.h_x": -1.0, "mesh.h_t": -1.0})
+    assert len(diags) == 2 and any("mesh.h_x" in d for d in diags)
+    assert any("mesh.h_t" in d for d in diags)
+
+
+@pytest.mark.parametrize("overrides", [
+    ["experiment.kind=sweep_h", "mesh.h_x=-1", "mesh.h_t=5e-324"],
+    ["experiment.kind=sweep_p", "basis.degree=-1"],
+    ["experiment.kind=spectrum", "basis.degree=x"],
+    ["experiment.kind=sweep_flux", "experiment.alpha_values=1", "experiment.beta_values=0.5",
+     "flux.alpha=-1", "flux.beta=x"],
+], ids=lambda o: " ".join(o))
+def test_values_a_sweep_replaces_are_not_checked(overrides):
+    cfg = ExperimentConfig.defaults().override(overrides)
+    assert validate(cfg) == []
+    _check(lambda: cfg)
+
+
+def test_unknown_initial_data_kind_is_rejected():
+    cfg = ExperimentConfig.defaults().override(["ic.kind=sine"])
+    with pytest.raises(ConfigParse, match="ic.kind"):
+        build_initial_data(cfg)
+    [diag] = validate(cfg)
+    assert diag.startswith("ic.kind: ") and "'sine'" in diag
+
+
+def test_experiment_points_name_each_solve():
+    cfg = ExperimentConfig.defaults()
+    assert experiment_points(cfg) == [({}, "")]
+    cfg.override(["experiment.kind=sweep_h", "experiment.h_values=2,1"])
+    assert experiment_points(cfg) == [({"h": 2.0}, "experiment.h_values = 2.0"),
+                                      ({"h": 1.0}, "experiment.h_values = 1.0")]
+    cfg.override(["experiment.kind=sweep_flux", "experiment.alpha_values=0.5",
+                  "experiment.beta_values=0,1"])
+    assert [args for args, _ in experiment_points(cfg)] == [
+        {"alpha": 0.5, "beta": 0.0}, {"alpha": 0.5, "beta": 1.0}]
+    cfg.override(["experiment.kind=scan"])
+    with pytest.raises(ConfigParse, match="experiment.kind"):
+        experiment_points(cfg)
 
 
 def test_builders_assemble_the_problem():
@@ -244,27 +288,33 @@ _KEYS = st.sampled_from(sorted(DEFAULTS) + ["mesh.h", "bogus", ""])
 
 def _build_all(cfg):
     """Every builder the configured experiment calls, on a config that
-    validated clean. A mesh is built only where it stays small, since a
-    valid config may ask for any resolution."""
+    validated clean, with the values the CLI gives it: a sweep's list
+    stands in for the config value it sweeps. A mesh is built only where
+    it stays small, since a valid config may ask for any resolution."""
     build_materials(cfg)
     domain = build_domain(cfg)
     kind = cfg.text("experiment.kind")
-    h_values = cfg.numbers("experiment.h_values") if kind == "sweep_h" else []
-    for h_x, h_t in [(cfg.number("mesh.h_x"), cfg.number("mesh.h_t"))] + [(h, h) for h in h_values]:
+    if kind == "sweep_h":
+        spacings = [(h, h) for h in cfg.numbers("experiment.h_values")]
+    else:
+        spacings = [(cfg.number("mesh.h_x"), cfg.number("mesh.h_t"))]
+    for h_x, h_t in spacings:
         n_x, n_t = max(1.0, domain.length / h_x), max(1.0, domain.t_final / h_t)
         # past MAX_CELLS numpy cannot size the arrays; below it only memory can run out
         assert n_x <= MAX_CELLS and n_t <= MAX_CELLS
         if n_x * n_t <= 2000:
             build_mesh(cfg, h_x=h_x, h_t=h_t)
-    build_spec(cfg)
     if kind in ("sweep_p", "spectrum"):
         for p in cfg.integers("experiment.p_values"):
             build_spec(cfg, degree=p)
-    build_flux(cfg)
+    else:
+        build_spec(cfg)
     if kind == "sweep_flux":
         for a in cfg.numbers("experiment.alpha_values"):
             for b in cfg.numbers("experiment.beta_values"):
                 build_flux(cfg, alpha=a, beta=b)
+    else:
+        build_flux(cfg)
     build_bc(cfg)
     build_initial_data(cfg)
     build_profile(cfg)
@@ -274,7 +324,9 @@ def _check(make_cfg):
     """ConfigParse, diagnostics, or a config that builds: never another exception."""
     try:
         cfg = make_cfg()
-        diagnostics = validate(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # validate itself warns about nothing
+            diagnostics = validate(cfg)
     except ConfigParse:
         return
     assert all(isinstance(d, str) for d in diagnostics)

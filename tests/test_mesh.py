@@ -9,6 +9,7 @@ from trefftzdg.errors import (
     MismatchedDomain,
     NegativeExtent,
     NonconformingMaterial,
+    TooManyCells,
 )
 from trefftzdg.mesh import (
     FaceKind,
@@ -157,6 +158,19 @@ def test_spacing_constructor_rounds_to_integer_counts():
     assert mesh.n_slabs == 30
     widths = {round(hx, 12) for hx in mesh.hx.tolist()}
     assert widths == {0.3}
+
+
+@pytest.mark.parametrize("h_x, h_t", [(5e-324, 1.0), (1.0, 5e-324), (60 / 2**25, 1.0)])
+def test_spacing_too_fine_for_the_arrays_raises_by_name(h_x, h_t):
+    # 60 / 5e-324 is inf, which round() refused with an OverflowError
+    with pytest.raises(TooManyCells):
+        mesh_from_spacing(SpaceTimeDomain(0.0, 60.0, 60.0), UNIT, h_x, h_t)
+
+
+@pytest.mark.parametrize("h_x, h_t", [(0.0, 1.0), (1.0, -1.0)])
+def test_spacings_must_be_positive(h_x, h_t):
+    with pytest.raises(NegativeExtent, match="must be positive"):
+        mesh_from_spacing(SpaceTimeDomain(0.0, 60.0, 60.0), UNIT, h_x, h_t)
 
 
 def test_vectorized_point_location_matches_element_at():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trefftzdg.errors import NonconstantMaterial
+from trefftzdg.errors import NegativeExtent, NonconstantMaterial
 from trefftzdg.mesh import MaterialLayout, SpaceTimeDomain, build_mesh
 from trefftzdg.reference import (
     CharacteristicProfile,
@@ -26,6 +26,13 @@ def test_gaussian_pulse_shape_and_derivative():
     h = 1e-6
     fd = (g(x + h) - g(x - h)) / (2 * h)
     assert np.max(np.abs(g.deriv(x) - fd)) <= 1e-5
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+def test_gaussian_pulse_needs_a_positive_width(width):
+    # width 0 gave NaN at the centre, a negative width inf away from it
+    with pytest.raises(NegativeExtent, match="width"):
+        GaussianPulse(10.0, width)
 
 
 @pytest.mark.parametrize("kind", ["pec", "free", "robin"])
