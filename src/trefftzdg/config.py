@@ -264,8 +264,8 @@ def validate(cfg):
     count and partition check, without building a mesh. Each
     TrefftzDGError becomes one line, prefixed by the point and the config
     keys that the failing call read; identical lines appear once. Its own
-    rules are only those no builder makes: source.kind, and sweep lists
-    that are empty.
+    rules are only those no builder makes: source.kind, sweep lists that
+    are empty, and the names the CLI reads, experiment.name and output.*.
     """
     diagnostics = []
 
@@ -311,6 +311,9 @@ def validate(cfg):
             attempt(x_spacing, args.get("h"), name=named.get("h"))
             attempt(t_spacing, args.get("h"), name=named.get("h"))
 
+    for key in ("output.dir", "output.csv", "output.svg", "experiment.name"):
+        if attempt(lambda c: c.text(key)) == "" and key in ("output.dir", "output.csv"):
+            diagnostics.append(f"{key} must not be empty")
     if attempt(lambda c: c.text("source.kind")) not in (None, "none"):
         if cfg.values["basis.family"] == TREFFTZ:
             diagnostics.append(

@@ -200,6 +200,14 @@ FACE_SIDES = {
     FaceKind.RIGHT: (False, ((0, +1, "left"),)),
 }
 
+T_SIDES, X_SIDES = ("below", "above"), ("left", "right")
+
+
+def check_side(side, allowed):
+    """Raise MismatchedDomain unless side is None or one of allowed."""
+    if side is not None and side not in allowed:
+        raise MismatchedDomain(f"side must be one of {allowed} or None, got {side!r}")
+
 
 def _pair(a, b):
     """(n, 2) element ids from two columns, either of which may be the scalar -1."""
@@ -290,6 +298,7 @@ class Mesh:
         On a slab interface the time belongs to the upper slab; side
         ('below'/'above') picks the neighbour instead.
         """
+        check_side(side, T_SIDES)
         t = np.asarray(t, dtype=float)
         times = self.slab_times
         tol = 1e-12 * max(self.domain.t_final, 1.0)
@@ -309,6 +318,7 @@ class Mesh:
         Slabs come from slab_of_time(t, t_side). On a vertical edge a point
         belongs to the left element; x_side='right' picks the right one.
         """
+        check_side(x_side, X_SIDES)
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         tol_x = 1e-12 * max(self.domain.length, 1.0)
         outside = (x < self.domain.x_l - tol_x) | (x > self.domain.x_r + tol_x)

@@ -2,9 +2,9 @@
 
 With constant materials the system decouples into two transported
 scalars u = sqrt(eps) E + sqrt(mu) H (right-moving) and
-w = sqrt(eps) E - sqrt(mu) H (left-moving). A reference solution is a
-pair of initial profiles extended to the real line according to the
-boundary condition:
+w = sqrt(eps) E - sqrt(mu) H (left-moving). A reference solution is its
+pair of transported profiles u0(x - ct) and w0(x + ct), the initial
+profiles extended to the real line according to the boundary condition:
 
 * perfectly conducting walls: E odd and H even about x_l, both
   2(x_r - x_l)-periodic, so every reflection is captured for all time.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_table, legendre_values
+from .basis import legendre_values
 from .errors import NegativeExtent, NonconstantMaterial
 from .quadrature import map_to_segment, tensor_rule
 
@@ -52,10 +52,6 @@ class GaussianPulse:
         d *= self.amplitude
         return d[()]
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return self(x) * (-2.0 * (x - self.center) / self.width)
-
 
 @dataclass(frozen=True)
 class Constant:
@@ -63,9 +59,6 @@ class Constant:
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
-
-    def deriv(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 ZERO = Constant(0.0)
@@ -123,18 +116,14 @@ def _zero_extension(f, x_l, x_r):
 
 
 class CharacteristicProfile:
-    """Transported-profile reference solution on a constant-material domain."""
+    """The field with sqrt(eps) E +- sqrt(mu) H = u0(x - ct), w0(x + ct)."""
 
-    def __init__(self, domain, eps, mu, u0, w0, du0=None, dw0=None, kind=FREE):
-        self.domain = domain
+    def __init__(self, eps, mu, u0, w0):
         self.eps = float(eps)
         self.mu = float(mu)
         self.wave_speed = 1.0 / math.sqrt(self.eps * self.mu)
         self.u0 = u0
         self.w0 = w0
-        self.du0 = du0
-        self.dw0 = dw0
-        self.kind = kind
 
     # -- constructors -------------------------------------------------
 
@@ -148,12 +137,7 @@ class CharacteristicProfile:
         def w0(x):
             return se * e0(x) - sm * h0(x)
 
-        de0, dh0 = getattr(e0, "deriv", None), getattr(h0, "deriv", None)
-        du0 = dw0 = None
-        if de0 is not None and dh0 is not None:
-            du0 = lambda x: se * de0(x) + sm * dh0(x)
-            dw0 = lambda x: se * de0(x) - sm * dh0(x)
-        return u0, w0, du0, dw0
+        return u0, w0
 
     @classmethod
     def pec(cls, domain, e0, h0, eps=1.0, mu=1.0):
@@ -169,12 +153,7 @@ class CharacteristicProfile:
                 return (v + _pec_term(g, g_parity, sign * sm, m, folded))[()]
             return value
 
-        u0, w0 = pair(e0, -1, h0, +1, +1), pair(e0, -1, h0, +1, -1)
-        du0 = dw0 = None
-        de0, dh0 = getattr(e0, "deriv", None), getattr(h0, "deriv", None)
-        if de0 is not None and dh0 is not None:
-            du0, dw0 = pair(de0, +1, dh0, -1, +1), pair(de0, +1, dh0, -1, -1)
-        return cls(domain, eps, mu, u0, w0, du0, dw0, kind=PEC)
+        return cls(eps, mu, pair(e0, -1, h0, +1, +1), pair(e0, -1, h0, +1, -1))
 
     @classmethod
     def free_space(cls, domain, e0, h0, eps=1.0, mu=1.0):
@@ -187,14 +166,9 @@ class CharacteristicProfile:
         so l2_relative_error against this reference can move by far more
         than 1e-12 under rounding-level changes of the mesh.
         """
-        u0_in, w0_in, du0_in, dw0_in = cls._split(e0, h0, eps, mu)
-        u0 = _zero_extension(u0_in, domain.x_l, domain.x_r)
-        w0 = _zero_extension(w0_in, domain.x_l, domain.x_r)
-        du0 = dw0 = None
-        if du0_in is not None:
-            du0 = _zero_extension(du0_in, domain.x_l, domain.x_r)
-            dw0 = _zero_extension(dw0_in, domain.x_l, domain.x_r)
-        return cls(domain, eps, mu, u0, w0, du0, dw0, kind=FREE)
+        u0, w0 = cls._split(e0, h0, eps, mu)
+        return cls(eps, mu, _zero_extension(u0, domain.x_l, domain.x_r),
+                   _zero_extension(w0, domain.x_l, domain.x_r))
 
     @classmethod
     def robin(cls, domain, e0, h0, g_l=None, g_r=None, eps=1.0, mu=1.0):
@@ -203,7 +177,7 @@ class CharacteristicProfile:
         g_r = g_r if g_r is not None else ZERO
         c = 1.0 / math.sqrt(eps * mu)
         x_l, x_r = domain.x_l, domain.x_r
-        u0_in, w0_in, du0_in, dw0_in = cls._split(e0, h0, eps, mu)
+        u0, w0 = cls._split(e0, h0, eps, mu)
 
         def from_left(f, g):
             # f on the domain, zero right of x_r, wall data g entering at x_l
@@ -220,13 +194,7 @@ class CharacteristicProfile:
                 return np.where(z < x_r, data, g((z - x_r) / c))
             return value
 
-        u0, w0 = from_left(u0_in, g_l), from_right(w0_in, g_r)
-        du0 = dw0 = None
-        dg_l, dg_r = getattr(g_l, "deriv", None), getattr(g_r, "deriv", None)
-        if du0_in is not None and dg_l is not None and dg_r is not None:
-            du0 = from_left(du0_in, lambda s: -dg_l(s) / c)
-            dw0 = from_right(dw0_in, lambda s: dg_r(s) / c)
-        return cls(domain, eps, mu, u0, w0, du0, dw0, kind=ROBIN)
+        return cls(eps, mu, from_left(u0, g_l), from_right(w0, g_r))
 
     @classmethod
     def for_problem(cls, domain, materials, e0, h0, bc_kind, g_l=None, g_r=None):
@@ -257,43 +225,9 @@ class CharacteristicProfile:
         """Side-aware trace; the reference is continuous so side is ignored."""
         return self.evaluate(x, t)
 
-    def derivatives(self, x, t):
-        """(dx E, dt E, dx H, dt H); needs derivative profiles or uses FD."""
-        c = self.wave_speed
-        du = self._du()
-        dw = self._dw()
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        a = du(x - c * t)
-        b = dw(x + c * t)
-        se, sm = math.sqrt(self.eps), math.sqrt(self.mu)
-        ex = (a + b) / (2.0 * se)
-        et = c * (-a + b) / (2.0 * se)
-        hx = (a - b) / (2.0 * sm)
-        ht = c * (-a - b) / (2.0 * sm)
-        return ex, et, hx, ht
 
-    def _fd(self, f):
-        h = 1e-6 * max(self.domain.length, 1.0)
-
-        def df(z):
-            return (f(z + h) - f(z - h)) / (2.0 * h)
-
-        return df
-
-    def _du(self):
-        return self.du0 if self.du0 is not None else self._fd(self.u0)
-
-    def _dw(self):
-        return self.dw0 if self.dw0 is not None else self._fd(self.w0)
-
-
-def _projection_residual(f, df, a, b, p, n):
-    """Residual of the L2(a, b) projection of f onto P_p.
-
-    Returns callables (e, de) for the pointwise error and its
-    derivative in the argument of f.
-    """
+def _projection_residual(f, a, b, p, n):
+    """The residual z -> f(z) - (P f)(z) of the L2(a, b) projection onto P_p."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     zq, wq = map_to_segment(n, a, b)
     xi_q = (zq - mid) / half
@@ -308,56 +242,19 @@ def _projection_residual(f, df, a, b, p, n):
         Vz = legendre_values(p, xi)
         return f(z) - coeffs @ Vz
 
-    def de(z):
-        z = np.asarray(z, dtype=float)
-        xi = (z - mid) / half
-        Vz, Dz = legendre_table(p, xi)
-        return df(z) - (coeffs @ Dz) / half
-
-    return e, de
+    return e
 
 
-def best_approximation_error(profile, rect, p, norm="l2"):
-    """Error of the characteristic L2-projection onto degree p on the
-    element rect = (x0, x1, t0, t1).
-
-    Projects each transported profile onto polynomials of degree p over
-    the element's domain of dependence and measures the reconstructed
-    field error over the element. norm is "l2" for the plain L2 norm of
-    (e_E, e_H) or "h1" for the h_D-weighted norm
-    sqrt(sum_v w_v (h_D^{-1} ||v||^2 + h_D (||dx v||^2 + c^{-2}||dt v||^2)))
-    applied to (sqrt(eps) e_E, sqrt(mu) e_H).
-    """
+def best_approximation_error(profile, rect, p):
+    """L2 norm on rect = (x0, x1, t0, t1) of the field transporting the residuals
+    of the degree-p L2-projections of u0 and w0 on the element's domain of dependence."""
     c = profile.wave_speed
     x0, x1, t0, t1 = rect
-    h_d = (x1 - x0) + c * (t1 - t0)
     n_proj = max(p + 10, 24)
-    e_u, de_u = _projection_residual(profile.u0, profile._du(), x0 - c * t1, x1 - c * t0, p, n_proj)
-    e_w, de_w = _projection_residual(profile.w0, profile._dw(), x0 + c * t0, x1 + c * t1, p, n_proj)
+    e_u = _projection_residual(profile.u0, x0 - c * t1, x1 - c * t0, p, n_proj)
+    e_w = _projection_residual(profile.w0, x0 + c * t0, x1 + c * t1, p, n_proj)
 
     n = max(p + 6, 16)
     X, T, W = tensor_rule(n, n, rect)
-    se, sm = math.sqrt(profile.eps), math.sqrt(profile.mu)
-    eu = e_u(X - c * T)
-    ew = e_w(X + c * T)
-    e_e = (eu + ew) / (2.0 * se)
-    e_h = (eu - ew) / (2.0 * sm)
-    if norm == "l2":
-        return float(np.sqrt(W @ (e_e**2 + e_h**2)))
-    if norm != "h1":
-        raise ValueError(f"unknown norm {norm!r}, expected 'l2' or 'h1'")
-    deu = de_u(X - c * T)
-    dew = de_w(X + c * T)
-    ex = (deu + dew) / (2.0 * se)
-    et = c * (-deu + dew) / (2.0 * se)
-    hx = (deu - dew) / (2.0 * sm)
-    ht = c * (-deu - dew) / (2.0 * sm)
-    total = 0.0
-    for weight, v, vx, vt in (
-        (profile.eps, e_e, ex, et),
-        (profile.mu, e_h, hx, ht),
-    ):
-        total += weight * (
-            (W @ v**2) / h_d + h_d * ((W @ vx**2) + (W @ vt**2) / c**2)
-        )
-    return float(np.sqrt(total))
+    e_e, e_h = CharacteristicProfile(profile.eps, profile.mu, e_u, e_w).evaluate(X, T)
+    return float(np.sqrt(W @ (e_e**2 + e_h**2)))

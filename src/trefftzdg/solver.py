@@ -32,6 +32,7 @@ from .errors import (
     SingularSlabMatrix,
     UnsupportedBC,
 )
+from .mesh import T_SIDES, X_SIDES, check_side
 
 
 def _factor(A, what="slab matrix"):
@@ -114,9 +115,10 @@ class SolutionField:
         return E.reshape(x_arr.shape), H.reshape(x_arr.shape)
 
     def trace(self, x, t, side=None):
-        """One-sided values; side in {'below', 'above', 'left', 'right'}."""
-        t_side = side if side in ("below", "above") else None
-        x_side = side if side in ("left", "right") else None
+        """One-sided values; side in {'below', 'above', 'left', 'right'} or None."""
+        check_side(side, T_SIDES + X_SIDES)
+        t_side = side if side in T_SIDES else None
+        x_side = side if side in X_SIDES else None
         return self.evaluate(x, t, t_side=t_side, x_side=x_side)
 
 

@@ -191,7 +191,7 @@ def test_norms_survive_embedding():
 
 def test_projection_of_in_space_field_is_exact():
     prof = CharacteristicProfile(
-        SpaceTimeDomain(0.0, 2.0, 1.0), 1.0, 1.0,
+        1.0, 1.0,
         u0=lambda z: np.asarray(z, dtype=float) ** 2,
         w0=lambda z: np.asarray(z, dtype=float),
     )

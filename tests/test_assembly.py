@@ -131,11 +131,9 @@ def _linear_profile():
     # u(x - t) = x - t and w(x + t) = 2(x + t) + 1 give the linear fields
     # E = (3x + t + 1) / 2 and H = (-x - 3t - 1) / 2
     return CharacteristicProfile(
-        SpaceTimeDomain(0.0, 2.0, 1.0), 1.0, 1.0,
+        1.0, 1.0,
         u0=lambda z: np.asarray(z, dtype=float),
         w0=lambda z: 2.0 * np.asarray(z, dtype=float) + 1.0,
-        du0=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        dw0=lambda z: np.full_like(np.asarray(z, dtype=float), 2.0),
     )
 
 

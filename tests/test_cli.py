@@ -174,6 +174,24 @@ def test_config_problems_exit_one(tmp_path, capsys):
     assert "mesh.h_x" in err
 
 
+@pytest.mark.parametrize("assignment, diagnostic", [
+    ("output.dir=3", "output.dir must be a string, got 3"),
+    ("output.svg=3", "output.svg must be a string, got 3"),
+    ("output.csv=", "output.csv must not be empty"),
+    ("experiment.name=3", "experiment.name must be a string, got 3"),
+])
+def test_bad_output_names_exit_one_before_writing(tmp_path, monkeypatch, capsys, assignment,
+                                                  diagnostic):
+    # the config must be valid as written, even under --out, so that its manifest re-runs
+    cfg = _write_cfg(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", cfg, "--set", assignment, "--out", str(tmp_path / "o")]) == 1
+    key = assignment.partition("=")[0]
+    assert any(line.startswith(f"error: {key}") and line.endswith(diagnostic)
+               for line in capsys.readouterr().err.splitlines())
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_cli_overrides_beat_file_values(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"

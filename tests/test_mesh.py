@@ -152,6 +152,20 @@ def test_point_location_and_tie_breaking():
     assert mesh.slab_of_time(ts, side="above").tolist() == [0, 0, 1, 1, 1]
 
 
+def test_slab_of_time_rejects_an_unknown_side():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, 2, 2)
+    with pytest.raises(MismatchedDomain, match=r"\('below', 'above'\).*'abov'"):
+        mesh.slab_of_time(1.0, side="abov")
+
+
+def test_elements_at_rejects_an_unknown_side():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, 2, 2)
+    with pytest.raises(MismatchedDomain, match=r"\('left', 'right'\).*'lft'"):
+        mesh.elements_at(1.0, 0.5, x_side="lft")
+    with pytest.raises(MismatchedDomain, match=r"\('below', 'above'\).*'belo'"):
+        mesh.elements_at(1.0, 1.0, t_side="belo")
+
+
 def test_spacing_constructor_rounds_to_integer_counts():
     mesh = mesh_from_spacing(SpaceTimeDomain(0.0, 60.0, 60.0), UNIT, 0.3, 2.0)
     assert len(mesh.elem_grid[0]) == 200

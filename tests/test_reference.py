@@ -19,13 +19,10 @@ DOMAIN = SpaceTimeDomain(0.0, 60.0, 60.0)
 GAUSS = GaussianPulse(10.0, 10.0, 1.0)
 
 
-def test_gaussian_pulse_shape_and_derivative():
+def test_gaussian_pulse_shape():
     g = GaussianPulse(10.0, 10.0, 2.0)
     x = np.array([8.0, 10.0, 13.0])
     assert np.allclose(g(x), 2.0 * np.exp(-((x - 10.0) ** 2) / 10.0))
-    h = 1e-6
-    fd = (g(x + h) - g(x - h)) / (2 * h)
-    assert np.max(np.abs(g.deriv(x) - fd)) <= 1e-5
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
@@ -79,29 +76,43 @@ def test_reflection_flips_the_electric_field():
     assert H[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_profile_satisfies_the_first_order_system():
-    prof = CharacteristicProfile.pec(DOMAIN, GAUSS, GAUSS, eps=3.0, mu=0.75)
+# the wall packet of test_absorbing_profile_honours_boundary_data
+G_L = GaussianPulse(4.0, 2.0, 0.7)
+
+
+@pytest.mark.parametrize("prof", [
+    CharacteristicProfile.pec(DOMAIN, GAUSS, GAUSS, eps=3.0, mu=0.75),
+    CharacteristicProfile.robin(DOMAIN, Constant(0.0), Constant(0.0), g_l=G_L, eps=4.0, mu=0.25),
+], ids=["pec", "robin_data"])
+def test_profile_satisfies_the_first_order_system(prof):
+    # dx E + mu dt H = 0 and dx H + eps dt E = 0, by central differences of
+    # evaluate, at points whose characteristic coordinates keep clear of the
+    # walls, where the extended profiles may jump
     rng = np.random.default_rng(17)
     x = rng.uniform(1.0, 59.0, size=200)
     t = rng.uniform(0.1, 25.0, size=200)
-    ex, et, hx, ht = prof.derivatives(x, t)
-    assert np.max(np.abs(ex + 0.75 * ht)) <= 1e-6
-    assert np.max(np.abs(hx + 3.0 * et)) <= 1e-6
-    h = 1e-6
-    E1, H1 = prof.evaluate(x + h, t)
-    E0, H0 = prof.evaluate(x - h, t)
-    assert np.max(np.abs((E1 - E0) / (2 * h) - ex)) <= 1e-5
+    ct = prof.wave_speed * t
+    z = np.stack([x - ct, x + ct])
+    clear = np.all((np.abs(z - DOMAIN.x_l) >= 1e-3) & (np.abs(z - DOMAIN.x_r) >= 1e-3), axis=0)
+    x, t = x[clear], t[clear]
+    h = 1e-5
+    (E_xp, H_xp), (E_xm, H_xm) = prof.evaluate(x + h, t), prof.evaluate(x - h, t)
+    (E_tp, H_tp), (E_tm, H_tm) = prof.evaluate(x, t + h), prof.evaluate(x, t - h)
+    ex, hx = (E_xp - E_xm) / (2 * h), (H_xp - H_xm) / (2 * h)
+    et, ht = (E_tp - E_tm) / (2 * h), (H_tp - H_tm) / (2 * h)
+    assert len(x) >= 190 and np.max(np.abs(ex)) >= 0.05
+    assert np.max(np.abs(ex + prof.mu * ht)) <= 1e-6
+    assert np.max(np.abs(hx + prof.eps * et)) <= 1e-6
 
 
 def test_absorbing_profile_honours_boundary_data():
-    g_l = GaussianPulse(4.0, 2.0, 0.7)
     prof = CharacteristicProfile.robin(
-        DOMAIN, Constant(0.0), Constant(0.0), g_l=g_l, g_r=None, eps=4.0, mu=0.25
+        DOMAIN, Constant(0.0), Constant(0.0), g_l=G_L, g_r=None, eps=4.0, mu=0.25
     )
     t = np.linspace(0.5, 12.0, 57)
     E, H = prof.evaluate(np.zeros_like(t), t)
     incoming = 2.0 * E + 0.5 * H    # sqrt(eps) E + sqrt(mu) H
-    assert np.max(np.abs(incoming - g_l(t))) <= 1e-12
+    assert np.max(np.abs(incoming - G_L(t))) <= 1e-12
 
 
 def test_outgoing_packet_leaves_absorbing_domain():
@@ -135,14 +146,11 @@ def _element(x0, x1, t0, t1):
 def test_polynomial_profiles_are_projected_exactly():
     # cubic characteristic profiles sit inside every space of degree >= 3
     prof = CharacteristicProfile(
-        SpaceTimeDomain(0.0, 4.0, 2.0), 1.0, 1.0,
-        u0=lambda z: z**3 - z, w0=lambda z: 2.0 * z**2 + 1.0,
-        du0=lambda z: 3.0 * z**2 - 1.0, dw0=lambda z: 4.0 * z,
+        1.0, 1.0, u0=lambda z: z**3 - z, w0=lambda z: 2.0 * z**2 + 1.0,
     )
     el = _element(1.0, 2.0, 0.5, 2.0)
-    for norm in ("l2", "h1"):
-        assert best_approximation_error(prof, el, 3, norm=norm) <= 1e-12
-        assert best_approximation_error(prof, el, 5, norm=norm) <= 1e-12
+    assert best_approximation_error(prof, el, 3) <= 1e-12
+    assert best_approximation_error(prof, el, 5) <= 1e-12
 
 
 def test_projection_error_decays_with_degree():
@@ -162,12 +170,12 @@ def test_zero_field_reference():
 
 
 def _gauss_oracle(g):
-    """GaussianPulse's value and derivative as plain array expressions."""
+    """GaussianPulse's value as a plain array expression."""
     def value(x):
         x = np.asarray(x, dtype=float)
         return g.amplitude * np.exp(-((x - g.center) ** 2) / g.width)
 
-    return value, lambda x: value(x) * (-2.0 * (np.asarray(x, dtype=float) - g.center) / g.width)
+    return value
 
 
 def _fold_oracle(f, parity, x_l, length):
@@ -193,9 +201,8 @@ def test_pec_profile_is_the_fold_of_the_data_bit_for_bit(domain, eps, mu):
     prof = CharacteristicProfile.pec(domain, e0, h0, eps=eps, mu=mu)
     se, sm, c = math.sqrt(eps), math.sqrt(mu), prof.wave_speed
     x_l, length = domain.x_l, domain.length
-    (ef, def_), (hf, dhf) = _gauss_oracle(e0), _gauss_oracle(h0)
+    ef, hf = _gauss_oracle(e0), _gauss_oracle(h0)
     e_ext, h_ext = _fold_oracle(ef, -1.0, x_l, length), _fold_oracle(hf, 1.0, x_l, length)
-    de_ext, dh_ext = _fold_oracle(def_, 1.0, x_l, length), _fold_oracle(dhf, -1.0, x_l, length)
 
     rng = np.random.default_rng(5)
     k = np.arange(-3, 4)
@@ -211,8 +218,6 @@ def test_pec_profile_is_the_fold_of_the_data_bit_for_bit(domain, eps, mu):
         for got, want in (
             (prof.u0(z), se * e_ext(z) + sm * h_ext(z)),
             (prof.w0(z), se * e_ext(z) - sm * h_ext(z)),
-            (prof.du0(z), se * de_ext(z) + sm * dh_ext(z)),
-            (prof.dw0(z), se * de_ext(z) - sm * dh_ext(z)),
         ):
             assert np.shape(got) == np.shape(z)
             assert np.array_equal(got, want)
@@ -245,10 +250,9 @@ def test_pec_profile_leaves_the_data_arrays_alone():
 
 def test_gaussian_pulse_is_the_closed_form_bit_for_bit():
     g = GaussianPulse(-1.5, 0.7, -2.25)
-    value, deriv = _gauss_oracle(g)
+    value = _gauss_oracle(g)
     x = np.random.default_rng(9).uniform(-8.0, 8.0, (5, 13))
     assert np.array_equal(g(x), value(x))
-    assert np.array_equal(g.deriv(x), deriv(x))
     assert np.array_equal(g(x.T), value(x.T))        # non-contiguous input
     assert np.array_equal(g([1, 2, 3]), value([1, 2, 3]))
     for scalar in (0.5, np.float64(0.5), np.array(0.5), 2):

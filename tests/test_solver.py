@@ -28,7 +28,9 @@ from trefftzdg import (
     update_matrix,
 )
 from trefftzdg import solver
-from trefftzdg.errors import InhomogeneousSlabs, SingularSlabMatrix, UnsupportedBC
+from trefftzdg.errors import (
+    InhomogeneousSlabs, MismatchedDomain, SingularSlabMatrix, UnsupportedBC,
+)
 
 from conftest import locate
 
@@ -241,6 +243,16 @@ def test_traces_are_one_sided_on_the_skeleton():
     assert jump.max() > 1e-8
     # off the skeleton both limits agree with plain evaluation
     assert sol.trace(0.7, 0.3, side="below") == sol.evaluate(0.7, 0.3)
+
+
+def test_trace_rejects_an_unknown_side():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, 2, 2)
+    data = InitialData(GaussianPulse(1.0, 0.2), GaussianPulse(1.0, 0.2))
+    sol = march(mesh, BasisSpec(TREFFTZ, 1), FluxParams(), BoundaryCondition.pec(), data)
+    with pytest.raises(MismatchedDomain, match=r"\('below', 'above', 'left', 'right'\).*'belo'"):
+        sol.trace(np.array([0.3, 1.4]), np.full(2, 0.5), side="belo")
+    with pytest.raises(MismatchedDomain, match="'lft'"):
+        sol.evaluate(1.0, 0.25, x_side="lft")
 
 
 def test_scalar_and_array_evaluation_agree():
