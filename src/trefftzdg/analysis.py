@@ -65,8 +65,20 @@ def l2_relative_error(sol, reference, quad_order=None):
         X = mesh.xc[ids][:, None] + dx[None, :]
         T = mesh.tc[ids][:, None] + dt[None, :]
         Er, Hr = reference.evaluate(X, T)
-        num += float(np.sum(W * ((Er - E) ** 2 + (Hr - H) ** 2)))
-        den += float(np.sum(W * (Er**2 + Hr**2)))
+        # W (dE^2 + dH^2), then W (Er^2 + Hr^2), in E and H, which this loop
+        # owns; Er and Hr are only read. E - Er squares to (Er - E)^2's bits.
+        E -= Er
+        E *= E
+        H -= Hr
+        H *= H
+        E += H
+        E *= W
+        num += float(np.sum(E))
+        np.square(Er, out=E)
+        np.square(Hr, out=H)
+        E += H
+        E *= W
+        den += float(np.sum(E))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return math.sqrt(num / den)

@@ -12,6 +12,7 @@ checks a config by running those builders at those points: every rule
 lives in the constructor that enforces it.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 from sys import float_info
@@ -312,8 +313,13 @@ def validate(cfg):
             attempt(t_spacing, args.get("h"), name=named.get("h"))
 
     for key in ("output.dir", "output.csv", "output.svg", "experiment.name"):
-        if attempt(lambda c: c.text(key)) == "" and key in ("output.dir", "output.csv"):
+        text = attempt(lambda c: c.text(key))
+        if text == "" and key in ("output.dir", "output.csv"):
             diagnostics.append(f"{key} must not be empty")
+        # the CLI opens output.csv and output.svg inside the output directory
+        elif text and key in ("output.csv", "output.svg") and (
+                os.path.basename(text) != text or text in (os.curdir, os.pardir)):
+            diagnostics.append(f"{key} must be a bare file name, got {text!r}")
     if attempt(lambda c: c.text("source.kind")) not in (None, "none"):
         if cfg.values["basis.family"] == TREFFTZ:
             diagnostics.append(

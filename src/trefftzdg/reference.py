@@ -9,7 +9,8 @@ profiles extended to the real line according to the boundary condition:
 * perfectly conducting walls: E odd and H even about x_l, both
   2(x_r - x_l)-periodic, so every reflection is captured for all time.
   u and w fold their coordinate once and read e0 and h0 at that one
-  image, bit for bit as separate extensions of E and H would be;
+  image (once in all when h0 == e0), bit for bit as separate extensions
+  of E and H would be;
 * free space: zero extension (meaningful when the data is supported
   inside the interval up to negligible tails);
 * impedance (Robin) walls: the incoming characteristic profiles are
@@ -87,23 +88,14 @@ def _pec_fold(z, x_l, length):
     two_l = 2.0 * length
     z = np.asarray(z, dtype=float)
     y = np.subtract(z, x_l, out=np.empty(z.shape))
-    # np.mod's value, several times faster: fmod is exact, and adding
-    # 0.0 where it is not negative turns its -0.0 into np.mod's +0.0
-    np.fmod(y, two_l, out=y)
+    # np.mod's value, several times faster. fmod is exact, and it is the
+    # identity where |y| < 2 length (signed zeros included; NaN compares
+    # false and stays NaN), so it runs only on points beyond one period.
+    # Adding 0.0 where y is not negative turns -0.0 into np.mod's +0.0.
+    np.fmod(y, two_l, out=y, where=np.abs(y) >= two_l)
     y += two_l * (y < 0)
     folded = y > length
     return np.where(folded, (x_l + two_l) - y, x_l + y), folded
-
-
-def _pec_term(f, parity, scale, m, folded):
-    """scale * f~ on the image m of _pec_fold, f~ the extension of f with the
-    given parity (+1 even, -1 odd), as a new array. It equals
-    scale * (where(folded, parity, 1) * f(m)) bit for bit: a sign flip
-    rounds nothing."""
-    v = np.multiply(scale, f(m))
-    if parity < 0:
-        v *= 1.0 - 2.0 * folded
-    return v
 
 
 def _zero_extension(f, x_l, x_r):
@@ -144,16 +136,24 @@ class CharacteristicProfile:
         """Reference for perfectly conducting walls (E = 0 on both)."""
         se, sm = math.sqrt(eps), math.sqrt(mu)
         x_l, length = domain.x_l, domain.length
+        # equal data (the config's standard pulse: two equal GaussianPulse
+        # objects) is read once per image and serves both terms
+        shared = bool(h0 == e0)
 
-        def pair(f, f_parity, g, g_parity, sign):
-            # z -> se f~(z) + sign sm g~(z), f and g read at one shared image
+        def pair(sign):
+            # z -> se e~(z) + sign sm h~(z), e~ odd and h~ even, read at one
+            # image; the sign flip of e~ rounds nothing. What e0 and h0
+            # return is never written.
             def value(z):
                 m, folded = _pec_fold(z, x_l, length)
-                v = _pec_term(f, f_parity, se, m, folded)
-                return (v + _pec_term(g, g_parity, sign * sm, m, folded))[()]
+                e = e0(m)
+                h = e if shared else h0(m)
+                v = np.multiply(se, e)
+                v *= 1.0 - 2.0 * folded
+                return (v + np.multiply(sign * sm, h))[()]
             return value
 
-        return cls(eps, mu, pair(e0, -1, h0, +1, +1), pair(e0, -1, h0, +1, -1))
+        return cls(eps, mu, pair(+1), pair(-1))
 
     @classmethod
     def free_space(cls, domain, e0, h0, eps=1.0, mu=1.0):
@@ -219,7 +219,12 @@ class CharacteristicProfile:
         u = self.u0(x - ct)
         w = self.w0(x + ct)
         se, sm = math.sqrt(self.eps), math.sqrt(self.mu)
-        return (u + w) / (2.0 * se), (u - w) / (2.0 * sm)
+        # divided in place in the sums, never in what u0 and w0 return
+        E = u + w
+        E /= 2.0 * se
+        H = u - w
+        H /= 2.0 * sm
+        return E, H
 
     def trace(self, x, t, side=None):
         """Side-aware trace; the reference is continuous so side is ignored."""

@@ -77,6 +77,27 @@ def test_relative_error_is_scale_invariant():
     assert l2_relative_error(sol2, prof2) == pytest.approx(base, rel=1e-12)
 
 
+class _ReadOnlyReference:
+    """The profile's fields, returned as read-only arrays."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def evaluate(self, x, t):
+        fields = self.profile.evaluate(x, t)
+        for f in fields:
+            f.flags.writeable = False
+        return fields
+
+
+def test_relative_error_only_reads_the_reference():
+    # l2 squares in arrays it owns: a write into Er or Hr would raise here
+    sol, pulse = _pulse_march(n_x=4, n_t=3)
+    prof = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
+    assert (l2_relative_error(sol, _ReadOnlyReference(prof)).hex()
+            == l2_relative_error(sol, prof).hex())
+
+
 def test_energy_accounting_against_closed_form():
     # E(0) = integral of exp(-2 (x-10)^2 / 10) = sqrt(5 pi) for the standard pulse
     domain = SpaceTimeDomain(0.0, 20.0, 10.0)

@@ -178,6 +178,8 @@ def test_config_problems_exit_one(tmp_path, capsys):
     ("output.dir=3", "output.dir must be a string, got 3"),
     ("output.svg=3", "output.svg must be a string, got 3"),
     ("output.csv=", "output.csv must not be empty"),
+    ("output.csv=sub/r.csv", "output.csv must be a bare file name, got 'sub/r.csv'"),
+    ("output.csv=.", "output.csv must be a bare file name, got '.'"),
     ("experiment.name=3", "experiment.name must be a string, got 3"),
 ])
 def test_bad_output_names_exit_one_before_writing(tmp_path, monkeypatch, capsys, assignment,

@@ -1,6 +1,7 @@
 """Closed-form references: data recovery, wall conditions, transport, projections."""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -197,7 +198,14 @@ def _fold_oracle(f, parity, x_l, length):
     DOMAIN, SpaceTimeDomain(-3.5, 6.25, 20.0), SpaceTimeDomain(0.3, 7.1, 20.0),
 ], ids=["unit", "shifted", "inexact"])
 def test_pec_profile_is_the_fold_of_the_data_bit_for_bit(domain, eps, mu):
-    e0, h0 = GaussianPulse(10.0, 10.0, 1.0), GaussianPulse(4.0, 3.0, -0.6)
+    # distinct data, and the config's standard pulse: two equal but distinct
+    # GaussianPulse objects, which the profile reads once per image
+    for e0, h0 in ((GaussianPulse(10.0, 10.0, 1.0), GaussianPulse(4.0, 3.0, -0.6)),
+                   (GaussianPulse(10.0, 10.0, 1.0), GaussianPulse(10.0, 10.0, 1.0))):
+        _check_pec_fold(domain, eps, mu, e0, h0)
+
+
+def _check_pec_fold(domain, eps, mu, e0, h0):
     prof = CharacteristicProfile.pec(domain, e0, h0, eps=eps, mu=mu)
     se, sm, c = math.sqrt(eps), math.sqrt(mu), prof.wave_speed
     x_l, length = domain.x_l, domain.length
@@ -232,20 +240,31 @@ def test_pec_profile_is_the_fold_of_the_data_bit_for_bit(domain, eps, mu):
     assert np.ndim(E) == 0 and np.ndim(H) == 0
 
 
-def test_pec_profile_leaves_the_data_arrays_alone():
-    # the in-place sums never write into what the data callables return
-    returned = []
+@dataclass(frozen=True)
+class _Recorded:
+    """A pulse that keeps each array it returns beside a copy; equal when the
+    pulses are."""
 
-    def keep(f):
-        def value(x):
-            returned.append((f(x), f(x).copy()))
-            return returned[-1][0]
+    pulse: GaussianPulse
+    returned: list = field(compare=False)
+
+    def __call__(self, x):
+        value = self.pulse(x)
+        self.returned.append((value, value.copy()))
         return value
 
-    prof = CharacteristicProfile.pec(DOMAIN, keep(GAUSS), keep(GaussianPulse(5.0, 2.0)))
-    prof.evaluate(np.linspace(-70.0, 130.0, 101), np.full(101, 3.0))
-    assert len(returned) == 4
-    assert all(np.array_equal(a, b) for a, b in returned)
+
+def test_pec_profile_leaves_the_data_arrays_alone():
+    # the in-place sums never write into what the data callables return, and
+    # equal data is read once per image: 2 calls per evaluate, not 4
+    x, t = np.linspace(-70.0, 130.0, 101), np.full(101, 3.0)
+    for h0, calls in ((GaussianPulse(10.0, 10.0, 1.0), 2), (GaussianPulse(5.0, 2.0), 4)):
+        returned = []
+        prof = CharacteristicProfile.pec(DOMAIN, _Recorded(GAUSS, returned),
+                                         _Recorded(h0, returned))
+        prof.evaluate(x, t)
+        assert len(returned) == calls
+        assert all(np.array_equal(a, b) for a, b in returned)
 
 
 def test_gaussian_pulse_is_the_closed_form_bit_for_bit():
