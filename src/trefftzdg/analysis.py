@@ -10,7 +10,10 @@ once.
 
 dg_error, dg_norm, energy_budget and the discrete energies share one
 batched trace evaluator: per face kind and side, one basis evaluation
-per element signature and one reference trace on all the points. It
+per element signature on all the points. A closed-form reference (one
+with evaluate alone) is continuous, so it is evaluated once per face
+kind and serves both sides; a discrete one (a SolutionField, with
+trace) is traced from each side. It
 reads the faces through mesh.FACE_SIDES and quadrature.map_to_segment,
 as assembly does, so a(v; v) and |||v|||^2 sum the same faces.
 """
@@ -161,12 +164,17 @@ class _Skeleton:
     def squared_jumps(self, kinds, n, reference):
         """Squared DG norm of reference - field on the kinds' faces, summed in mesh order."""
         terms = []
+        # a closed-form reference is continuous: one evaluation serves both
+        # sides of a face; a discrete one (it has trace) is traced from each side
+        traced = hasattr(reference, "trace")
         for kind in kinds:
             faces = self.kind(kind, n)
             je = jh = 0.0
+            if not traced:
+                Re, Rh = reference.evaluate(faces.X, faces.T)
             for sign, (E, H, side) in zip((1.0, -1.0), faces.sides):
-                Re, Rh = (reference.trace(faces.X, faces.T, side=side)
-                          if hasattr(reference, "trace") else reference.evaluate(faces.X, faces.T))
+                if traced:
+                    Re, Rh = reference.trace(faces.X, faces.T, side=side)
                 je = je + sign * (Re - E)
                 jh = jh + sign * (Rh - H)
             terms.append(faces.terms(je, jh))

@@ -18,7 +18,7 @@ terms and pde_residual read. A basis is set by the family, the degree p
 and the element's signature: width hx, height ht and materials eps, mu.
 element_basis builds element i's basis from the mesh arrays;
 signature_groups builds one basis per group of elements that share a
-signature.
+signature, reading the mesh's per-element classes (Mesh.signature).
 """
 
 from dataclasses import dataclass
@@ -218,15 +218,22 @@ def signature_groups(mesh, spec, ids):
     eval_local depends on the signature alone, so one ElementBasis serves
     every element of a group. Returns (basis, positions) pairs, positions
     indexing ids in ascending order; groups run in order of first appearance.
+    The (hx, ht, eps, mu) class comes from mesh.signature, computed once per
+    mesh; p joins it only when the degrees differ between elements.
     """
     ids = np.asarray(ids, dtype=int)
     if not len(ids):
         return []
-    keys = np.column_stack([mesh.hx[ids], mesh.ht[ids], mesh.eps[ids], mesh.mu[ids],
-                            spec.degrees(ids)])
-    order = np.lexsort(keys.T)
-    breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
-    groups = sorted(np.split(order, breaks + 1), key=lambda group: group[0])
+    codes = mesh.signature[ids]
+    if not spec.uniform:
+        degrees = spec.degrees(ids)
+        codes = codes * (degrees.max() + 1) + degrees
+    if codes.min() == codes.max():
+        groups = [np.arange(len(ids))]
+    else:
+        order = np.argsort(codes, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
+        groups.sort(key=lambda group: group[0])
     return [(element_basis(mesh, spec, ids[group[0]]), group) for group in groups]
 
 

@@ -12,18 +12,19 @@ slab, left to right: x0, x1, t0, t1, eps, mu and slab hold one entry per
 element (hx = x1 - x0, ht is the slab's height, and xc, tc the centre),
 and slab j owns the index range slab_starts[j]:slab_starts[j + 1]
 (elem_grid[j]), so its partition is x0 of that range followed by the last
-x1. Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi
-and the two adjacent element ids. hor_starts and ver_starts are the
-per-interface and per-slab offsets into the HOR_INTERNAL and
-VER_INTERNAL tables; the lateral tables hold one row per slab, and
-FACE_SIDES says which side of each face its elements lie on. An element's
-row index is its only handle: its basis (basis.element_basis) is built
-from the row's hx, ht, eps and mu.
+x1. signature numbers each element's (hx, ht, eps, mu) class, computed
+once when the mesh is built. Faces live in one FaceTable per FaceKind, in
+mesh order: pos, lo, hi and the two adjacent element ids. hor_starts and
+ver_starts are the per-interface and per-slab offsets into the
+HOR_INTERNAL and VER_INTERNAL tables; the lateral tables hold one row per
+slab, and FACE_SIDES says which side of each face its elements lie on. An
+element's row index is its only handle: its basis (basis.element_basis)
+is built from the row's hx, ht, eps and mu.
 """
 
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -237,12 +238,28 @@ class Mesh:
     face_tables: dict               # FaceKind -> FaceTable
     hor_starts: np.ndarray          # first HOR_INTERNAL row of each interface, then the count
     ver_starts: np.ndarray          # first VER_INTERNAL row of each slab, then the count
+    signature: np.ndarray = field(init=False)   # class of each element's (hx, ht, eps, mu)
 
     def __post_init__(self):
         # the cached properties below rely on the mesh staying as built
         for a in [*vars(self).values(), *chain.from_iterable(self.face_tables.values())]:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+        # classes equal exactly where all four columns are: one lexsort and a
+        # diff of each sorted column, here, before a solve allocates its
+        # matrices. A uniform mesh skips the sort: its temporaries alone moved
+        # march_robin_data's peak RSS by about 3 MB (heap layout, not use).
+        columns = (self.hx, self.ht, self.eps, self.mu)
+        if all(column.min() == column.max() for column in columns):
+            signature = np.zeros(self.n_elements, dtype=int)
+        else:
+            order = np.lexsort(columns)
+            fresh = np.zeros(len(order) - 1, dtype=bool)
+            for column in columns:
+                fresh |= np.diff(column[order]) != 0
+            signature = np.empty(len(order), dtype=int)
+            signature[order] = np.concatenate([[0], np.cumsum(fresh)])
+        object.__setattr__(self, "signature", _read_only(signature))
 
     @property
     def n_slabs(self):
@@ -325,17 +342,21 @@ class Mesh:
         if outside.any():
             raise MismatchedDomain(
                 f"x = {x[outside][0]} outside [{self.domain.x_l}, {self.domain.x_r}]")
-        j = self.slab_of_time(t, side=t_side)
-        out = np.empty(x.shape, dtype=int)
-        for slab in np.unique(j):
-            here = j == slab
-            p = self.x0[self.slab_starts[slab]:self.slab_starts[slab + 1]]
-            xs = x[here]
-            k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 1)
+        j = self.slab_of_time(t, side=t_side).ravel()
+        # one sort by slab: each slab's points are then one contiguous run
+        order = np.argsort(j, kind="stable")
+        j, xs = j[order], x.ravel()[order]
+        runs = np.flatnonzero(np.diff(j, prepend=-1, append=-1))
+        found = np.empty(len(j), dtype=int)
+        for a, b in zip(runs[:-1], runs[1:]):
+            p = self.x0[self.slab_starts[j[a]]:self.slab_starts[j[a] + 1]]
+            k = np.clip(np.searchsorted(p, xs[a:b], side="right") - 1, 0, len(p) - 1)
             if x_side in ("left", None):
-                k = k - ((k > 0) & (np.abs(xs - p[k]) <= tol_x))
-            out[here] = self.slab_starts[slab] + k
-        return out
+                k = k - ((k > 0) & (np.abs(xs[a:b] - p[k]) <= tol_x))
+            found[a:b] = self.slab_starts[j[a]] + k
+        out = np.empty(len(j), dtype=int)
+        out[order] = found
+        return out.reshape(x.shape)
 
 
 def build_mesh(domain, materials, slab_heights, x_partitions):
@@ -385,7 +406,6 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
     t0 = times[slab]
     t1 = t0 + np.asarray(heights)[slab]
     mids = 0.5 * (x0 + x1)
-
     # slab interfaces, each split at the union of its two partitions
     pieces = []
     for j in range(n_slabs - 1):

@@ -15,7 +15,9 @@ profiles extended to the real line according to the boundary condition:
   inside the interval up to negligible tails);
 * impedance (Robin) walls: the incoming characteristic profiles are
   prescribed by the boundary data, so u is extended left of x_l by
-  g_l((x_l - z)/c) and w right of x_r by g_r((z - x_r)/c).
+  g_l((x_l - z)/c) and w right of x_r by g_r((z - x_r)/c). The initial
+  data is read only at points inside the walls (e0 once when h0 == e0),
+  the wall data only at points beyond its wall.
 """
 
 import math
@@ -77,9 +79,6 @@ class ZeroField:
                              np.asarray(t, dtype=float)).shape
         return np.zeros(shape), np.zeros(shape)
 
-    def trace(self, x, t, side=None):
-        return self.evaluate(x, t)
-
 
 def _pec_fold(z, x_l, length):
     """Image m of z in [x_l, x_l + length] under the 2 length-periodic fold
@@ -90,12 +89,26 @@ def _pec_fold(z, x_l, length):
     y = np.subtract(z, x_l, out=np.empty(z.shape))
     # np.mod's value, several times faster. fmod is exact, and it is the
     # identity where |y| < 2 length (signed zeros included; NaN compares
-    # false and stays NaN), so it runs only on points beyond one period.
+    # false and stays NaN), so it runs only on points beyond one period,
+    # and not at all when the extremes show none (a NaN fails the test).
     # Adding 0.0 where y is not negative turns -0.0 into np.mod's +0.0.
-    np.fmod(y, two_l, out=y, where=np.abs(y) >= two_l)
+    if y.size and not (y.min() > -two_l and y.max() < two_l):
+        np.fmod(y, two_l, out=y, where=np.abs(y) >= two_l)
     y += two_l * (y < 0)
     folded = y > length
-    return np.where(folded, (x_l + two_l) - y, x_l + y), folded
+    m = np.add(x_l, y, out=np.empty(y.shape))
+    np.subtract(x_l + two_l, y, out=m, where=folded)
+    return m, folded
+
+
+def _pieces(z, inside, f, wall, g):
+    """f(z) where inside, g(z) where wall (NaN included), 0.0 elsewhere: each
+    callable reads only its own points, and only when it has some."""
+    parts = [(at, fn(z[at])) for at, fn in ((inside, f), (wall, g)) if at.any()]
+    out = np.zeros(z.shape, np.result_type(float, *(value for _, value in parts)))
+    for at, value in parts:
+        out[at] = value
+    return out
 
 
 def _zero_extension(f, x_l, x_r):
@@ -122,14 +135,16 @@ class CharacteristicProfile:
     @classmethod
     def _split(cls, e0, h0, eps, mu):
         se, sm = math.sqrt(eps), math.sqrt(mu)
+        # equal data (the config's standard pulse) is read once per point set
+        shared = bool(h0 == e0)
 
-        def u0(x):
-            return se * e0(x) + sm * h0(x)
+        def pair(sign):
+            def value(x):
+                e = e0(x)
+                return se * e + sign * sm * (e if shared else h0(x))
+            return value
 
-        def w0(x):
-            return se * e0(x) - sm * h0(x)
-
-        return u0, w0
+        return pair(+1), pair(-1)
 
     @classmethod
     def pec(cls, domain, e0, h0, eps=1.0, mu=1.0):
@@ -183,15 +198,15 @@ class CharacteristicProfile:
             # f on the domain, zero right of x_r, wall data g entering at x_l
             def value(z):
                 z = np.asarray(z, dtype=float)
-                data = np.where(z <= x_r, f(np.clip(z, x_l, x_r)), 0.0)
-                return np.where(z > x_l, data, g((x_l - z) / c))
+                entered = z > x_l
+                return _pieces(z, entered & (z <= x_r), f, ~entered, lambda s: g((x_l - s) / c))
             return value
 
         def from_right(f, g):
             def value(z):
                 z = np.asarray(z, dtype=float)
-                data = np.where(z >= x_l, f(np.clip(z, x_l, x_r)), 0.0)
-                return np.where(z < x_r, data, g((z - x_r) / c))
+                entered = z < x_r
+                return _pieces(z, entered & (z >= x_l), f, ~entered, lambda s: g((s - x_r) / c))
             return value
 
         return cls(eps, mu, from_left(u0, g_l), from_right(w0, g_r))
@@ -225,10 +240,6 @@ class CharacteristicProfile:
         H = u - w
         H /= 2.0 * sm
         return E, H
-
-    def trace(self, x, t, side=None):
-        """Side-aware trace; the reference is continuous so side is ignored."""
-        return self.evaluate(x, t)
 
 
 def _projection_residual(f, a, b, p, n):

@@ -4,18 +4,23 @@ The space-time system is block lower bidiagonal in time, with slab
 matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix, computed in place
-of A, and a forward sweep. The slab operator (A_j, R_j, assemble_slab)
-does not depend on the data; the data enter only through the load b_j
-(load_plan). When all slabs share height and partition the operators
-are bit-identical by construction: the assembly works in element-local
-offsets, and every element's ht is its slab's height as given (Mesh.ht),
-not a difference of slab times that rounds differently from slab to
-slab. So one slab's A, factored in place, and its R serve every slab,
-one load plan gives every b_j, and the march holds two n x n arrays.
+of A, and a forward sweep whose every solve is one call of the LAPACK
+getrs that _factor takes along with the factors (the routine
+scipy.linalg.lu_solve calls, without its per-call argument handling).
+The slab operator (A_j, R_j, assemble_slab) does not depend on the data;
+the data enter only through the load b_j (load_plan). When all slabs
+share height and partition the operators are bit-identical by
+construction: the assembly works in element-local offsets, and every
+element's ht is its slab's height as given (Mesh.ht), not a difference
+of slab times that rounds differently from slab to slab. So one slab's
+A, factored in place, and its R serve every slab, one load plan gives
+every b_j, and the march holds two n x n arrays.
 
 SolutionField.traces evaluates a field at offsets from element centres
-with one basis table per element signature (basis.signature_groups);
-point evaluation and the skeleton terms of analysis both go through it.
+with one basis table per element signature (basis.signature_groups,
+which reads the classes the mesh computed once, Mesh.signature); point
+evaluation (after one sort of the points by slab in Mesh.elements_at)
+and the skeleton terms of analysis both go through it.
 """
 
 from dataclasses import dataclass
@@ -36,8 +41,9 @@ from .mesh import T_SIDES, X_SIDES, check_side
 
 
 def _factor(A, what="slab matrix"):
-    """LU factors of A, computed in place: a Fortran-ordered A (as
-    assemble_slab allocates it) is overwritten, so the caller must own A."""
+    """LU factors of A, computed in place, and the LAPACK getrs that solves
+    with them: a Fortran-ordered A (as assemble_slab allocates it) is
+    overwritten, so the caller must own A."""
     lu, piv = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
     finite = np.isfinite(lu.min()) and np.isfinite(lu.max())  # a NaN or inf shows in one
@@ -46,7 +52,16 @@ def _factor(A, what="slab matrix"):
             f"{what} is numerically singular (pivot ratio "
             f"{diag.min():.3e} / {diag.max():.3e})"
         )
-    return lu, piv
+    return lu, piv, linalg.get_lapack_funcs(("getrs",), (lu,))[0]
+
+
+def _solve(factor, b):
+    """x with A x = b from _factor's output: the getrs call lu_solve makes."""
+    lu, piv, getrs = factor
+    x, info = getrs(lu, piv, b)
+    if info != 0:
+        raise DimensionMismatch(f"getrs rejected its argument {-info}")
+    return x
 
 
 #: functions x points per eval_local call: bounds its E and H tables at 0.25 MB
@@ -85,7 +100,9 @@ class SolutionField:
 
         One eval_local call per element signature on the stacked rows, in
         chunks of about _CHUNK values per field, then one gemv per row: the
-        BLAS call of c @ F for that element alone.
+        BLAS call of c @ F for that element alone, on a contiguous copy of
+        the table (a strided view can round differently: for one point per
+        row the product becomes a dot with a strided operand).
         """
         E, H = np.empty(dx.shape), np.empty(dx.shape)
         for basis, group in signature_groups(self.mesh, self.spec, ids):
@@ -145,7 +162,7 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
             system = assemble_slab(mesh, k, spec, flux, bc)
             factor = _factor(system.A, f"slab {k} matrix")
         b = system.R @ coeffs[j - 1] + load(j) if j else load(0)
-        coeffs[j][:] = linalg.lu_solve(factor, b, check_finite=False)
+        coeffs[j][:] = _solve(factor, b)
     return sol
 
 
@@ -166,8 +183,7 @@ def update_matrix(mesh, spec, flux, bc):
             "update operator is defined for data-free boundary conditions"
         )
     system = assemble_slab(mesh, 1, spec, flux, bc)
-    factor = _factor(system.A)
-    return linalg.lu_solve(factor, system.R, check_finite=False)
+    return _solve(_factor(system.A), system.R)
 
 
 @dataclass

@@ -44,6 +44,7 @@ from trefftzdg.errors import (
     NonpositiveError,
     UnsupportedBC,
 )
+from trefftzdg.solver import SolutionField
 
 UNIT = MaterialLayout.constant()
 
@@ -294,3 +295,34 @@ def test_energy_endpoint_is_the_final_energy_exactly(heights):
     assert energy_budget(sol, data).final_energy == final
     for t, energy in zip(times[:-1], energies[:-1]):
         assert energy == discrete_energy(sol, t, side="below")
+
+
+class _Counted:
+    """A closed-form reference that records each evaluate call."""
+
+    def __init__(self, reference):
+        self.reference, self.calls = reference, []
+
+    def evaluate(self, x, t):
+        self.calls.append(None)
+        return self.reference.evaluate(x, t)
+
+
+def test_dg_error_reads_a_closed_form_reference_once_per_face_kind():
+    # a closed-form reference is continuous, so one evaluation serves both
+    # sides of the faces of a kind; a piecewise one is traced from each side
+    sol, pulse = _pulse_march(n_x=3, n_t=3)
+    prof = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
+    counted = _Counted(prof)
+    assert dg_error(sol, counted).hex() == dg_error(sol, prof).hex()
+    assert counted.calls == [None] * 6
+    proj = project_to_space(sol.mesh, sol.spec, prof)
+    sides = []
+
+    def trace(x, t, side=None):
+        sides.append(side)
+        return SolutionField.trace(proj, x, t, side=side)
+
+    proj.trace = trace
+    dg_error(sol, proj)
+    assert sides == ["below", "above", "above", "below", "left", "right", "right", "left"]

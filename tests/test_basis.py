@@ -297,3 +297,34 @@ def test_missing_element_degree_names_the_element():
         spec.degree_for(2)
     with pytest.raises(MismatchedDomain, match="element 2"):
         global_layout(mesh, spec)
+
+
+def _lexsort_groups(mesh, spec, ids):
+    """signature_groups' positions as one lexsort of the five float keys
+    (hx, ht, eps, mu, p) grouped them: the reference for the per-mesh classes."""
+    keys = np.column_stack([mesh.hx[ids], mesh.ht[ids], mesh.eps[ids], mesh.mu[ids],
+                            spec.degrees(ids)])
+    order = np.lexsort(keys.T)
+    breaks = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1))
+    return sorted(np.split(order, breaks + 1), key=lambda group: group[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 3), st.booleans(), st.data())
+def test_signature_groups_are_the_five_key_lexsort_groups(case, family, p, mixed, data):
+    # the per-mesh classes (Mesh.signature), with the degrees folded in when
+    # they differ, group a drawn id list and every element twice over, as
+    # the float keys do
+    mesh = build_mesh(*case)
+    n = mesh.n_elements
+    degrees = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+    spec = BasisSpec(family, dict(enumerate(degrees)) if mixed else p)
+    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    for ids in (np.array(drawn, dtype=int), np.tile(np.arange(n), 2)):
+        got = signature_groups(mesh, spec, ids)
+        want = _lexsort_groups(mesh, spec, ids) if len(ids) else []
+        assert [group.tolist() for _, group in got] == [group.tolist() for group in want]
+        for basis, group in got:
+            first = element_basis(mesh, spec, ids[group[0]])
+            assert (basis.family, basis.p, basis.hx, basis.ht, basis.eps, basis.mu) == (
+                first.family, first.p, first.hx, first.ht, first.eps, first.mu)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg.errors import (
     EmptyPartition,
@@ -218,7 +219,7 @@ def test_mesh_arrays_are_read_only():
     mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
     arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab,
               mesh.hx, mesh.ht, mesh.xc, mesh.tc, mesh.slab_starts, mesh.hor_starts,
-              mesh.ver_starts, mesh.slab_heights, mesh.slab_times,
+              mesh.ver_starts, mesh.slab_heights, mesh.slab_times, mesh.signature,
               *(a for table in mesh.face_tables.values() for a in table)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -280,3 +281,45 @@ def test_random_meshes_are_consistent(case):
     assert np.array_equal(mesh.elements_at(mesh.xc, mesh.tc), np.arange(mesh.n_elements))
     assert mesh.identical_slabs == (len(set(heights)) == 1
                                     and all(np.array_equal(p, parts[0]) for p in parts))
+
+
+def _mask_loop(mesh, x, t, t_side=None, x_side=None):
+    """Mesh.elements_at as one full-length slab mask per slab: the reference
+    for the single sort by slab."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    tol_x = 1e-12 * max(mesh.domain.length, 1.0)
+    j = mesh.slab_of_time(t, side=t_side)
+    out = np.empty(x.shape, dtype=int)
+    for slab in np.unique(j):
+        here = j == slab
+        p = mesh.x0[mesh.slab_starts[slab]:mesh.slab_starts[slab + 1]]
+        xs = x[here]
+        k = np.clip(np.searchsorted(p, xs, side="right") - 1, 0, len(p) - 1)
+        if x_side in ("left", None):
+            k = k - ((k > 0) & (np.abs(xs - p[k]) <= tol_x))
+        out[here] = mesh.slab_starts[slab] + k
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_meshes(), st.randoms(use_true_random=False))
+def test_elements_at_is_the_per_slab_mask_loop(case, rnd):
+    # every vertical edge of every slab at every slab interface, slab centre
+    # and the end times, shuffled so that the slabs interleave
+    mesh = build_mesh(*case)
+    xs = np.unique(np.concatenate([mesh.x0, mesh.x1]))
+    ts = np.concatenate([mesh.slab_times, 0.5 * (mesh.slab_times[1:] + mesh.slab_times[:-1])])
+    X, T = (a.ravel() for a in np.meshgrid(xs, ts))
+    order = list(range(len(X)))
+    rnd.shuffle(order)
+    X, T = X[order], T[order]
+    cols = len(xs)
+    for t_side in (None, "below", "above"):
+        for x_side in (None, "left", "right"):
+            sides = {"t_side": t_side, "x_side": x_side}
+            got = mesh.elements_at(X.reshape(-1, cols), T.reshape(-1, cols), **sides)
+            assert got.shape == (len(ts), cols)
+            assert np.array_equal(got, _mask_loop(mesh, X, T, **sides).reshape(-1, cols))
+            for x, t in zip(X[:5], T[:5]):
+                one = mesh.elements_at(x, t, **sides)
+                assert np.shape(one) == () and one == _mask_loop(mesh, x, t, **sides)

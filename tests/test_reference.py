@@ -166,7 +166,7 @@ def test_zero_field_reference():
     z = ZeroField()
     E, H = z.evaluate(np.zeros(4), np.linspace(0, 1, 4))
     assert E.shape == (4,) and not E.any() and not H.any()
-    E, H = z.trace(1.0, 2.0, side="below")
+    E, H = z.evaluate(1.0, 2.0)
     assert float(E) == 0.0 and float(H) == 0.0
 
 
@@ -293,3 +293,79 @@ def test_pec_profile_takes_data_that_broadcasts_or_is_complex():
         assert np.shape(u) == np.shape(w) == np.shape(e0(z))
         assert np.array_equal(u, se * e_ext(z) + sm * h_ext(z))
         assert np.array_equal(w, se * e_ext(z) - sm * h_ext(z))
+
+
+def _robin_oracle(e0, h0, g_l, g_r, domain, eps, mu):
+    """CharacteristicProfile.robin's (u0, w0) as one np.where over every
+    point: data and wall data read everywhere, then selected."""
+    se, sm, c = math.sqrt(eps), math.sqrt(mu), 1.0 / math.sqrt(eps * mu)
+    x_l, x_r = domain.x_l, domain.x_r
+
+    def u0(z):
+        z = np.asarray(z, dtype=float)
+        inner = np.clip(z, x_l, x_r)
+        data = np.where(z <= x_r, se * e0(inner) + sm * h0(inner), 0.0)
+        return np.where(z > x_l, data, g_l((x_l - z) / c))
+
+    def w0(z):
+        z = np.asarray(z, dtype=float)
+        inner = np.clip(z, x_l, x_r)
+        data = np.where(z >= x_l, se * e0(inner) - sm * h0(inner), 0.0)
+        return np.where(z < x_r, data, g_r((z - x_r) / c))
+
+    return u0, w0
+
+
+@pytest.mark.parametrize("eps, mu", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("domain", [DOMAIN, SpaceTimeDomain(-3.5, 6.25, 20.0)],
+                         ids=["unit", "shifted"])
+def test_robin_profile_is_the_wall_formula_bit_for_bit(domain, eps, mu):
+    x_l, x_r = domain.x_l, domain.x_r
+    walls = (GaussianPulse(2.0, 1.0), GaussianPulse(1.0, 3.0, -0.5))
+    edges = np.array([x_l, x_r, 0.0, -0.0, np.inf, -np.inf, np.nan,
+                      np.nextafter(x_l, -np.inf), np.nextafter(x_r, np.inf)])
+    inputs = [np.concatenate([np.random.default_rng(3).uniform(x_l - 40, x_r + 40, 400), edges]),
+              np.array(x_l), x_r, -0.0, np.array(np.nan)]
+    for e0, h0 in ((GAUSS, GaussianPulse(10.0, 10.0, 1.0)), (GAUSS, GaussianPulse(4.0, 3.0, -0.6))):
+        prof = CharacteristicProfile.robin(domain, e0, h0, *walls, eps=eps, mu=mu)
+        for got, want in zip((prof.u0, prof.w0), _robin_oracle(e0, h0, *walls, domain, eps, mu)):
+            for z in inputs:
+                assert np.shape(got(z)) == np.shape(z)
+                assert np.array_equal(got(z), want(z), equal_nan=True)
+
+
+def test_robin_profile_reads_each_data_only_where_it_serves():
+    # initial data at the points inside the walls (once when h0 == e0), the
+    # wall data at the points beyond its wall, and nothing written
+    x, t = np.linspace(-20.0, 80.0, 101), np.full(101, 10.0)
+    z_u, z_w = x - 10.0, x + 10.0
+    inside = np.count_nonzero((z_u > 0.0) & (z_u <= 60.0)) + np.count_nonzero(
+        (z_w >= 0.0) & (z_w < 60.0))
+    for h0, reads in ((GaussianPulse(10.0, 10.0, 1.0), 1), (GaussianPulse(5.0, 2.0), 2)):
+        data, left, right = [], [], []
+        prof = CharacteristicProfile.robin(
+            DOMAIN, _Recorded(GAUSS, data), _Recorded(h0, data),
+            _Recorded(GaussianPulse(3.0, 1.0), left), _Recorded(GaussianPulse(1.0, 2.0), right))
+        prof.evaluate(x, t)
+        assert len(data) == 2 * reads
+        assert sum(value.size for value, _ in data) == reads * inside
+        assert [value.size for value, _ in left] == [np.count_nonzero(z_u <= 0.0)]
+        assert [value.size for value, _ in right] == [np.count_nonzero(z_w >= 60.0)]
+        assert all(np.array_equal(a, b) for a, b in data + left + right)
+        prof.evaluate(np.array([20.0, 30.0]), np.zeros(2))   # no point beyond a wall
+        assert len(left) == len(right) == 1
+
+
+def test_pec_fold_reaches_far_points_beside_nan_and_inf():
+    # the fold skips fmod only when the extremes show no point beyond one
+    # period; a NaN or an inf among far points must not hide them
+    x_l, length = DOMAIN.x_l, DOMAIN.length
+    prof = CharacteristicProfile.pec(DOMAIN, GAUSS, GAUSS)
+    e_ext = _fold_oracle(_gauss_oracle(GAUSS), -1.0, x_l, length)
+    h_ext = _fold_oracle(_gauss_oracle(GAUSS), 1.0, x_l, length)
+    far = np.array([-7.3 * length, 5.4 * length, 0.5 * length])
+    for odd in (np.nan, np.inf, -np.inf):
+        z = np.append(far, odd)
+        with np.errstate(invalid="ignore"):     # the period of inf is NaN
+            assert np.array_equal(prof.u0(z), e_ext(z) + h_ext(z), equal_nan=True)
+            assert np.array_equal(prof.w0(z), e_ext(z) - h_ext(z), equal_nan=True)

@@ -21,6 +21,7 @@ from trefftzdg import (
     build_mesh,
     element_basis,
     global_coefficients,
+    global_layout,
     l2_relative_error,
     march,
     spectrum,
@@ -319,3 +320,37 @@ def test_evaluate_matches_per_point_location_on_hanging_mesh():
                 c = sol.element_coefficients(i)
                 assert E[k] == pytest.approx(float(c @ f["E"][:, 0]), rel=1e-14, abs=1e-15)
                 assert H[k] == pytest.approx(float(c @ f["H"][:, 0]), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 5, 8])
+def test_traces_are_each_elements_own_contraction_bit_for_bit(points):
+    # however the rows are stacked, each is the product c @ F of its element
+    # alone, with F a contiguous table: the bits the DG norm and evaluate sum
+    domain = SpaceTimeDomain(0.0, 2.0, 1.5)
+    parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
+             np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
+    mesh = build_mesh(domain, MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6)), [0.5, 0.4, 0.6],
+                      parts)
+    spec = BasisSpec(FULL, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+    _, n = global_layout(mesh, spec)
+    sol = solver.SolutionField(mesh, spec, None, None, np.random.default_rng(4).standard_normal(n))
+    rng = np.random.default_rng(points)
+    ids = rng.integers(0, mesh.n_elements, 40)
+    dx, dt = rng.uniform(-0.3, 0.3, (2, 40, points))
+    E, H = sol.traces(ids, dx, dt)
+    for r, i in enumerate(ids):
+        f = element_basis(mesh, spec, i).eval_local(dx[r], dt[r])
+        c = sol.element_coefficients(i)
+        assert E[r].tobytes() == (c @ f["E"]).tobytes()
+        assert H[r].tobytes() == (c @ f["H"]).tobytes()
+
+
+def test_solve_is_lu_solve_bit_for_bit():
+    # the march's getrs call gives lu_solve's bytes, for one load and for R
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((9, 9)) + 9.0 * np.eye(9)
+    factor = solver._factor(np.asfortranarray(A))
+    reference = solver.linalg.lu_factor(A)
+    for b in (rng.standard_normal(9), rng.standard_normal((9, 5))):
+        x = solver._solve(factor, b)
+        assert x.tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
