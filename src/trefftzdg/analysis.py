@@ -1,5 +1,15 @@
 """Error norms, energy accounting, and convergence-rate fits.
 
+l2_relative_error sums one basis table per signature, slab by slab. A
+CharacteristicProfile reference is read along its characteristics: with
+c ht = s hx, a slab's coordinates x -+ ct are the previous slab's shifted
+by +-s rows, so u0 and w0 are copied from the previous slab wherever a
+coordinate repeats bit for bit and evaluated only on the rest (the new
+edge row, binade crossings, meshes whose rows do not line up). The
+error is therefore bit for bit the one of evaluating every point. Any
+other reference (ZeroField, an object with evaluate alone) is evaluated
+point by point.
+
 The mesh-dependent DG norm collects the dissipative skeleton terms:
 half-weighted time jumps and initial/final traces, penalty-weighted
 space jumps, and the lateral boundary traces in the weights induced by
@@ -35,7 +45,7 @@ from .errors import (
 )
 from .mesh import FACE_SIDES, FaceKind
 from .quadrature import data_nodes, error_nodes, face_nodes, local_tensor_rule, map_to_segment
-from .reference import ROBIN, ZeroField
+from .reference import ROBIN, CharacteristicProfile, ZeroField
 from .solver import SolutionField
 
 
@@ -43,14 +53,69 @@ def _max_degree(sol):
     return int(sol.spec.degrees(range(sol.mesh.n_elements)).max())
 
 
+def _transport(f, z, out, previous, shift):
+    """f(z) into out, read off previous = (z', f(z')) shifted by shift rows.
+
+    Row i of z meets row i - shift of z' (shift > 0 moves down the rows).
+    Where a coordinate's 64-bit pattern equals z''s there (so +0.0 and
+    -0.0 differ, and a NaN meets only its own bits), its value is copied;
+    f is evaluated only on the rest, which is all of z when there is no
+    previous piece, shift is 0 or the shapes differ. f must be elementwise;
+    what it returns is only read, a scalar fills all its points, and a
+    complex value raises TypeError, as the sums of the evaluate path do. out
+    must be C-contiguous, so that its flat view writes into it.
+    """
+    if previous is None or previous[0].shape != z.shape or not 0 < abs(shift) < len(z):
+        np.copyto(out, f(z), casting="same_kind")
+        return out
+    z_prev, v_prev = previous
+    new, old = slice(shift, None), slice(None, -shift)
+    if shift < 0:
+        new, old = slice(None, shift), slice(-shift, None)
+    # copy every shifted value, then overwrite the edge rows and the
+    # coordinates whose bits differ
+    out[new] = v_prev[old]
+    fresh = np.ones(z.shape, dtype=bool)
+    np.not_equal(z[new].view(np.int64), z_prev[old].view(np.int64), out=fresh[new])
+    at = np.flatnonzero(fresh)
+    values = np.asarray(f(z.reshape(-1)[at])).astype(out.dtype, casting="same_kind", copy=False)
+    out.reshape(-1)[at] = values
+    return out
+
+
+def _transported(profile, x, t, shift, history):
+    """u0 and w0 of a CharacteristicProfile at the characteristic coordinates
+    of x, t, each read off the previous piece of history by _transport
+    (x - ct shifted by +shift rows, x + ct by -shift).
+
+    history holds the buffers (z_u, u, z_w, w) of one signature's last two
+    pieces: this piece writes into the older pair of the same shape and
+    becomes the newer, so the slab loop allocates no further buffers.
+    """
+    previous = history[-1] if history else None
+    spare = history.pop(0) if len(history) == 2 else None
+    if spare is None or spare[0].shape != x.shape:
+        spare = tuple(np.empty(x.shape) for _ in range(4))
+    z_u, u, z_w, w = spare
+    profile.characteristics(x, t, out=(z_u, z_w))
+    _transport(profile.u0, z_u, u, previous and previous[:2], shift)
+    _transport(profile.w0, z_w, w, previous and previous[2:], -shift)
+    history.append(spare)
+    return u, w
+
+
 def l2_relative_error(sol, reference, quad_order=None):
     """Relative space-time L2 error of (E, H) against a reference field.
 
     sqrt of the integral of the squared field mismatch over the whole
-    cylinder divided by the squared reference norm.
+    cylinder divided by the squared reference norm. A CharacteristicProfile
+    is read along its characteristics, with s = round(c ht / hx) per
+    signature (_transported); any other reference is evaluated point by
+    point. Both give the same bits.
     """
     mesh, spec = sol.mesh, sol.spec
     n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
+    profiled = isinstance(reference, CharacteristicProfile)
     num = 0.0
     den = 0.0
     # one basis table per signature, summed slab by slab in order of first
@@ -58,16 +123,21 @@ def l2_relative_error(sol, reference, quad_order=None):
     pieces = []
     for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
         dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
-        table = (basis, basis.eval_local(dx, dt), dx, dt, W)
+        shift = round(reference.wave_speed * basis.ht / basis.hx) if profiled else 0
+        table = (basis, basis.eval_local(dx, dt), dx, dt, W, shift, [])
         cuts = np.flatnonzero(np.diff(mesh.slab[ids])) + 1
         pieces += [(slab_ids, table) for slab_ids in np.split(ids, cuts)]
-    for ids, (basis, fields, dx, dt, W) in sorted(pieces, key=lambda piece: piece[0][0]):
+    for ids, (basis, fields, dx, dt, W, shift, history) in sorted(
+            pieces, key=lambda piece: piece[0][0]):
         C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
         E = C @ fields["E"]
         H = C @ fields["H"]
         X = mesh.xc[ids][:, None] + dx[None, :]
         T = mesh.tc[ids][:, None] + dt[None, :]
-        Er, Hr = reference.evaluate(X, T)
+        if profiled:
+            Er, Hr = reference.fields(*_transported(reference, X, T, shift, history))
+        else:
+            Er, Hr = reference.evaluate(X, T)
         # W (dE^2 + dH^2), then W (Er^2 + Hr^2), in E and H, which this loop
         # owns; Er and Hr are only read. E - Er squares to (Er - E)^2's bits.
         E -= Er

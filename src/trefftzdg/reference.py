@@ -121,7 +121,14 @@ def _zero_extension(f, x_l, x_r):
 
 
 class CharacteristicProfile:
-    """The field with sqrt(eps) E +- sqrt(mu) H = u0(x - ct), w0(x + ct)."""
+    """The field with sqrt(eps) E +- sqrt(mu) H = u0(x - ct), w0(x + ct).
+
+    u0 and w0 must be elementwise functions of the coordinate: the value at
+    a point may depend on that point's coordinate alone, never on the other
+    points of the array. l2_relative_error relies on it, since it evaluates
+    them only on the coordinates that the previous slab did not already
+    read.
+    """
 
     def __init__(self, eps, mu, u0, w0):
         self.eps = float(eps)
@@ -227,19 +234,27 @@ class CharacteristicProfile:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, x, t):
-        """Exact fields (E, H) at points x, t (broadcastable arrays)."""
+    def characteristics(self, x, t, out=(None, None)):
+        """The characteristic coordinates x - ct and x + ct of points x, t
+        (broadcastable arrays), written into out's arrays when given."""
         x = np.asarray(x, dtype=float)
         ct = self.wave_speed * np.asarray(t, dtype=float)
-        u = self.u0(x - ct)
-        w = self.w0(x + ct)
+        return np.subtract(x, ct, out=out[0]), np.add(x, ct, out=out[1])
+
+    def fields(self, u, w):
+        """The fields (E, H) of the characteristic values u and w."""
         se, sm = math.sqrt(self.eps), math.sqrt(self.mu)
-        # divided in place in the sums, never in what u0 and w0 return
+        # divided in place in the sums, never in u and w
         E = u + w
         E /= 2.0 * se
         H = u - w
         H /= 2.0 * sm
         return E, H
+
+    def evaluate(self, x, t):
+        """Exact fields (E, H) at points x, t (broadcastable arrays)."""
+        z_u, z_w = self.characteristics(x, t)
+        return self.fields(self.u0(z_u), self.w0(z_w))
 
 
 def _projection_residual(f, a, b, p, n):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg import (
     CSV_HEADER,
+    FAMILIES,
     FULL,
     TREFFTZ,
     BasisSpec,
@@ -36,6 +39,7 @@ from trefftzdg import (
     project_to_space,
     uniform_mesh,
 )
+from trefftzdg import analysis
 from trefftzdg.errors import (
     AmbiguousTrace,
     DimensionMismatch,
@@ -44,7 +48,11 @@ from trefftzdg.errors import (
     NonpositiveError,
     UnsupportedBC,
 )
+from trefftzdg.quadrature import error_nodes
+from trefftzdg.reference import Constant
 from trefftzdg.solver import SolutionField
+
+from conftest import random_meshes
 
 UNIT = MaterialLayout.constant()
 
@@ -91,12 +99,164 @@ class _ReadOnlyReference:
         return fields
 
 
-def test_relative_error_only_reads_the_reference():
-    # l2 squares in arrays it owns: a write into Er or Hr would raise here
+@st.composite
+def _profiled_fields(draw):
+    """A random field on a random mesh (hanging nodes, materials, mixed
+    degrees) whose slabs have one height, c ht = ratio hx for the smallest
+    element of the first slab, and a pec, free-space or Robin profile."""
+    domain, materials, _, parts = draw(random_meshes())
+    if draw(st.booleans()):
+        parts = [parts[0]] * len(parts)    # no hanging nodes: rows line up
+    eps, mu = materials.eps[0], materials.mu[0]
+    c = 1.0 / math.sqrt(eps * mu)
+    # s = round(ratio) = 0, 1, 2 and a ratio that is no integer
+    ratio = draw(st.sampled_from([0.3, 1.0, 2.0, 1.37]))
+    heights = [ratio * np.diff(parts[0]).min() / c] * len(parts)
+    mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum(heights)), materials,
+                      heights, parts)
+    family = draw(st.sampled_from(FAMILIES))
+    degrees = st.integers(0, 3)
+    if draw(st.booleans()):
+        spec = BasisSpec(family, draw(degrees))
+    else:
+        spec = BasisSpec(family, dict(enumerate(
+            draw(st.lists(degrees, min_size=mesh.n_elements, max_size=mesh.n_elements)))))
+    _, total = global_layout(mesh, spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sol = field_from_coefficients(mesh, spec, rng.standard_normal(total))
+    e0 = GaussianPulse(domain.x_l + 0.4 * domain.length, 0.05 * domain.length**2)
+    h0 = draw(st.sampled_from([e0, GaussianPulse(e0.center, e0.width, -0.5)]))
+    t_final = mesh.domain.t_final
+    profile = {
+        "pec": lambda: CharacteristicProfile.pec(domain, e0, h0, eps, mu),
+        "free": lambda: CharacteristicProfile.free_space(domain, e0, h0, eps, mu),
+        "robin": lambda: CharacteristicProfile.robin(
+            domain, e0, h0, g_l=lambda t: np.exp(-((t - 0.3 * t_final) / t_final) ** 2),
+            g_r=lambda t: 0.5 * np.sin(t / t_final), eps=eps, mu=mu),
+    }[draw(st.sampled_from(["pec", "free", "robin"]))]()
+    return sol, profile
+
+
+@settings(max_examples=60, deadline=None)
+@given(_profiled_fields())
+def test_relative_error_reads_a_profile_along_characteristics_bit_for_bit(case):
+    # l2 copies u0 and w0 from the previous slab wherever the characteristic
+    # coordinates repeat bit for bit, and evaluates only the rest; the
+    # evaluate-only wrapper reads every point. l2 squares in arrays it owns:
+    # a write into the wrapper's Er or Hr would raise
+    sol, profile = case
+    assert (l2_relative_error(sol, profile).hex()
+            == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
+
+
+class _CountedProfile:
+    """An elementwise profile that records the coordinates it is asked for
+    and returns them as read-only arrays."""
+
+    def __init__(self, f):
+        self.f, self.seen = f, []
+
+    def __call__(self, z):
+        self.seen.append(np.array(z, copy=True))
+        v = np.array(self.f(z), dtype=float)
+        v.flags.writeable = False
+        return v
+
+
+@pytest.mark.parametrize("shift", [1, 2, -1, -2])
+def test_transport_copies_only_bit_equal_coordinates(shift):
+    rows, s = 6, abs(shift)
+    x = np.nextafter(1.5, 2.0)
+    # each pair (previous coordinate, coordinate) differs in its bits;
+    # several compare equal, or unequal, as floats all the same
+    pairs = [(0.0, -0.0), (-0.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, -np.inf),
+             (-np.inf, np.inf), (x, np.nextafter(x, 2.0)), (x, np.nextafter(x, 1.0)),
+             (np.nan, -np.nan)]
+    z_prev = np.linspace(-3.0, 3.0, rows * len(pairs)).reshape(rows, len(pairs))
+    z = np.empty_like(z_prev)
+    new, old = (slice(s, None), slice(None, -s)) if shift > 0 else (slice(None, -s), slice(s, None))
+    z[new] = z_prev[old]
+    edge = np.ones(z.shape, dtype=bool)
+    edge[new] = False
+    z[edge] = 7.0 + np.arange(edge.sum())
+    differ = np.zeros(z.shape, dtype=bool)
+    row = s + 1 if shift > 0 else 1
+    for col, (before, after) in enumerate(pairs):
+        z_prev[row - shift, col], z[row, col] = before, after
+        differ[row, col] = True
+    # an identical NaN is reused like any other coordinate
+    z_prev[row + 1 - shift, 0] = z[row + 1, 0] = np.nan
+    # previous values are markers, so a reused point shows which one it took
+    marker = -1.0 - np.arange(z.size, dtype=float).reshape(z.shape)
+    marker.flags.writeable = False
+    f = _CountedProfile(lambda v: 1.0 / np.where(np.isnan(v), 2.0, v))
+    with np.errstate(divide="ignore"):
+        out = analysis._transport(f, z, np.empty(z.shape), (z_prev, marker), shift)
+        want_fresh = 1.0 / np.where(np.isnan(z), 2.0, z)
+    fresh = edge | differ
+    assert len(f.seen) == 1
+    assert f.seen[0].view(np.int64).tolist() == z[fresh].view(np.int64).tolist()
+    want = np.empty(z.shape)
+    want[new] = marker[old]
+    want[fresh] = want_fresh[fresh]
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f", [Constant(2.5), lambda z: 0.0,
+                               lambda z: np.broadcast_to(np.float64(3.0), np.shape(z))])
+def test_transport_fills_every_point_from_a_scalar_or_broadcast_profile(f):
+    z = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    first = analysis._transport(f, z, np.full(z.shape, np.nan), None, 1)
+    want = np.broadcast_to(f(z), z.shape)
+    assert np.array_equal(first, want)
+    # the next slab: rows 1..3 repeat rows 0..2, and a stale buffer is refilled
+    z_next = np.vstack([[5.0, 6.0, 7.0], z[:-1]])
+    z_next[2, 1] = -z_next[2, 1]
+    nxt = analysis._transport(f, z_next, np.full(z.shape, np.nan), (z, first), 1)
+    assert np.array_equal(nxt, want)
+
+
+@pytest.mark.parametrize("shift, shape", [(0, (4, 3)), (4, (4, 3)), (-5, (4, 3)),
+                                          (1, (3, 3)), (1, (4, 2))])
+def test_transport_evaluates_everything_when_rows_cannot_meet(shift, shape):
+    # s = 0, a shift of all rows or more, or a previous piece of another shape
+    z = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    z_prev = np.zeros(shape)
+    f = _CountedProfile(np.cos)
+    out = analysis._transport(f, z, np.empty(z.shape), (z_prev, np.zeros(shape)), shift)
+    assert len(f.seen) == 1 and f.seen[0].tobytes() == z.tobytes()
+    assert out.tobytes() == np.cos(z).tobytes()
+
+
+def test_relative_error_refuses_a_complex_profile():
+    # the float sums cannot take complex reference values, on either path
     sol, pulse = _pulse_march(n_x=4, n_t=3)
-    prof = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
-    assert (l2_relative_error(sol, _ReadOnlyReference(prof)).hex()
-            == l2_relative_error(sol, prof).hex())
+    profile = CharacteristicProfile(1.0, 1.0, lambda z: (1.0 + 0.5j) * pulse(z), pulse)
+    for reference in (profile, _ReadOnlyReference(profile)):
+        with pytest.raises(TypeError):
+            l2_relative_error(sol, reference)
+    with pytest.raises(TypeError):
+        analysis._transport(lambda z: 1j * z, np.ones((3, 2)), np.empty((3, 2)),
+                            (np.ones((3, 2)), np.ones((3, 2))), 1)
+
+
+def test_relative_error_reads_only_the_new_edge_of_a_uniform_mesh():
+    # c ht = hx: each slab after the first reads u0 at its one new left row
+    # and w0 at its one new right row, plus the coordinates whose bits moved
+    # (up to 37% of a slab's points on this mesh)
+    sol, pulse = _pulse_march(SpaceTimeDomain(0.0, 4.0, 4.0), n_x=8, n_t=8, p=2)
+    profile = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
+    u0, w0 = _CountedProfile(profile.u0), _CountedProfile(profile.w0)
+    counted = CharacteristicProfile(1.0, 1.0, u0, w0)
+    assert (l2_relative_error(sol, counted).hex()
+            == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
+    points = len(sol.mesh.elem_grid[0]) * error_nodes(2) ** 2
+    edge = points // 8
+    for f in (u0, w0):
+        sizes = [z.size for z in f.seen]
+        assert len(sizes) == 8 and sizes[0] == points
+        assert all(edge <= size <= points // 2 for size in sizes[1:])
+        assert sum(sizes[1:]) < 7 * points // 3
 
 
 def test_energy_accounting_against_closed_form():

@@ -369,3 +369,22 @@ def test_pec_fold_reaches_far_points_beside_nan_and_inf():
         with np.errstate(invalid="ignore"):     # the period of inf is NaN
             assert np.array_equal(prof.u0(z), e_ext(z) + h_ext(z), equal_nan=True)
             assert np.array_equal(prof.w0(z), e_ext(z) - h_ext(z), equal_nan=True)
+
+
+def test_evaluate_is_the_fields_of_the_profiles_at_the_characteristics():
+    prof = CharacteristicProfile.pec(DOMAIN, GAUSS, GaussianPulse(5.0, 2.0), eps=2.0, mu=0.5)
+    x = np.random.default_rng(4).uniform(-10.0, 70.0, (7, 9))
+    t = np.random.default_rng(5).uniform(0.0, 60.0, (7, 9))
+    c = prof.wave_speed
+    z_u, z_w = prof.characteristics(x, t)
+    assert z_u.tobytes() == (x - c * t).tobytes() and z_w.tobytes() == (x + c * t).tobytes()
+    out = (np.empty(x.shape), np.empty(x.shape))
+    written = prof.characteristics(x, t, out=out)
+    assert written[0] is out[0] and written[1] is out[1]
+    assert out[0].tobytes() == z_u.tobytes() and out[1].tobytes() == z_w.tobytes()
+    E, H = prof.evaluate(x, t)
+    Ef, Hf = prof.fields(prof.u0(z_u), prof.w0(z_w))
+    assert E.tobytes() == Ef.tobytes() and H.tobytes() == Hf.tobytes()
+    # scalars stay scalars
+    E, H = prof.evaluate(12.5, 3.0)
+    assert np.shape(E) == np.shape(H) == ()
