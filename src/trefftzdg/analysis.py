@@ -5,10 +5,11 @@ CharacteristicProfile reference is read along its characteristics: with
 c ht = s hx, a slab's coordinates x -+ ct are the previous slab's shifted
 by +-s rows, so u0 and w0 are copied from the previous slab wherever a
 coordinate repeats bit for bit and evaluated only on the rest (the new
-edge row, binade crossings, meshes whose rows do not line up). The
-error is therefore bit for bit the one of evaluating every point. Any
-other reference (ZeroField, an object with evaluate alone) is evaluated
-point by point.
+edge row, binade crossings, meshes whose rows do not line up). The rest
+of a block of slabs is gathered into one u0 and one w0 call, so the
+profile is evaluated once per block, not twice per slab. The error is
+bit for bit the one of evaluating every point. Any other reference
+(ZeroField, an object with evaluate alone) is evaluated point by point.
 
 The mesh-dependent DG norm collects the dissipative skeleton terms:
 half-weighted time jumps and initial/final traces, penalty-weighted
@@ -30,6 +31,7 @@ as assembly does, so a(v; v) and |||v|||^2 sum the same faces.
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -53,55 +55,118 @@ def _max_degree(sol):
     return int(sol.spec.degrees(range(sol.mesh.n_elements)).max())
 
 
-def _transport(f, z, out, previous, shift):
-    """f(z) into out, read off previous = (z', f(z')) shifted by shift rows.
+# The most fresh points of one profile that l2_relative_error gathers from a
+# block of slabs into one u0 (w0) call. It bounds what a block holds: a
+# call reads at most this many points plus one slab's.
+_BLOCK_POINTS = 16384
 
-    Row i of z meets row i - shift of z' (shift > 0 moves down the rows).
-    Where a coordinate's 64-bit pattern equals z''s there (so +0.0 and
-    -0.0 differ, and a NaN meets only its own bits), its value is copied;
-    f is evaluated only on the rest, which is all of z when there is no
-    previous piece, shift is 0 or the shapes differ. f must be elementwise;
-    what it returns is only read, a scalar fills all its points, and a
-    complex value raises TypeError, as the sums of the evaluate path do. out
-    must be C-contiguous, so that its flat view writes into it.
+
+def _rows(shift):
+    """Row slices (new, old): row i of new meets row i - shift of old."""
+    if shift > 0:
+        return slice(shift, None), slice(None, -shift)
+    return slice(None, shift), slice(-shift, None)
+
+
+def _fresh(z, previous, shift):
+    """Flat positions of z whose value previous, shifted by shift rows, lacks.
+
+    Row i of z meets row i - shift of previous (shift > 0 moves down the
+    rows). A position is fresh where its 64-bit pattern differs from the
+    one it meets (so +0.0 and -0.0 differ, and a NaN meets only its own
+    bits), and in the edge rows, which meet none. None stands for every
+    position: there is no previous piece, shift is 0 or the shapes differ.
     """
-    if previous is None or previous[0].shape != z.shape or not 0 < abs(shift) < len(z):
-        np.copyto(out, f(z), casting="same_kind")
-        return out
-    z_prev, v_prev = previous
-    new, old = slice(shift, None), slice(None, -shift)
-    if shift < 0:
-        new, old = slice(None, shift), slice(-shift, None)
-    # copy every shifted value, then overwrite the edge rows and the
-    # coordinates whose bits differ
-    out[new] = v_prev[old]
+    if previous is None or previous.shape != z.shape or not 0 < abs(shift) < len(z):
+        return None
+    new, old = _rows(shift)
     fresh = np.ones(z.shape, dtype=bool)
-    np.not_equal(z[new].view(np.int64), z_prev[old].view(np.int64), out=fresh[new])
-    at = np.flatnonzero(fresh)
-    values = np.asarray(f(z.reshape(-1)[at])).astype(out.dtype, casting="same_kind", copy=False)
+    np.not_equal(z[new].view(np.int64), previous[old].view(np.int64), out=fresh[new])
+    return np.flatnonzero(fresh)
+
+
+def _profile_values(f, z):
+    """f at the 1-D coordinates z, one float per point.
+
+    f must be elementwise; what it returns is only read. A scalar fills
+    every point, and a complex value raises TypeError, as the sums of the
+    evaluate path do.
+    """
+    values = np.asarray(f(z)).astype(float, casting="same_kind", copy=False)
+    return np.broadcast_to(values, z.shape)
+
+
+def _transported(values, at, previous, shift, shape):
+    """A piece's values: previous shifted by shift rows (as in _fresh), then
+    the fresh values at the flat positions at, or values alone if at is None."""
+    if at is None:
+        return values.reshape(shape)
+    out = np.empty(shape)
+    new, old = _rows(shift)
+    out[new] = previous[old]
     out.reshape(-1)[at] = values
     return out
 
 
-def _transported(profile, x, t, shift, history):
-    """u0 and w0 of a CharacteristicProfile at the characteristic coordinates
-    of x, t, each read off the previous piece of history by _transport
-    (x - ct shifted by +shift rows, x + ct by -shift).
+class _Table(NamedTuple):
+    """What the elements of one signature share in l2_relative_error."""
 
-    history holds the buffers (z_u, u, z_w, w) of one signature's last two
-    pieces: this piece writes into the older pair of the same shape and
-    becomes the newer, so the slab loop allocates no further buffers.
+    basis: object
+    fields: dict
+    dx: np.ndarray
+    dt: np.ndarray
+    W: np.ndarray
+    shift: int
+
+
+def _along_characteristics(profile, mesh, pieces, tables):
+    """The reference fields (Er, Hr) of each piece, in order.
+
+    Pass 1 computes a piece's coordinates z_u = x - ct and z_w = x + ct as
+    evaluate does and keeps only the fresh ones (_fresh) against the last
+    piece of its signature, z_u shifted by +s rows and z_w by -s. Once a
+    block of pieces holds _BLOCK_POINTS fresh points of either profile, or
+    the pieces run out, u0 and w0 are each called once on the block's
+    fresh coordinates. Pass 2 rebuilds each piece's values from its
+    signature's last ones and the fresh ones (_transported). The last
+    coordinates and values of each signature carry across blocks.
     """
-    previous = history[-1] if history else None
-    spare = history.pop(0) if len(history) == 2 else None
-    if spare is None or spare[0].shape != x.shape:
-        spare = tuple(np.empty(x.shape) for _ in range(4))
-    z_u, u, z_w, w = spare
-    profile.characteristics(x, t, out=(z_u, z_w))
-    _transport(profile.u0, z_u, u, previous and previous[:2], shift)
-    _transport(profile.w0, z_w, w, previous and previous[2:], -shift)
-    history.append(spare)
-    return u, w
+    last_x = [(None, None)] * len(tables)
+    last_z = [(None, None)] * len(tables)
+    last_v = [(None, None)] * len(tables)
+    block, sizes = [], (0, 0)
+    for i, (ids, k) in enumerate(pieces):
+        shift = tables[k].shift
+        # X repeats the last piece's wherever the element centres do bit for bit
+        xc = mesh.xc[ids]
+        key, X = xc.tobytes(), last_x[k][1]
+        if key != last_x[k][0]:
+            X = xc[:, None] + tables[k].dx[None, :]
+        last_x[k] = key, X
+        T = mesh.tc[ids][:, None] + tables[k].dt[None, :]
+        z = profile.characteristics(X, T, out=(np.empty(X.shape), T))
+        at = (_fresh(z[0], last_z[k][0], shift), _fresh(z[1], last_z[k][1], -shift))
+        last_z[k] = z
+        fresh = [zi.reshape(-1) if a is None else zi.reshape(-1)[a] for zi, a in zip(z, at)]
+        block.append((ids, k, at, fresh))
+        sizes = tuple(size + len(f) for size, f in zip(sizes, fresh))
+        if max(sizes) < _BLOCK_POINTS and i + 1 < len(pieces):
+            continue
+        # one u0 and one w0 call for the block, then its pieces in order
+        values = [_profile_values(f, np.concatenate([piece[3][j] for piece in block]))
+                  for j, f in enumerate((profile.u0, profile.w0))]
+        start = [0, 0]
+        for ids, k, at, fresh in block:
+            shift, shape = tables[k].shift, (len(ids), len(tables[k].dx))
+            v = []
+            for j, sign in enumerate((1, -1)):
+                stop = start[j] + len(fresh[j])
+                v.append(_transported(values[j][start[j]:stop], at[j], last_v[k][j],
+                                      sign * shift, shape))
+                start[j] = stop
+            last_v[k] = v
+            yield profile.fields(*v)
+        block, sizes = [], (0, 0)
 
 
 def l2_relative_error(sol, reference, quad_order=None):
@@ -110,34 +175,37 @@ def l2_relative_error(sol, reference, quad_order=None):
     sqrt of the integral of the squared field mismatch over the whole
     cylinder divided by the squared reference norm. A CharacteristicProfile
     is read along its characteristics, with s = round(c ht / hx) per
-    signature (_transported); any other reference is evaluated point by
-    point. Both give the same bits.
+    signature (_along_characteristics): u0 and w0 are evaluated once per
+    block of slabs, on the coordinates that the previous slab did not
+    already read. Any other reference is evaluated point by point. Both
+    give the same bits.
     """
     mesh, spec = sol.mesh, sol.spec
     n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
     profiled = isinstance(reference, CharacteristicProfile)
-    num = 0.0
-    den = 0.0
     # one basis table per signature, summed slab by slab in order of first
     # appearance: the order the sums are fixed in
-    pieces = []
+    tables, pieces = [], []
     for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
         dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
         shift = round(reference.wave_speed * basis.ht / basis.hx) if profiled else 0
-        table = (basis, basis.eval_local(dx, dt), dx, dt, W, shift, [])
         cuts = np.flatnonzero(np.diff(mesh.slab[ids])) + 1
-        pieces += [(slab_ids, table) for slab_ids in np.split(ids, cuts)]
-    for ids, (basis, fields, dx, dt, W, shift, history) in sorted(
-            pieces, key=lambda piece: piece[0][0]):
+        pieces += [(slab_ids, len(tables)) for slab_ids in np.split(ids, cuts)]
+        tables.append(_Table(basis, basis.eval_local(dx, dt), dx, dt, W, shift))
+    pieces.sort(key=lambda piece: piece[0][0])
+    if profiled:
+        references = _along_characteristics(reference, mesh, pieces, tables)
+    else:
+        references = (reference.evaluate(mesh.xc[ids][:, None] + tables[k].dx[None, :],
+                                         mesh.tc[ids][:, None] + tables[k].dt[None, :])
+                      for ids, k in pieces)
+    num = 0.0
+    den = 0.0
+    for (ids, k), (Er, Hr) in zip(pieces, references):
+        basis, fields, W = tables[k].basis, tables[k].fields, tables[k].W
         C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
         E = C @ fields["E"]
         H = C @ fields["H"]
-        X = mesh.xc[ids][:, None] + dx[None, :]
-        T = mesh.tc[ids][:, None] + dt[None, :]
-        if profiled:
-            Er, Hr = reference.fields(*_transported(reference, X, T, shift, history))
-        else:
-            Er, Hr = reference.evaluate(X, T)
         # W (dE^2 + dH^2), then W (Er^2 + Hr^2), in E and H, which this loop
         # owns; Er and Hr are only read. E - Er squares to (Er - E)^2's bits.
         E -= Er

@@ -127,7 +127,7 @@ class CharacteristicProfile:
     a point may depend on that point's coordinate alone, never on the other
     points of the array. l2_relative_error relies on it, since it evaluates
     them only on the coordinates that the previous slab did not already
-    read.
+    read, gathered over a block of slabs into one call.
     """
 
     def __init__(self, eps, mu, u0, w0):
@@ -236,9 +236,13 @@ class CharacteristicProfile:
 
     def characteristics(self, x, t, out=(None, None)):
         """The characteristic coordinates x - ct and x + ct of points x, t
-        (broadcastable arrays), written into out's arrays when given."""
+        (broadcastable arrays), written into out's arrays when given.
+
+        c t goes into out[1] first, then x - ct into out[0] and x + ct into
+        out[1]: out may alias t (out[1] = t needs no temporary) but not x.
+        """
         x = np.asarray(x, dtype=float)
-        ct = self.wave_speed * np.asarray(t, dtype=float)
+        ct = np.multiply(self.wave_speed, np.asarray(t, dtype=float), out=out[1])
         return np.subtract(x, ct, out=out[0]), np.add(x, ct, out=out[1])
 
     def fields(self, u, w):

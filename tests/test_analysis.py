@@ -48,7 +48,7 @@ from trefftzdg.errors import (
     NonpositiveError,
     UnsupportedBC,
 )
-from trefftzdg.quadrature import error_nodes
+from trefftzdg.quadrature import error_nodes, local_tensor_rule
 from trefftzdg.reference import Constant
 from trefftzdg.solver import SolutionField
 
@@ -149,6 +149,37 @@ def test_relative_error_reads_a_profile_along_characteristics_bit_for_bit(case):
             == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
 
 
+@pytest.mark.parametrize("cap", [1, 7, analysis._BLOCK_POINTS])
+@settings(max_examples=60, deadline=None)
+@given(case=_profiled_fields())
+def test_relative_error_is_the_same_for_any_block_of_slabs(cap, case):
+    # u0 and w0 are called once per block of slabs, whatever its size; each
+    # signature's last coordinates and values carry across the blocks
+    sol, profile = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK_POINTS", cap)
+        assert (l2_relative_error(sol, profile).hex()
+                == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
+
+
+@pytest.mark.parametrize("cap", [1, 100, 1000])
+def test_relative_error_calls_a_profile_on_at_most_a_block(monkeypatch, cap):
+    # c ht < hx / 2, so s = 0 and every point is fresh: a call reads its
+    # block, at most the cap plus one slab's points
+    sol, pulse = _pulse_march(SpaceTimeDomain(0.0, 4.0, 1.0), n_x=8, n_t=8, p=2)
+    profile = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
+    u0, w0 = _CountedProfile(profile.u0), _CountedProfile(profile.w0)
+    monkeypatch.setattr(analysis, "_BLOCK_POINTS", cap)
+    assert (l2_relative_error(sol, CharacteristicProfile(1.0, 1.0, u0, w0)).hex()
+            == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
+    points = len(sol.mesh.elem_grid[0]) * error_nodes(2) ** 2
+    for f in (u0, w0):
+        sizes = [z.size for z in f.seen]
+        assert sum(sizes) == sol.mesh.n_slabs * points
+        assert max(sizes) < cap + points
+        assert len(sizes) == -(-sol.mesh.n_slabs // -(-cap // points))
+
+
 class _CountedProfile:
     """An elementwise profile that records the coordinates it is asked for
     and returns them as read-only arrays."""
@@ -161,6 +192,16 @@ class _CountedProfile:
         v = np.array(self.f(z), dtype=float)
         v.flags.writeable = False
         return v
+
+
+def _read_along(f, z, previous, shift):
+    """One piece of l2's characteristic path on its own: the fresh positions of
+    z against previous = (z', f(z')) shifted by shift rows, f on them alone,
+    then the piece's values."""
+    at = analysis._fresh(z, previous and previous[0], shift)
+    fresh = z.reshape(-1) if at is None else z.reshape(-1)[at]
+    values = analysis._profile_values(f, fresh)
+    return at, analysis._transported(values, at, previous and previous[1], shift, z.shape)
 
 
 @pytest.mark.parametrize("shift", [1, 2, -1, -2])
@@ -191,9 +232,10 @@ def test_transport_copies_only_bit_equal_coordinates(shift):
     marker.flags.writeable = False
     f = _CountedProfile(lambda v: 1.0 / np.where(np.isnan(v), 2.0, v))
     with np.errstate(divide="ignore"):
-        out = analysis._transport(f, z, np.empty(z.shape), (z_prev, marker), shift)
+        at, out = _read_along(f, z, (z_prev, marker), shift)
         want_fresh = 1.0 / np.where(np.isnan(z), 2.0, z)
     fresh = edge | differ
+    assert at.tolist() == np.flatnonzero(fresh).tolist()
     assert len(f.seen) == 1
     assert f.seen[0].view(np.int64).tolist() == z[fresh].view(np.int64).tolist()
     want = np.empty(z.shape)
@@ -206,13 +248,14 @@ def test_transport_copies_only_bit_equal_coordinates(shift):
                                lambda z: np.broadcast_to(np.float64(3.0), np.shape(z))])
 def test_transport_fills_every_point_from_a_scalar_or_broadcast_profile(f):
     z = np.linspace(0.0, 1.0, 12).reshape(4, 3)
-    first = analysis._transport(f, z, np.full(z.shape, np.nan), None, 1)
+    at, first = _read_along(f, z, None, 1)
     want = np.broadcast_to(f(z), z.shape)
-    assert np.array_equal(first, want)
-    # the next slab: rows 1..3 repeat rows 0..2, and a stale buffer is refilled
+    assert at is None and np.array_equal(first, want)
+    # the next slab: rows 1..3 repeat rows 0..2, one coordinate flips its sign
     z_next = np.vstack([[5.0, 6.0, 7.0], z[:-1]])
     z_next[2, 1] = -z_next[2, 1]
-    nxt = analysis._transport(f, z_next, np.full(z.shape, np.nan), (z, first), 1)
+    at, nxt = _read_along(f, z_next, (z, first), 1)
+    assert at.tolist() == [0, 1, 2, 7]
     assert np.array_equal(nxt, want)
 
 
@@ -223,7 +266,8 @@ def test_transport_evaluates_everything_when_rows_cannot_meet(shift, shape):
     z = np.linspace(0.0, 1.0, 12).reshape(4, 3)
     z_prev = np.zeros(shape)
     f = _CountedProfile(np.cos)
-    out = analysis._transport(f, z, np.empty(z.shape), (z_prev, np.zeros(shape)), shift)
+    at, out = _read_along(f, z, (z_prev, np.zeros(shape)), shift)
+    assert at is None
     assert len(f.seen) == 1 and f.seen[0].tobytes() == z.tobytes()
     assert out.tobytes() == np.cos(z).tobytes()
 
@@ -236,14 +280,40 @@ def test_relative_error_refuses_a_complex_profile():
         with pytest.raises(TypeError):
             l2_relative_error(sol, reference)
     with pytest.raises(TypeError):
-        analysis._transport(lambda z: 1j * z, np.ones((3, 2)), np.empty((3, 2)),
-                            (np.ones((3, 2)), np.ones((3, 2))), 1)
+        _read_along(lambda z: 1j * z, np.ones((3, 2)), (np.ones((3, 2)), np.ones((3, 2))), 1)
+
+
+def _fresh_coordinates(mesh, profile, n, shift):
+    """Per slab of a uniform mesh, the coordinates x - ct and x + ct that the
+    slab below does not hold at the same bits shifted by +shift and -shift
+    rows: every point of the first slab, then the edge rows and the points
+    whose bits moved."""
+    dx, dt, _ = local_tensor_rule(n, mesh.hx[0], mesh.ht[0])
+    c = profile.wave_speed
+    fresh, previous = ([], []), None
+    for j in range(mesh.n_slabs):
+        ids = np.flatnonzero(mesh.slab == j)
+        X = mesh.xc[ids][:, None] + dx[None, :]
+        T = mesh.tc[ids][:, None] + dt[None, :]
+        z = (X - c * T, X + c * T)
+        for side, sign in enumerate((1, -1)):
+            keep = np.ones(X.shape, dtype=bool)
+            if previous is not None:
+                rows = len(ids)
+                for i in range(rows):
+                    if 0 <= i - sign * shift < rows:
+                        keep[i] = (z[side][i].view(np.int64)
+                                   != previous[side][i - sign * shift].view(np.int64))
+            fresh[side].append(z[side][keep])
+        previous = z
+    return fresh
 
 
 def test_relative_error_reads_only_the_new_edge_of_a_uniform_mesh():
     # c ht = hx: each slab after the first reads u0 at its one new left row
     # and w0 at its one new right row, plus the coordinates whose bits moved
-    # (up to 37% of a slab's points on this mesh)
+    # (up to 37% of a slab's points on this mesh). The profiles see exactly
+    # those coordinates, slab after slab, however the calls group them.
     sol, pulse = _pulse_march(SpaceTimeDomain(0.0, 4.0, 4.0), n_x=8, n_t=8, p=2)
     profile = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
     u0, w0 = _CountedProfile(profile.u0), _CountedProfile(profile.w0)
@@ -252,8 +322,9 @@ def test_relative_error_reads_only_the_new_edge_of_a_uniform_mesh():
             == l2_relative_error(sol, _ReadOnlyReference(profile)).hex())
     points = len(sol.mesh.elem_grid[0]) * error_nodes(2) ** 2
     edge = points // 8
-    for f in (u0, w0):
-        sizes = [z.size for z in f.seen]
+    for f, fresh in zip((u0, w0), _fresh_coordinates(sol.mesh, profile, error_nodes(2), 1)):
+        assert np.concatenate(f.seen).tobytes() == np.concatenate(fresh).tobytes()
+        sizes = [z.size for z in fresh]
         assert len(sizes) == 8 and sizes[0] == points
         assert all(edge <= size <= points // 2 for size in sizes[1:])
         assert sum(sizes[1:]) < 7 * points // 3

@@ -371,6 +371,24 @@ def test_pec_fold_reaches_far_points_beside_nan_and_inf():
             assert np.array_equal(prof.w0(z), e_ext(z) - h_ext(z), equal_nan=True)
 
 
+@pytest.mark.parametrize("t_shape", [(7, 9), (1, 9), (7, 1)])
+def test_characteristics_write_the_same_bytes_into_out(t_shape):
+    # c t goes into out[1] first, so either array of out may be t itself
+    prof = CharacteristicProfile.pec(DOMAIN, GAUSS, GAUSS, eps=2.0, mu=0.7)
+    x = np.random.default_rng(6).uniform(-10.0, 70.0, (7, 9))
+    t = np.random.default_rng(7).uniform(0.0, 60.0, t_shape)
+    z_u, z_w = prof.characteristics(x, t)
+    for alias in (None, 0, 1):
+        out = [np.empty(x.shape), np.empty(x.shape)]
+        t_in = t
+        if alias is not None:
+            out[alias][...] = t
+            t_in = out[alias]
+        written = prof.characteristics(x, t_in, out=tuple(out))
+        assert written[0] is out[0] and written[1] is out[1]
+        assert out[0].tobytes() == z_u.tobytes() and out[1].tobytes() == z_w.tobytes()
+
+
 def test_evaluate_is_the_fields_of_the_profiles_at_the_characteristics():
     prof = CharacteristicProfile.pec(DOMAIN, GAUSS, GaussianPulse(5.0, 2.0), eps=2.0, mu=0.5)
     x = np.random.default_rng(4).uniform(-10.0, 70.0, (7, 9))
