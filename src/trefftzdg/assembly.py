@@ -15,9 +15,11 @@ only on the mesh, the basis, the flux and the kind of wall, and
 assemble_slab is its one assembly; the data (initial fields, wall data,
 source) enter only through b_j, and load_plan is its one assembly. A
 plan evaluates its wall and source tables once and serves every slab
-laid out as its own. assemble_global stacks the slab operators and
-loads, and the slab march is forward substitution on that stacked
-system.
+laid out as its own. A is dense; R_j is kept as its interface blocks
+(Coupling), whose product R_j f_{j-1} the march takes block by block,
+and is materialised only through np.asarray(R_j). assemble_global stacks
+the slab operators and loads, and the slab march is forward substitution
+on that stacked system.
 
 Both read the mesh's face tables with the Gauss points of
 quadrature.map_to_segment, the walls through mesh.FACE_SIDES as the DG
@@ -148,12 +150,53 @@ class InitialData:
         return cls(ZERO, ZERO)
 
 
+class Coupling:
+    """The coupling R_j of a slab to its predecessor, kept as its interface blocks.
+
+    Slab j sees slab j - 1 only through the upwind traces on their common
+    interface, so R_j is one block per interface piece: the energy-pairing
+    mass of the element above against the element below. parts holds one
+    (rows, cols, blocks) triple per signature pair, rows and cols the first
+    dofs of those elements in their slabs. R @ x multiplies block by block
+    with one stacked matmul per part. On identical partitions each row has
+    one block, so its product is the dense row's gemv without its exact
+    zero products. With OpenBLAS that repeats the dense R @ x bit for bit
+    on the benchmark's spaces (trefftz p = 3, full p = 2 up to n = 720);
+    where the dense kernel groups a row's sum differently (other block
+    widths, wider slabs) the two differ by rounding only. On hanging
+    interfaces a row sums one block per element below it, in part order.
+    np.asarray(R) places the blocks into an (n, n_prev) array, for the
+    readers that need R dense (update_matrix, assemble_global).
+    """
+
+    def __init__(self, shape, parts):
+        self.shape = shape
+        self.parts = parts
+
+    def __matmul__(self, x):
+        y = np.zeros(self.shape[0])
+        for rows, cols, blocks in self.parts:
+            _, nr, nc = blocks.shape
+            np.add.at(y, rows[:, None] + np.arange(nr),
+                      np.matmul(blocks, x[cols[:, None] + np.arange(nc)][:, :, None])[:, :, 0])
+        return y
+
+    def __array__(self, dtype=None, copy=None):
+        R = np.zeros(self.shape, dtype=dtype)
+        for part in self.parts:
+            _add_blocks(R, *part)
+        return R
+
+
 @dataclass
 class SlabSystem:
-    """Operator of one slab of the block-triangular space-time system."""
+    """Operator of one slab of the block-triangular space-time system.
+
+    A is dense; R is a Coupling, dense only through np.asarray(R).
+    """
 
     A: np.ndarray
-    R: np.ndarray          # empty (n, 0) for the first slab
+    R: Coupling            # (n, 0) for the first slab
     n_dofs: int
     n_prev: int
 
@@ -345,18 +388,18 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
 def assemble_slab(mesh, slab, spec, flux, bc):
     """Assemble the operator A, R of one time slab.
 
-    For slab > 0 the coupling matrix R is built against the previous
-    slab's basis traces on the interface; the previous coefficients
-    multiply R at solve time. The operator depends only on the mesh, the
-    basis, the flux and the kind of wall; the data enter through
-    load_plan's b. A is allocated in Fortran order, so the march can
-    factor it in place.
+    For slab > 0 the coupling R is built against the previous slab's
+    basis traces on the interface, one block per interface piece
+    (Coupling); the previous coefficients multiply R at solve time. The
+    operator depends only on the mesh, the basis, the flux and the kind
+    of wall; the data enter through load_plan's b. A is allocated in
+    Fortran order, so the march can factor it in place.
     """
     ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
     n_face = face_nodes(p_max)
     n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
     A = np.zeros((n, n), order="F")
-    R = np.zeros((n, n_prev))
+    coupling = []
 
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab
@@ -379,8 +422,8 @@ def assemble_slab(mesh, slab, spec, flux, bc):
                 f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
                 blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
                                     wq[g][:, None], basis_a.eps, basis_a.mu)
-                _add_blocks(R, offsets[above[g] - ids.start],
-                            prev_offsets[below[g] - prev_ids.start], blocks)
+                coupling.append((offsets[above[g] - ids.start],
+                                 prev_offsets[below[g] - prev_ids.start], blocks))
 
     # vertical internal faces: centred flux with jump penalties; the side
     # traces depend on the signature alone
@@ -416,7 +459,7 @@ def assemble_slab(mesh, slab, spec, flux, bc):
             _add_blocks(A, offsets[g], offsets[g],
                         np.broadcast_to(_volume_block(basis, n_face), (len(g), basis.n, basis.n)))
 
-    return SlabSystem(A=A, R=R, n_dofs=n, n_prev=n_prev)
+    return SlabSystem(A=A, R=Coupling((n, n_prev), coupling), n_dofs=n, n_prev=n_prev)
 
 
 @dataclass
@@ -448,7 +491,7 @@ def assemble_global(mesh, spec, flux, bc, initial_data=None, source=None):
         system = assemble_slab(mesh, j, spec, flux, bc)
         hi = lo + system.n_dofs
         G[lo:hi, lo:hi] = system.A
-        G[lo:hi, prev:lo] = -system.R
+        G[lo:hi, prev:lo] = -np.asarray(system.R)
         load[lo:hi] = load_plan(mesh, j, spec, flux, bc, initial_data, source)(j)
         prev, lo = lo, hi
     return GlobalSystem(matrix=G, load=load, n_dofs=n)

@@ -14,7 +14,8 @@ construction: the assembly works in element-local offsets, and every
 element's ht is its slab's height as given (Mesh.ht), not a difference
 of slab times that rounds differently from slab to slab. So one slab's
 A, factored in place, and its R serve every slab, one load plan gives
-every b_j, and the march holds two n x n arrays.
+every b_j, and the march holds one n x n array, the LU: R stays its
+interface blocks (assembly.Coupling), and R_j c_{j-1} is their product.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups,
@@ -147,9 +148,10 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
     On identical slabs with a uniform degree the operator is the same bit
     for bit on every slab (A_0 = A_j, R_1 = R_j), so slab 1's operator and
     load plan (slab 0's on a one-slab mesh) are built once: its A, factored
-    in place, and its R serve every slab, and at most two n x n arrays are
-    held. Otherwise each slab assembles and factors its own operator and
-    builds its own plan, after slab j - 1's LU and R are freed.
+    in place, and its R serve every slab. R is kept as its interface
+    blocks, so one n x n array, the LU, is held. Otherwise each slab
+    assembles and factors its own operator and builds its own plan, after
+    slab j - 1's LU and R are freed.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
@@ -183,7 +185,7 @@ def update_matrix(mesh, spec, flux, bc):
             "update operator is defined for data-free boundary conditions"
         )
     system = assemble_slab(mesh, 1, spec, flux, bc)
-    return _solve(_factor(system.A), system.R)
+    return _solve(_factor(system.A), np.asarray(system.R))
 
 
 @dataclass

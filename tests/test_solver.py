@@ -146,12 +146,12 @@ def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, 
 
 @pytest.mark.parametrize("per_element", [False, True], ids=["reused", "per-slab"])
 def test_march_factors_in_place_and_frees_each_slab(per_element):
-    # slabs of n dofs. Each slab's LU overwrites its A, and slab j - 1's LU
-    # and R are freed before slab j assembles, so at most 2 n x n arrays live
-    # at once with per-element degrees. On identical slabs slab 1's A,
-    # factored in place, serves every slab with its R: 2 n x n arrays too (3
-    # if A_1 were held beside the LU). The march peaks near 2.08 of them; an
-    # n x n temporary, even a boolean one, shows above 2.1.
+    # slabs of n dofs. Each slab's LU overwrites its A, R stays its interface
+    # blocks, and slab j - 1's LU is freed before slab j assembles, so one
+    # n x n array, the in-place LU, lives at once, on identical slabs (slab
+    # 1's A, factored once, serves every slab) as with per-element degrees.
+    # The march peaks near 1.09 of them; a dense R or any other n x n
+    # temporary, even a boolean one (1/8), shows above 1.15.
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 2.0), UNIT, 120, 4)
     spec = BasisSpec(TREFFTZ, {i: 3 for i in range(mesh.n_elements)} if per_element else 3)
     n = 120 * spec.dim_for(0)
@@ -163,7 +163,7 @@ def test_march_factors_in_place_and_frees_each_slab(per_element):
     finally:
         tracemalloc.stop()
     assert sol.coefficients[0].size == n
-    assert peak <= 2.1 * 8 * n * n
+    assert peak <= 1.15 * 8 * n * n
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -354,3 +354,53 @@ def test_solve_is_lu_solve_bit_for_bit():
     for b in (rng.standard_normal(9), rng.standard_normal((9, 5))):
         x = solver._solve(factor, b)
         assert x.tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+
+
+@pytest.mark.parametrize("family, degree, n_x, per_element", [
+    pytest.param(TREFFTZ, 3, 240, False, id="trefftz-3"),
+    pytest.param(FULL, 2, 60, False, id="full-2"),
+    pytest.param(TREFFTZ, 3, 240, True, id="per-element-3"),
+])
+def test_coupling_product_is_the_dense_product_bit_for_bit(family, degree, n_x, per_element):
+    # on identical partitions each row of R holds one interface block, so the
+    # block product is the dense row's gemv without its exact zero products:
+    # the same bytes for the benchmark's spaces and slab widths
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 60.0, 0.5), UNIT, n_x, 2)
+    spec = BasisSpec(family, {i: degree for i in range(mesh.n_elements)}
+                     if per_element else degree)
+    R = assemble_slab(mesh, 1, spec, FluxParams(), BoundaryCondition.pec()).R
+    dense = np.asarray(R)
+    n = n_x * spec.dim_for(0)
+    assert R.shape == dense.shape == (n, n)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        assert (R @ x).tobytes() == (dense @ x).tobytes()
+
+
+def _coarsening_mesh():
+    # each upper element lies on two lower ones of its own signature, so one
+    # part of R targets its rows twice
+    return build_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, [0.5, 0.5],
+                      [np.array([0.0, 0.5, 1.0, 1.5, 2.0]), np.array([0.0, 1.0, 2.0])])
+
+
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
+@pytest.mark.parametrize("mixed", [False, True], ids=["p2", "mixed"])
+@pytest.mark.parametrize("build", [_hanging_two_material_mesh, _coarsening_mesh],
+                         ids=["two-material", "coarsening"])
+def test_coupling_product_on_hanging_nodes_is_the_dense_product_to_rounding(
+        build, family, mixed):
+    # a row of R on a hanging interface holds one block per element below
+    # it; the parts add those blocks' products in their own order
+    mesh = build()
+    spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)} if mixed else 2)
+    rng = np.random.default_rng(6)
+    for slab in range(1, mesh.n_slabs):
+        R = assemble_slab(mesh, slab, spec, FluxParams(), BoundaryCondition.pec()).R
+        dense = np.asarray(R)
+        assert dense.shape == R.shape
+        for _ in range(3):
+            x = rng.standard_normal(R.shape[1])
+            y = dense @ x
+            assert np.abs(R @ x - y).max() <= 1e-15 * np.abs(y).max()
