@@ -169,7 +169,7 @@ def _along_characteristics(profile, mesh, pieces, tables):
         block, sizes = [], (0, 0)
 
 
-def l2_relative_error(sol, reference, quad_order=None):
+def l2_relative_error(sol, reference):
     """Relative space-time L2 error of (E, H) against a reference field.
 
     sqrt of the integral of the squared field mismatch over the whole
@@ -181,7 +181,7 @@ def l2_relative_error(sol, reference, quad_order=None):
     give the same bits.
     """
     mesh, spec = sol.mesh, sol.spec
-    n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
+    n = error_nodes(_max_degree(sol))
     profiled = isinstance(reference, CharacteristicProfile)
     # one basis table per signature, summed slab by slab in order of first
     # appearance: the order the sums are fixed in
@@ -341,7 +341,7 @@ def _flux_of(sol, flux=None):
     return flux
 
 
-def dg_error(sol, reference, flux=None, quad_order=None):
+def dg_error(sol, reference, flux=None):
     """Mesh-dependent DG norm of the error field against a reference.
 
     The reference may be a closed-form profile or another piecewise
@@ -350,7 +350,7 @@ def dg_error(sol, reference, flux=None, quad_order=None):
     E for conducting/Dirichlet walls, the impedance-weighted pair for
     Robin walls.
     """
-    n = quad_order if quad_order is not None else error_nodes(_max_degree(sol))
+    n = error_nodes(_max_degree(sol))
     return math.sqrt(_Skeleton(sol, _flux_of(sol, flux)).squared_jumps(FACE_SIDES, n, reference))
 
 

@@ -43,9 +43,8 @@ from .basis import FULL, TREFFTZ, element_basis, signature_groups, space_dim
 from .errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
 from .mesh import FACE_SIDES, FaceKind
 from .quadrature import data_nodes, face_nodes, local_tensor_rule, map_to_segment
-from .reference import PEC, ROBIN, Constant, ZERO
+from .reference import DIRICHLET, PEC, ROBIN, Constant, ZERO
 
-DIRICHLET = "dirichlet"
 BC_KINDS = (PEC, DIRICHLET, ROBIN)
 
 
@@ -214,15 +213,10 @@ def global_layout(mesh, spec):
 
 def _edge_stack(mesh, basis, ids, xq, sign):
     """E and H of the elements ids, which share basis, at the points xq (one row
-    per element) of their upper (sign +1) or lower (sign -1) edges.
-
-    One eval_local call; each field comes back as a C-contiguous (k, n, m)
-    stack whose slice r equals the field evaluated at row r alone.
-    """
+    per element) of their upper (sign +1) or lower (sign -1) edges, as
+    ElementBasis.stacked's (k, n, m) stacks."""
     dx = xq - mesh.xc[ids][:, None]
-    f = basis.eval_local(dx.ravel(), np.full(dx.size, sign * 0.5 * basis.ht))
-    return {name: np.ascontiguousarray(f[name].reshape(basis.n, *dx.shape).transpose(1, 0, 2))
-            for name in ("E", "H")}
+    return basis.stacked(dx, np.full(dx.shape, sign * 0.5 * basis.ht))
 
 
 def _add_blocks(M, rows, cols, blocks):

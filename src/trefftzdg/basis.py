@@ -11,7 +11,8 @@ Two families:
   separately in the E slot and the H slot. Dimension (p + 1)(p + 2).
 
 Basis functions evaluate at offsets from the element centre. eval_local
-gives the two fields (v_E, v_H) from the Legendre values alone;
+gives the two fields (v_E, v_H) from the Legendre values alone, and
+stacked the same per row of offsets, as one (k, n, m) stack per field;
 eval_derivatives gives the four first derivatives
 (dx v_E, dt v_E, dx v_H, dt v_H), which only the full family's volume
 terms and pde_residual read. A basis is set by the family, the degree p
@@ -166,6 +167,13 @@ class ElementBasis:
             S[i] = Vx[jx] * Vt[jt]
         Z = np.zeros_like(S)
         return {"E": np.concatenate([S, Z]), "H": np.concatenate([Z, S])}
+
+    def stacked(self, dx, dt):
+        """E and H at per-row offsets dx, dt of shape (k, m) from one eval_local
+        call, as C-contiguous (k, n, m) stacks: a stacked product rounds on
+        slice r as on row r's own table (a strided view may not)."""
+        f = self.eval_local(dx, dt)
+        return {name: np.ascontiguousarray(f[name].transpose(1, 0, 2)) for name in ("E", "H")}
 
     def eval_derivatives(self, dx, dt):
         """dx v_E, dt v_E, dx v_H and dt v_H ("Ex", "Et", "Hx", "Ht") at offsets

@@ -211,17 +211,18 @@ def _attach_rate(reports, xs, mode):
     reports[-1].rate = fit.rate
 
 
+#: the coordinate a sweep's rate and plot read from its reports: the mesh's
+#: own spacing, which rounds h to a whole number of cells, or the degree
+_SWEPT = {"sweep_h": ("h", lambda r: r.h_x), "sweep_p": ("p", lambda r: float(r.p))}
+
+
 def _experiment_rows(cfg, name):
-    points = [args for args, _ in experiment_points(cfg)]
-    reports = []
-    for args in points:
-        sol, _ = _solve_once(cfg, **args)
-        reports.append(_report(cfg, sol, name))
-    kind = cfg.text("experiment.kind")
-    if kind == "sweep_h":
-        _attach_rate(reports, [args["h"] for args in points], mode="h")
-    elif kind == "sweep_p":
-        _attach_rate(reports, [float(args["degree"]) for args in points], mode="p")
+    reports = [_report(cfg, _solve_once(cfg, **args)[0], name)
+               for args, _ in experiment_points(cfg)]
+    swept = _SWEPT.get(cfg.text("experiment.kind"))
+    if swept:
+        mode, coordinate = swept
+        _attach_rate(reports, [coordinate(r) for r in reports], mode=mode)
     return reports
 
 
@@ -232,19 +233,14 @@ def _run_tabular(cfg, outdir, name):
     print(f"wrote {csv_path} ({len(reports)} rows)")
 
     svg_name = cfg.text("output.svg")
-    kind = cfg.text("experiment.kind")
-    if svg_name and kind in ("sweep_h", "sweep_p") and len(reports) > 1:
-        if kind == "sweep_h":
-            xs = [r.h_x for r in reports]
-            x_label = "h"
-        else:
-            xs = [float(r.p) for r in reports]
-            x_label = "p"
+    swept = _SWEPT.get(cfg.text("experiment.kind"))
+    if svg_name and swept and len(reports) > 1:
+        x_label, coordinate = swept
         ys = [r.eps_q for r in reports]
         if all(math.isfinite(y) and y > 0 for y in ys):
             path = os.path.join(outdir, svg_name)
-            write_svg(path, [(name, xs, ys)], x_label, "relative L2 error",
-                      log_y=True)
+            write_svg(path, [(name, [coordinate(r) for r in reports], ys)], x_label,
+                      "relative L2 error", log_y=True)
             print(f"wrote {path}")
 
 

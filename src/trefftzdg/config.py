@@ -396,7 +396,7 @@ def build_profile(cfg):
 
     Available when the materials are constant; the boundary data in the
     config is always homogeneous, so pec/dirichlet walls get the
-    conducting-wall reference and robin walls the zero-extended one.
+    conducting-wall reference and robin walls the one with zero wall data.
     """
     materials = build_materials(cfg)
     if not materials.is_constant:

@@ -17,10 +17,8 @@ from .errors import DegenerateSegment, ZeroPoints
 
 
 def _legendre_and_deriv(n, x):
-    """Values and derivatives of P_n at points x via the recurrence."""
+    """Values and derivatives of P_n (n >= 1) at points x via the recurrence."""
     p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     p = x.copy()
     for j in range(1, n):
         p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p

@@ -99,21 +99,19 @@ class SolutionField:
     def traces(self, ids, dx, dt):
         """(E, H) at offsets dx, dt from the centres of the elements ids, one row per id.
 
-        One eval_local call per element signature on the stacked rows, in
-        chunks of about _CHUNK values per field, then one gemv per row: the
-        BLAS call of c @ F for that element alone, on a contiguous copy of
-        the table (a strided view can round differently: for one point per
-        row the product becomes a dot with a strided operand).
+        One ElementBasis.stacked call per element signature on the stacked
+        rows, in chunks of about _CHUNK values per field, then one gemv per
+        row: the BLAS call of c @ F for that element alone, since each row's
+        table in the stack is contiguous.
         """
         E, H = np.empty(dx.shape), np.empty(dx.shape)
         for basis, group in signature_groups(self.mesh, self.spec, ids):
             size = max(1, _CHUNK // (basis.n * dx.shape[1]))
             for rows in (group[i:i + size] for i in range(0, len(group), size)):
-                f = basis.eval_local(dx[rows].ravel(), dt[rows].ravel())
+                f = basis.stacked(dx[rows], dt[rows])
                 C = self.flat[self.starts[ids[rows]][:, None] + np.arange(basis.n)][:, None, :]
                 for out, name in ((E, "E"), (H, "H")):
-                    F = f[name].reshape(basis.n, len(rows), -1).transpose(1, 0, 2)
-                    out[rows] = np.matmul(C, np.ascontiguousarray(F))[:, 0, :]
+                    out[rows] = np.matmul(C, f[name])[:, 0, :]
         return E, H
 
     def evaluate(self, x, t, t_side=None, x_side=None):

@@ -423,23 +423,28 @@ def test_error_norm_routes_agree():
     mesh, spec, flux, bc = sol.mesh, sol.spec, sol.flux, sol.bc
     prof = CharacteristicProfile.pec(mesh.domain, pulse, pulse)
     proj = project_to_space(mesh, spec, prof)
-    via_traces = dg_error(sol, proj, quad_order=10)
+    via_traces = dg_error(sol, proj)
     e = global_coefficients(proj) - global_coefficients(sol)
     via_form = apply_bilinear_global(mesh, spec, flux, bc, e, e)
     assert via_form == pytest.approx(via_traces**2, rel=1e-8)
 
 
 def test_norms_survive_embedding():
-    sol, pulse = _pulse_march(p=1)
-    prof = CharacteristicProfile.pec(sol.mesh.domain, pulse, pulse)
+    sol, _ = _pulse_march(p=1)
     lifted = embed_solution(sol, 3)
     assert lifted.spec.degree == 3
     assert dg_norm(lifted) == pytest.approx(dg_norm(sol), rel=1e-12)
-    # same quadrature resolution: the default order tracks the degree
-    assert l2_relative_error(lifted, prof, quad_order=10) == pytest.approx(
-        l2_relative_error(sol, prof, quad_order=10), rel=1e-12)
+    # the default rule tracks the degree, but both rules integrate the error
+    # against a quadratic profile exactly
+    z = lambda s: np.asarray(s, dtype=float)
+    prof = CharacteristicProfile(1.0, 1.0, u0=lambda s: z(s) ** 2, w0=lambda s: 0.5 * z(s))
+    assert l2_relative_error(lifted, prof) == pytest.approx(
+        l2_relative_error(sol, prof), rel=1e-12)
     x, t = np.array([0.3, 1.7]), np.array([0.9, 0.4])
     assert np.allclose(lifted.evaluate(x, t), sol.evaluate(x, t), atol=1e-14)
+    per_element = BasisSpec(TREFFTZ, {i: 1 for i in range(sol.mesh.n_elements)})
+    with pytest.raises(MismatchedDomain, match="uniform degrees"):
+        embed_solution(field_from_coefficients(sol.mesh, per_element, sol.flat), 3)
 
 
 def test_projection_of_in_space_field_is_exact():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trefftzdg
-from trefftzdg import CSV_HEADER, cli
+from trefftzdg import CSV_HEADER, cli, fit_rates
 from trefftzdg.errors import SingularSlabMatrix
 
 SMALL = """
@@ -109,6 +109,22 @@ def test_h_sweep_ignores_the_spacings_it_replaces(tmp_path, capsys):
     assert "mesh.h_x" in capsys.readouterr().err
 
 
+def test_h_sweep_rate_and_plot_read_the_mesh_spacing(tmp_path):
+    # 0.3 does not divide the domain: the mesh rounds it to 13 cells of 4/13,
+    # the spacing results.csv reports, and the rate and the plot read it too
+    cfg = _write_cfg(tmp_path, SMALL + "output.svg = errors.svg\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep-h", cfg, "--set", "experiment.h_values=1,0.5,0.3",
+                     "--out", str(out)]) == 0
+    rows = _read_csv(out / "results.csv")[1:]
+    hs, errs = [float(r[1]) for r in rows], [float(r[7]) for r in rows]
+    assert hs == [1.0, 0.5, 4 / 13]
+    assert float(rows[-1][CSV_HEADER.index("rate")]) == fit_rates(hs, errs, mode="h").rate
+    cli.write_svg(tmp_path / "want.svg", [("sweep_h", hs, errs)], "h", "relative L2 error",
+                  log_y=True)
+    assert (out / "errors.svg").read_text() == (tmp_path / "want.svg").read_text()
+
+
 def test_p_sweep_and_svg(tmp_path):
     cfg = _write_cfg(tmp_path, SMALL + "output.svg = errors.svg\n")
     out = tmp_path / "out"
@@ -149,7 +165,7 @@ def test_spectrum_outputs(tmp_path, capsys):
 
 
 def test_energy_outputs(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path)
+    cfg = _write_cfg(tmp_path, SMALL + "output.svg = energy.svg\n")
     out = tmp_path / "out"
     assert cli.main(["energy", cfg, "--out", str(out)]) == 0
     rows = _read_csv(out / "energy.csv")
@@ -160,6 +176,8 @@ def test_energy_outputs(tmp_path, capsys):
     budget = dict((term, float(v)) for term, v in _read_csv(out / "budget.csv")[1:])
     assert budget["residual"] <= 1e-10
     assert "identity residual" in capsys.readouterr().out
+    svg = (out / "energy.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("polyline") == 1
 
 
 def test_config_problems_exit_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from trefftzdg.errors import NegativeExtent, NonconstantMaterial
+from trefftzdg.errors import MismatchedDomain, NegativeExtent, NonconstantMaterial
 from trefftzdg.mesh import MaterialLayout, SpaceTimeDomain, build_mesh
 from trefftzdg.reference import (
     CharacteristicProfile,
@@ -133,6 +133,28 @@ def test_constant_material_required_for_closed_form():
     )
     E, H = prof.evaluate(np.array([10.0]), np.array([0.0]))
     assert E[0] == pytest.approx(1.0)
+
+
+G_R = GaussianPulse(1.0, 3.0, -0.5)
+
+
+@pytest.mark.parametrize("kind, constructor", [
+    ("pec", "pec"), ("dirichlet", "pec"), ("robin", "robin"), ("free", "free_space"),
+])
+def test_for_problem_builds_its_kinds_reference_bit_for_bit(kind, constructor):
+    data = (GAUSS, GaussianPulse(4.0, 3.0, -0.6))
+    prof = CharacteristicProfile.for_problem(DOMAIN, MaterialLayout.constant(2.0, 0.5), *data,
+                                             kind, g_l=G_L, g_r=G_R)
+    walls = {"g_l": G_L, "g_r": G_R} if kind == "robin" else {}
+    want = getattr(CharacteristicProfile, constructor)(DOMAIN, *data, eps=2.0, mu=0.5, **walls)
+    z = np.append(np.linspace(-80.0, 140.0, 441), [DOMAIN.x_l, DOMAIN.x_r])
+    assert np.array_equal(prof.u0(z), want.u0(z)) and np.array_equal(prof.w0(z), want.w0(z))
+
+
+def test_for_problem_rejects_an_unknown_kind():
+    with pytest.raises(MismatchedDomain, match="robn"):
+        CharacteristicProfile.for_problem(DOMAIN, MaterialLayout.constant(), GAUSS, GAUSS,
+                                          "robn")
 
 
 def _element(x0, x1, t0, t1):

@@ -111,6 +111,10 @@ def test_slab_march_matches_monolithic_solve(family, case):
     stacked = global_coefficients(sol)
     scale = np.abs(direct).max()
     assert np.abs(stacked - direct).max() <= 1e-9 * scale
+    # without initial data, the first slab sees zero fields
+    bare = assemble_global(mesh, spec, flux, bc, source=source)
+    zero = assemble_global(mesh, spec, flux, bc, initial_data=InitialData.zero(), source=source)
+    assert np.array_equal(bare.matrix, system.matrix) and np.array_equal(bare.load, zero.load)
 
 
 @pytest.mark.parametrize("bc", [
