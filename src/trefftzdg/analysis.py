@@ -291,8 +291,7 @@ class _Skeleton:
         if horizontal:
             weights = eps, mu
         elif wall and self.sol.bc is not None and self.sol.bc.kind == ROBIN:
-            zi = np.sqrt(mu / eps)
-            weights = (1.0 - flux.delta) / zi, flux.delta * zi
+            weights = flux.robin_weights(eps, mu)
         else:
             alpha, beta = flux.penalties(mesh, table.elements)
             weights = alpha, (np.zeros(len(table.pos)) if wall else beta)

@@ -11,17 +11,20 @@ Two families:
   separately in the E slot and the H slot. Dimension (p + 1)(p + 2).
 
 Basis functions evaluate at offsets from the element centre. eval_local
-gives the two fields (v_E, v_H) from the Legendre values alone, and
-stacked the same per row of offsets, as one (k, n, m) stack per field;
-eval_derivatives gives the four first derivatives
-(dx v_E, dt v_E, dx v_H, dt v_H), which only the full family's volume
-terms and pde_residual read. A basis is set by the family, the degree p
-and the element's signature: width hx, height ht and materials eps, mu.
+gives the two fields (v_E, v_H) from the Legendre values alone, each
+written once into one C-contiguous (k, n, m) table for k rows of m
+offsets and returned as an (n, k, m) view; stacked hands on those
+tables themselves, one per field. eval_derivatives gives the four
+first derivatives (dx v_E, dt v_E, dx v_H, dt v_H), which only the full
+family's volume terms and pde_residual read. A basis is set by the
+family, the degree p and the element's signature: width hx, height ht
+and materials eps, mu.
 element_basis builds element i's basis from the mesh arrays;
 signature_groups builds one basis per group of elements that share a
 signature, reading the mesh's per-element classes (Mesh.signature).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +60,11 @@ def legendre_values(p, xi):
     if p >= 1:
         V[1] = xi
     for j in range(1, p):
-        V[j + 1] = ((2 * j + 1) * xi * V[j] - j * V[j - 1]) / (j + 1)
+        # ((2j + 1) xi V_j - j V_{j-1}) / (j + 1), in place, V_{j+1} as scratch
+        t = np.multiply(2 * j + 1, xi)
+        t *= V[j]
+        t -= np.multiply(j, V[j - 1], out=V[j + 1])
+        np.divide(t, j + 1, out=V[j + 1])
     return V
 
 
@@ -146,34 +153,57 @@ class ElementBasis:
         self.hx, self.ht, self.eps, self.mu = hx, ht, eps, mu
 
     def eval_local(self, dx, dt):
-        """E and H of every basis function at offsets from the element centre.
+        """E and H of every basis function at offsets from the element centre,
+        each of shape (n,) + dx.shape.
 
-        Integrals computed from offsets derived purely from (hx, ht) are
-        translation invariant, which lets the solver reuse slab matrices
-        bit-for-bit.
+        Each field is written once into a C-contiguous (rows, n, points)
+        table, rows running over dx's leading axes and points over its last,
+        and returned as a view of it in the shape above: the trefftz family
+        as one transposed copy of its two Legendre blocks, scaled in place,
+        the full family as each product written into its slot. Integrals
+        computed from offsets derived purely from (hx, ht) are translation
+        invariant, which lets the solver reuse slab matrices bit-for-bit.
         """
         dx, dt = self._offsets(dx, dt)
+        shape = dx.shape
+        rows, m = math.prod(shape[:-1]), (shape[-1] if shape else 1)
+        dx, dt = dx.reshape(rows, m), dt.reshape(rows, m)
+        # the Legendre values V of shape (p + 1, 2, rows, m) in the two scaled
+        # variables: (x - c t, x + c t), or (x, t)
+        xi = np.empty((2, rows, m))
         if self.family == TREFFTZ:
             c, scale, se, sm = self._characteristic()
-            Vm = legendre_values(self.p, (dx - c * dt) / scale)
-            Vp = legendre_values(self.p, (dx + c * dt) / scale)
-            return {"E": np.concatenate([se * Vm, se * Vp]),
-                    "H": np.concatenate([sm * Vm, -sm * Vp])}
-        Vx = legendre_values(self.p, 2.0 * dx / self.hx)
-        Vt = legendre_values(self.p, 2.0 * dt / self.ht)
-        pairs = _degree_pairs(self.p)
-        S = np.empty((len(pairs),) + dx.shape)
-        for i, (jx, jt) in enumerate(pairs):
-            S[i] = Vx[jx] * Vt[jt]
-        Z = np.zeros_like(S)
-        return {"E": np.concatenate([S, Z]), "H": np.concatenate([Z, S])}
+            ct = c * dt
+            np.subtract(dx, ct, out=xi[0])
+            np.add(dx, ct, out=xi[1])
+            xi /= scale
+            V = legendre_values(self.p, xi)
+            E, H = np.empty((2, rows, self.n, m))
+            q = self.p + 1
+            E.reshape(rows, 2, q, m)[...] = V.transpose(2, 1, 0, 3)
+            np.multiply(E, sm, out=H)
+            np.negative(H[:, q:], out=H[:, q:])     # -sm * V rounds as -(sm * V)
+            E *= se
+        else:
+            np.multiply(2.0, dx, out=xi[0])
+            np.multiply(2.0, dt, out=xi[1])
+            xi[0] /= self.hx
+            xi[1] /= self.ht
+            V = legendre_values(self.p, xi)
+            E, H = np.zeros((2, rows, self.n, m))
+            pairs = _degree_pairs(self.p)
+            for i, (jx, jt) in enumerate(pairs):
+                np.multiply(V[jx, 0], V[jt, 1], out=E[:, i])
+            H[:, len(pairs):] = E[:, :len(pairs)]
+        return {"E": E.transpose(1, 0, 2).reshape((self.n,) + shape),
+                "H": H.transpose(1, 0, 2).reshape((self.n,) + shape)}
 
     def stacked(self, dx, dt):
-        """E and H at per-row offsets dx, dt of shape (k, m) from one eval_local
-        call, as C-contiguous (k, n, m) stacks: a stacked product rounds on
-        slice r as on row r's own table (a strided view may not)."""
+        """E and H at per-row offsets dx, dt of shape (k, m): eval_local's
+        (k, n, m) tables themselves, C-contiguous, so a stacked product rounds
+        on slice r as on row r's own table (a strided view may not)."""
         f = self.eval_local(dx, dt)
-        return {name: np.ascontiguousarray(f[name].transpose(1, 0, 2)) for name in ("E", "H")}
+        return {name: f[name].transpose(1, 0, 2) for name in ("E", "H")}
 
     def eval_derivatives(self, dx, dt):
         """dx v_E, dt v_E, dx v_H and dt v_H ("Ex", "Et", "Hx", "Ht") at offsets

@@ -382,16 +382,20 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
         raise EmptyPartition("empty partition list")
     first = np.asarray(x_partitions[0], dtype=float)
     if first.ndim == 0:  # a single flat array was passed
-        parts = [np.array(x_partitions, dtype=float)] * n_slabs
+        given = [x_partitions] * n_slabs
     else:
-        parts = [np.array(p, dtype=float) for p in x_partitions]
-        if len(parts) != n_slabs:
+        given = list(x_partitions)
+        if len(given) != n_slabs:
             raise MismatchedDomain(
-                f"{len(parts)} partitions for {n_slabs} slabs"
+                f"{len(given)} partitions for {n_slabs} slabs"
             )
-    parts = [
-        _validate_partition(p, domain, materials, j) for j, p in enumerate(parts)
-    ]
+    # each distinct partition object is converted and validated once, as the
+    # partition of the first slab that uses it
+    valid = {}
+    for j, p in enumerate(given):
+        if id(p) not in valid:
+            valid[id(p)] = _validate_partition(np.array(p, dtype=float), domain, materials, j)
+    parts = [valid[id(p)] for p in given]
 
     times = np.empty(n_slabs + 1)
     times[0] = 0.0
@@ -406,15 +410,20 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
     t0 = times[slab]
     t1 = t0 + np.asarray(heights)[slab]
     mids = 0.5 * (x0 + x1)
-    # slab interfaces, each split at the union of its two partitions
-    pieces = []
+    # slab interfaces, each split at the union of its two partitions: merged
+    # once per distinct pair of neighbouring partitions
+    pieces, merged = [], {}
     for j in range(n_slabs - 1):
-        interface = union_interface(parts[j], parts[j + 1])
-        lo, hi = interface[:-1], interface[1:]
-        mid = 0.5 * (lo + hi)
-        below = starts[j] + np.searchsorted(parts[j], mid) - 1
-        above = starts[j + 1] + np.searchsorted(parts[j + 1], mid) - 1
-        pieces.append((np.full(len(lo), times[j + 1]), lo, hi, _pair(below, above)))
+        key = id(parts[j]), id(parts[j + 1])
+        if key not in merged:
+            interface = union_interface(parts[j], parts[j + 1])
+            lo, hi = interface[:-1], interface[1:]
+            mid = 0.5 * (lo + hi)
+            merged[key] = (lo, hi, np.searchsorted(parts[j], mid) - 1,
+                           np.searchsorted(parts[j + 1], mid) - 1)
+        lo, hi, below, above = merged[key]
+        pieces.append((np.full(len(lo), times[j + 1]), lo, hi,
+                       _pair(starts[j] + below, starts[j + 1] + above)))
     left, right = starts[:-1], starts[1:] - 1  # each slab's wall elements
     inner = np.delete(np.arange(starts[-1]), right)  # elements with a right neighbour
     bottom = np.arange(starts[1])

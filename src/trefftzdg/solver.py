@@ -19,9 +19,11 @@ interface blocks (assembly.Coupling), and R_j c_{j-1} is their product.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups,
-which reads the classes the mesh computed once, Mesh.signature); point
-evaluation (after one sort of the points by slab in Mesh.elements_at)
-and the skeleton terms of analysis both go through it.
+which reads the classes the mesh computed once, Mesh.signature), in the
+(rows, functions, points) layout that ElementBasis.eval_local writes and
+each row's gemv reads; point evaluation (after one sort of the points by
+slab in Mesh.elements_at) and the skeleton terms of analysis both go
+through it.
 """
 
 from dataclasses import dataclass
@@ -65,8 +67,8 @@ def _solve(factor, b):
     return x
 
 
-#: functions x points per eval_local call: bounds its E and H tables at 0.25 MB
-_CHUNK = 1 << 14
+#: functions x points per eval_local call: bounds its E and H tables at 0.25 MB each
+_CHUNK = 1 << 15
 
 
 class SolutionField:

@@ -242,6 +242,14 @@ def test_flux_parameter_validation():
         FluxParams(alpha=0.0, beta=0.5)
 
 
+def test_robin_weights_are_the_impedance_pair():
+    # (1 - delta) / z on E and delta z on H, with z = sqrt(mu / eps)
+    flux = FluxParams(delta=0.25)
+    weight_e, weight_h = flux.robin_weights(np.array([1.0, 4.0]), np.array([1.0, 1.0]))
+    assert weight_e.tolist() == [0.75, 1.5]
+    assert weight_h.tolist() == [0.25, 0.125]
+
+
 def test_face_scaled_penalties_track_local_size_and_materials():
     layered = MaterialLayout((1.0,), (4.0, 1.0), (1.0, 2.0))
     mesh = build_mesh(SpaceTimeDomain(0.0, 2.0, 0.5), layered, [0.5],

@@ -135,6 +135,36 @@ def test_invalid_meshes_raise():
         build_mesh(domain, UNIT, [0.4, 0.4], [np.array([0.0, 1.0])] * 2)
 
 
+@pytest.mark.parametrize("bad, error", [
+    pytest.param(np.array([0.0, 1.0, 0.7, 2.0]), EmptyPartition, id="unordered"),
+    pytest.param(np.array([0.0, 1.0, 1.9]), MismatchedDomain, id="short"),
+    pytest.param(np.array([0.0, 0.7, 2.0]), NonconformingMaterial, id="misses-material"),
+])
+def test_a_bad_partition_in_a_per_slab_list_names_its_first_slab(bad, error):
+    # a partition object shared by several slabs is validated once, as the
+    # partition of the first slab that uses it
+    domain = SpaceTimeDomain(0.0, 2.0, 2.0)
+    layered = MaterialLayout((1.0,), (1.0, 4.0), (1.0, 1.0))
+    good = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(error, match="slab 2"):
+        build_mesh(domain, layered, [0.4] * 5, [good, good, bad, good, bad])
+
+
+def test_shared_partition_objects_build_the_mesh_of_their_copies():
+    # a partition merged once per distinct neighbouring pair gives the arrays
+    # that merging every interface gives
+    domain = SpaceTimeDomain(0.0, 2.0, 2.0)
+    a, b = np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 1.6, 2.0])
+    order = [a, a, b, a, b, b]
+    shared = build_mesh(domain, UNIT, [2.0 / 6] * 6, order)
+    copies = build_mesh(domain, UNIT, [2.0 / 6] * 6, [p.copy() for p in order])
+    for name in ("x0", "x1", "t0", "t1", "slab_starts", "hor_starts", "ver_starts"):
+        assert getattr(shared, name).tobytes() == getattr(copies, name).tobytes(), name
+    for kind in FaceKind:
+        for got, want in zip(shared.face_tables[kind], copies.face_tables[kind]):
+            assert got.tobytes() == want.tobytes(), kind
+
+
 def test_point_location_and_tie_breaking():
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, 2, 2)
     cases = [(0.5, 0.5, {}, 0), (1.5, 1.5, {}, 3),

@@ -11,6 +11,7 @@ from trefftzdg import (
     BasisSpec,
     BoundaryCondition,
     CharacteristicProfile,
+    ElementBasis,
     FluxParams,
     GaussianPulse,
     InitialData,
@@ -326,8 +327,9 @@ def test_evaluate_matches_per_point_location_on_hanging_mesh():
                 assert H[k] == pytest.approx(float(c @ f["H"][:, 0]), rel=1e-14, abs=1e-15)
 
 
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
 @pytest.mark.parametrize("points", [1, 2, 3, 4, 5, 8])
-def test_traces_are_each_elements_own_contraction_bit_for_bit(points):
+def test_traces_are_each_elements_own_contraction_bit_for_bit(monkeypatch, points, family):
     # however the rows are stacked, each is the product c @ F of its element
     # alone, with F a contiguous table: the bits the DG norm and evaluate sum
     domain = SpaceTimeDomain(0.0, 2.0, 1.5)
@@ -335,7 +337,7 @@ def test_traces_are_each_elements_own_contraction_bit_for_bit(points):
              np.array([0.0, 0.4, 1.0, 1.7, 2.0])]
     mesh = build_mesh(domain, MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6)), [0.5, 0.4, 0.6],
                       parts)
-    spec = BasisSpec(FULL, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+    spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)})
     _, n = global_layout(mesh, spec)
     sol = solver.SolutionField(mesh, spec, None, None, np.random.default_rng(4).standard_normal(n))
     rng = np.random.default_rng(points)
@@ -347,6 +349,22 @@ def test_traces_are_each_elements_own_contraction_bit_for_bit(points):
         c = sol.element_coefficients(i)
         assert E[r].tobytes() == (c @ f["E"]).tobytes()
         assert H[r].tobytes() == (c @ f["H"]).tobytes()
+    # stacked hands on eval_local's own tables, each row's (n, m) contiguous
+    tables, eval_local = [], ElementBasis.eval_local
+
+    def recorded(basis, dx, dt):
+        tables.append(eval_local(basis, dx, dt))
+        return tables[-1]
+
+    monkeypatch.setattr(ElementBasis, "eval_local", recorded)
+    basis = element_basis(mesh, spec, 0)
+    f = basis.stacked(dx, dt)
+    [g] = tables
+    for name in ("E", "H"):
+        assert f[name].shape == (40, basis.n, points) and f[name].flags.c_contiguous
+        assert g[name].shape == (basis.n, 40, points)
+        assert np.shares_memory(f[name], g[name])
+        assert f[name].transpose(1, 0, 2).tobytes() == np.ascontiguousarray(g[name]).tobytes()
 
 
 def test_solve_is_lu_solve_bit_for_bit():
@@ -408,3 +426,33 @@ def test_coupling_product_on_hanging_nodes_is_the_dense_product_to_rounding(
             x = rng.standard_normal(R.shape[1])
             y = dense @ x
             assert np.abs(R @ x - y).max() <= 1e-15 * np.abs(y).max()
+
+
+def _three_below_mesh():
+    # an upper element over three lower ones of three widths: its rows of R
+    # add three parts' products, so the order of the additions shows
+    return build_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, [0.5, 0.5],
+                      [np.array([0.0, 0.3, 0.5, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])])
+
+
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
+@pytest.mark.parametrize("build", [_hanging_two_material_mesh, _coarsening_mesh,
+                                   _three_below_mesh],
+                         ids=["two-material", "coarsening", "three-below"])
+def test_coupling_product_adds_its_parts_as_np_add_at_bit_for_bit(build, family):
+    # one bincount over all parts' rows, in part order, makes the additions
+    # of a per-part np.add.at, from +0.0 and in the same order
+    mesh = build()
+    spec = BasisSpec(family, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+    rng = np.random.default_rng(8)
+    for slab in range(1, mesh.n_slabs):
+        R = assemble_slab(mesh, slab, spec, FluxParams(), BoundaryCondition.pec()).R
+        assert len(R.parts) > 1
+        for _ in range(3):
+            x = rng.standard_normal(R.shape[1])
+            y = np.zeros(R.shape[0])
+            for rows, cols, blocks in R.parts:
+                _, nr, nc = blocks.shape
+                np.add.at(y, rows[:, None] + np.arange(nr),
+                          np.matmul(blocks, x[cols[:, None] + np.arange(nc)][:, :, None])[:, :, 0])
+            assert (R @ x).tobytes() == y.tobytes()
