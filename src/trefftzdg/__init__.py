@@ -21,6 +21,7 @@ from .errors import (
     NegativeExtent,
     NonconformingMaterial,
     NonconstantMaterial,
+    NonFiniteSolution,
     NonpositiveError,
     PointOutsideElement,
     SingularSlabMatrix,

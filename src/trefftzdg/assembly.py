@@ -389,7 +389,7 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     return load
 
 
-def assemble_slab(mesh, slab, spec, flux, bc):
+def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
     """Assemble the operator A, R of one time slab.
 
     For slab > 0 the coupling R is built against the previous slab's
@@ -397,12 +397,13 @@ def assemble_slab(mesh, slab, spec, flux, bc):
     (Coupling); the previous coefficients multiply R at solve time. The
     operator depends only on the mesh, the basis, the flux and the kind
     of wall; the data enter through load_plan's b. A is allocated in
-    Fortran order, so the march can factor it in place.
+    Fortran order, as zeros((n, n), order="F"), so the march can factor
+    it in place.
     """
     ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
     n_face = face_nodes(p_max)
     n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
-    A = np.zeros((n, n), order="F")
+    A = zeros((n, n), order="F")
     coupling = []
 
     # upper-edge energy pairing: the upwind term when the next slab tests

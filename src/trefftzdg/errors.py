@@ -66,6 +66,10 @@ class EigensolverFailure(TrefftzDGError):
     """Dense eigenvalue iteration did not converge."""
 
 
+class NonFiniteSolution(TrefftzDGError):
+    """A slab's solved coefficients hold a NaN or an infinity."""
+
+
 # reference
 class NonconstantMaterial(TrefftzDGError):
     """Closed-form reference requires spatially constant materials."""

@@ -4,9 +4,17 @@ The space-time system is block lower bidiagonal in time, with slab
 matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix, computed in place
-of A, and a forward sweep whose every solve is one call of the LAPACK
-getrs that _factor takes along with the factors (the routine
-scipy.linalg.lu_solve calls, without its per-call argument handling).
+of A, and a forward sweep of one-vector solves. Each gives the bytes of
+the LAPACK getrs that scipy.linalg.lu_solve calls, but reads only the
+LU's nonzero windows: A couples an element only to its neighbours, so A
+and its LU are banded, and getrs's dense sweep over all n^2 entries was
+most of the march. The identity rests on three facts about OpenBLAS's
+getrs with one right-hand side (_WindowedSolve): it is laswp, then a
+dtrsv with L and one with U; each dtrsv works in 64-column blocks
+(_BLOCK), an axpy chain inside a block and one gemv after it on every
+row below (for U, above); and that gemv does each row's arithmetic
+independently of its row count, except on its last m % 4 rows. Several
+right-hand sides (update_matrix) go to getrs itself.
 The slab operator (A_j, R_j, assemble_slab) does not depend on the data;
 the data enter only through the load b_j (load_plan). When all slabs
 share height and partition the operators are bit-identical by
@@ -26,10 +34,15 @@ slab in Mesh.elements_at) and the skeleton terms of analysis both go
 through it.
 """
 
+import ctypes
+import math
+import mmap
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import cython_blas
 
 from .assembly import assemble_slab, global_layout, load_plan
 from .basis import signature_groups
@@ -37,16 +50,178 @@ from .errors import (
     DimensionMismatch,
     EigensolverFailure,
     InhomogeneousSlabs,
+    NonFiniteSolution,
     SingularSlabMatrix,
     UnsupportedBC,
 )
 from .mesh import T_SIDES, X_SIDES, check_side
 
 
+#: OpenBLAS's dtrsv block (DTB_ENTRIES): getrs's triangular solves take this many columns at a time
+_BLOCK = 64
+#: rows of the diagonal windows handed to one dtrsv call, on _BLOCK's grid (on the benchmark's
+#: slabs 128 solved faster than 64 and than 256)
+_WINDOW = 2 * _BLOCK
+#: most rows per gemv call: OpenBLAS threads a gemv of _BLOCK columns from about 7,200 rows
+_ROWS = 4096
+
+
+def _blas(name):
+    """scipy's BLAS routine `name`, through its cython_blas pointer, as a ctypes
+    function taking every argument by address: the capsule's signature, such
+    as b"void (char *, int *, ...)", must list pointers only."""
+    capsule = cython_blas.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(
+        capsule)
+    n_args = signature.count(b"*")
+    if not signature.startswith(b"void (") or signature.count(b",") != n_args - 1:
+        raise ImportError(f"cython_blas {name} has the signature {signature!r}")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(pointer(capsule, signature))
+
+
+_dtrsv = _blas("dtrsv")
+_dgemv = _blas("dgemv")
+_FLAGS = ctypes.create_string_buffer(b"LUNU")  # uplo L or U, trans N, diag U(nit) or N
+_LOWER_UNIT = tuple(ctypes.addressof(_FLAGS) + k for k in (0, 2, 3))
+_UPPER = tuple(ctypes.addressof(_FLAGS) + k for k in (1, 2, 2))
+_NOTRANS = ctypes.addressof(_FLAGS) + 2
+_SCALARS = np.array([-1.0, 1.0])  # dgemv's alpha and beta
+
+
+class _WindowedSolve:
+    """getrs's solve of one vector on an in-place LU (lu, piv), bit for bit,
+    reading only the blocks of the LU that hold nonzeros.
+
+    OpenBLAS's getrs with one right-hand side runs laswp on b, then a blocked
+    dtrsv with L (unit diagonal) and one with U. Each dtrsv takes _BLOCK
+    columns at a time, L's from the top and U's from the bottom (at n - 64k):
+    inside a block the solve is a chain of axpy updates, and after it one
+    gemv updates every row below the block (for U, above it). That gemv does
+    the same arithmetic on a row whatever its row count, except on its last
+    m % 4 rows, which take a scalar path. So this solve
+    - applies laswp's interchanges as one permutation, computed once;
+    - runs dtrsv on diagonal windows of _WINDOW rows on the same grid (for U,
+      single blocks when n % 4 != 0, where a window's inner gemv would put
+      no scalar tail on rows that getrs's gemv does);
+    - after each block, runs its gemv on the rows outside the window that
+      hold nonzeros in the block's columns, widened to keep every gemv's
+      scalar tail on getrs's rows. A row left out holds exact zeros there.
+    The BLAS calls take lda = n on the LU itself, so no window is copied, and
+    their arguments are computed here, once per factorization, from one pass
+    over the LU's columns in blocks. A solve writes into one work vector, so
+    one solve runs at a time.
+    """
+
+    def __init__(self, lu, piv):
+        n = lu.shape[0]
+        if lu.shape != (n, n) or lu.dtype != np.float64 or not lu.flags.f_contiguous:
+            raise ValueError("the windowed solve needs a square Fortran-ordered float64 LU")
+        perm = list(range(n))
+        for i, p in enumerate(piv.tolist()):  # laswp's interchanges, in order
+            perm[i], perm[p] = perm[p], perm[i]
+        first, last = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        for c in range(0, n, _BLOCK):  # each column's first and last nonzero row
+            nonzero = lu[:, c:c + _BLOCK] != 0
+            first[c:c + _BLOCK] = nonzero.argmax(axis=0)
+            last[c:c + _BLOCK] = n - 1 - nonzero[::-1].argmax(axis=0)
+
+        calls = []  # (flags or None for a gemv, rows, LU offset, x offset, y offset)
+
+        def gemv(start, stop, c):
+            for r in range(start, stop, _ROWS):
+                calls.append((None, min(r + _ROWS, stop) - r, r + c * n, c, r))
+
+        for top in range(0, n, _WINDOW):
+            end = min(top + _WINDOW, n)
+            calls.append((_LOWER_UNIT, end - top, top * (n + 1), top, None))
+            for c in range(top, end, _BLOCK) if end < n else ():
+                rows = int(last[c:c + _BLOCK].max()) + 1 - end
+                if rows > 0:  # rows rounded up to a multiple of 4, capped at n - end
+                    gemv(end, min(end + rows + -rows % 4, n), c)
+        size = _WINDOW if n % 4 == 0 else _BLOCK
+        for end in range(n, 0, -size):
+            top = max(end - size, 0)
+            calls.append((_UPPER, end - top, top * (n + 1), top, None))
+            for c in range(end - _BLOCK, top - 1, -_BLOCK) if top else ():
+                start = int(first[c:c + _BLOCK].min()) // 4 * 4
+                if start < top:
+                    gemv(start, top, c)
+
+        self.perm = np.array(perm)
+        self.lu, self.work = lu, np.empty(n)  # the calls point into both, and into ints
+        self.ints = np.array([1, n, _BLOCK] + [call[1] for call in calls], dtype=np.intc)
+        one, ld, cols = (self.ints.ctypes.data + 4 * k for k in range(3))
+        a, x = lu.ctypes.data, self.work.ctypes.data
+        alpha, beta = _SCALARS.ctypes.data, _SCALARS.ctypes.data + 8
+        self.calls = []
+        for k, (flags, _, at, xo, yo) in enumerate(calls):
+            rows = one + 4 * (3 + k)
+            if flags:
+                self.calls.append((_dtrsv, (*flags, rows, a + 8 * at, ld, x + 8 * xo, one)))
+            else:
+                self.calls.append((_dgemv, (_NOTRANS, rows, cols, alpha, a + 8 * at, ld,
+                                            x + 8 * xo, one, beta, x + 8 * yo, one)))
+
+    def __call__(self, b):
+        if b.shape != self.perm.shape:
+            raise DimensionMismatch(f"load has shape {b.shape}, the LU solves {self.perm.shape}")
+        self.work[:] = b[self.perm]
+        for routine, args in self.calls:
+            routine(*args)
+        return self.work.copy()
+
+
+#: numpy's tracemalloc domain, under which _mapped_zeros reports its mappings
+_NUMPY_TRACE_DOMAIN = 389047
+_track = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
+    ("PyTraceMalloc_Track", ctypes.pythonapi))
+_untrack = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
+    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
+#: smallest array _mapped_zeros maps, in bytes; smaller ones come from the heap
+_MAPPED_BYTES = 2**23
+
+
+def _mapped_zeros(shape, order):
+    """np.zeros(shape, order=order) of float64 which, from _MAPPED_BYTES on,
+    has its own anonymous memory mapping, unmapped as soon as the array and
+    its views are freed, and counted by tracemalloc as numpy's own
+    allocations are. Where the system can (Linux's MAP_POPULATE), the
+    mapping's pages are faulted in by the one call that maps them.
+
+    The march's shared slab matrix takes it. From the malloc heap, that one
+    n x n array left a hole of its size after each march, which the work
+    run between marches split, so that a later march grew the heap by one
+    more n x n block, resident from then on, or did not, depending on what
+    had run before: march_pec's peak RSS read 144 MB in place of 117 MB in
+    some processes of its benchmark loop (one 28 MB slab matrix more). A
+    mapping has its own costs: its pages are faulted in on every march (the
+    march_pec march takes 1.08 times as long as with a heap matrix, 1.16
+    times without MAP_POPULATE), and the matrix no longer shares heap space
+    with what runs after the march, so audit_default's peak RSS (n = 480,
+    1.8 MB) rose by 2 MB with it. Hence the heap below _MAPPED_BYTES.
+    """
+    size = 8 * math.prod(shape)
+    if size < _MAPPED_BYTES:
+        return np.zeros(shape, order=order)
+    if hasattr(mmap, "MAP_POPULATE"):
+        mapping = mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
+    else:
+        mapping = mmap.mmap(-1, size)
+    array = np.ndarray(shape, order=order, buffer=mapping)
+    _track(_NUMPY_TRACE_DOMAIN, array.ctypes.data, size)
+    weakref.finalize(mapping, _untrack, _NUMPY_TRACE_DOMAIN, array.ctypes.data)
+    return array
+
+
 def _factor(A, what="slab matrix"):
-    """LU factors of A, computed in place, and the LAPACK getrs that solves
-    with them: a Fortran-ordered A (as assemble_slab allocates it) is
-    overwritten, so the caller must own A."""
+    """LU factors of A, computed in place, the LAPACK getrs that solves with
+    them, and the _WindowedSolve that repeats getrs's one-vector solve (its
+    laswp, its 64-column dtrsv blocks and its gemvs, row tails included) on
+    the LU's nonzero windows: a Fortran-ordered A (as assemble_slab
+    allocates it) is overwritten, so the caller must own A."""
     lu, piv = linalg.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
     finite = np.isfinite(lu.min()) and np.isfinite(lu.max())  # a NaN or inf shows in one
@@ -55,12 +230,25 @@ def _factor(A, what="slab matrix"):
             f"{what} is numerically singular (pivot ratio "
             f"{diag.min():.3e} / {diag.max():.3e})"
         )
-    return lu, piv, linalg.get_lapack_funcs(("getrs",), (lu,))[0]
+    return lu, piv, linalg.get_lapack_funcs(("getrs",), (lu,))[0], _WindowedSolve(lu, piv)
 
 
 def _solve(factor, b):
-    """x with A x = b from _factor's output: the getrs call lu_solve makes."""
-    lu, piv, getrs = factor
+    """x with A x = b from _factor's output, with the bytes of the getrs call
+    that lu_solve makes. A vector b goes through the windowed solve: getrs's
+    laswp and 64-column dtrsv blocks on the LU's nonzero windows, with each
+    block's gemv on the rows that hold nonzeros, its m % 4 scalar row tail
+    where getrs's is. Several right-hand sides go through getrs itself. So
+    does a b holding a -0.0: a gemv that getrs runs on a zero block can turn
+    a running -0.0 into +0.0, which the windowed solve, skipping that gemv,
+    would keep. Only b can start one (an exact cancellation gives +0.0, and
+    -0.0 + t is -0.0 only for t = -0.0), so +0.0 entries are harmless. A
+    load whose length is not A's raises DimensionMismatch."""
+    lu, piv, getrs, windowed = factor
+    if b.shape[:1] != lu.shape[:1]:
+        raise DimensionMismatch(f"load has shape {b.shape}, the LU solves {lu.shape[:1]}")
+    if b.ndim == 1 and not np.signbit(b[b == 0]).any():
+        return windowed(b)
     x, info = getrs(lu, piv, b)
     if info != 0:
         raise DimensionMismatch(f"getrs rejected its argument {-info}")
@@ -149,9 +337,12 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
     for bit on every slab (A_0 = A_j, R_1 = R_j), so slab 1's operator and
     load plan (slab 0's on a one-slab mesh) are built once: its A, factored
     in place, and its R serve every slab. R is kept as its interface
-    blocks, so one n x n array, the LU, is held. Otherwise each slab
+    blocks, so one n x n array, the LU, is held, in a memory mapping of
+    its own when it is large (_mapped_zeros). Otherwise each slab
     assembles and factors its own operator and builds its own plan, after
-    slab j - 1's LU and R are freed.
+    slab j - 1's LU and R are freed, so that each A reuses the heap block
+    of the one before. Raises NonFiniteSolution at the first slab whose
+    coefficients are not all finite.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
@@ -161,10 +352,16 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
             k = min(1, mesh.n_slabs - 1) if shared else j
             system = factor = None              # free slab j - 1's LU and R first
             load = load_plan(mesh, k, spec, flux, bc, initial_data, source)
-            system = assemble_slab(mesh, k, spec, flux, bc)
+            system = assemble_slab(mesh, k, spec, flux, bc,
+                                   _mapped_zeros if shared else np.zeros)
             factor = _factor(system.A, f"slab {k} matrix")
         b = system.R @ coeffs[j - 1] + load(j) if j else load(0)
         coeffs[j][:] = _solve(factor, b)
+        if not np.isfinite(coeffs[j]).all():
+            raise NonFiniteSolution(
+                f"slab {j} coefficients are not finite: its data or load hold a NaN or an "
+                "infinity, or the solve overflowed"
+            )
     return sol
 
 

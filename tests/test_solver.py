@@ -1,6 +1,12 @@
 """Marching, update operator, spectra, and discrete-field evaluation."""
 
+import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +37,8 @@ from trefftzdg import (
 )
 from trefftzdg import solver
 from trefftzdg.errors import (
-    InhomogeneousSlabs, MismatchedDomain, SingularSlabMatrix, UnsupportedBC,
+    DimensionMismatch, InhomogeneousSlabs, MismatchedDomain, NonFiniteSolution,
+    SingularSlabMatrix, UnsupportedBC,
 )
 
 from conftest import locate
@@ -169,6 +176,43 @@ def test_march_factors_in_place_and_frees_each_slab(per_element):
         tracemalloc.stop()
     assert sol.coefficients[0].size == n
     assert peak <= 1.15 * 8 * n * n
+
+
+def test_shared_slab_matrix_has_its_own_mapping_counted_by_tracemalloc(monkeypatch):
+    # from _MAPPED_BYTES on, _mapped_zeros is numpy's zeros in a mapping of
+    # its own, which tracemalloc counts (so the memory test above still sees
+    # a shared LU) until the last view of it is freed, and which is then
+    # unmapped; below, it is np.zeros
+    small = solver._mapped_zeros((2, 2**20 // 8), "F")
+    assert small.base is None and small.flags.f_contiguous and not small.any()
+    monkeypatch.setattr(solver, "_MAPPED_BYTES", 8 * 300 * 200)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        A = solver._mapped_zeros((300, 200), "F")
+        held = tracemalloc.get_traced_memory()[0] - start
+        assert A.flags.f_contiguous and A.dtype == np.float64 and not A.any()
+        view, mapping = A[:, 1:], weakref.ref(A.base)
+        del A
+        assert mapping() is not None
+        del view
+        freed = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert mapping() is None
+    assert 8 * 300 * 200 <= held < 8 * 300 * 200 + 4096 and freed < 4096
+
+    # the march gives it the shared slab matrix only: per-slab matrices
+    # reuse the heap block of the slab before
+    monkeypatch.setattr(solver, "_MAPPED_BYTES", 0)
+    bases = []
+    factor = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda A, what: bases.append(A.base) or factor(A, what))
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 3.0, 2.0), UNIT, 3, 2)
+    data = InitialData(GaussianPulse(1.5, 0.3), GaussianPulse(1.5, 0.3))
+    for spec in (BasisSpec(TREFFTZ, 2), BasisSpec(TREFFTZ, {i: 2 + i % 2 for i in range(6)})):
+        march(mesh, spec, FluxParams(), BoundaryCondition.pec(), data)
+    assert isinstance(bases[0], mmap.mmap) and bases[1:] == [None, None]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -376,6 +420,113 @@ def test_solve_is_lu_solve_bit_for_bit():
     for b in (rng.standard_normal(9), rng.standard_normal((9, 5))):
         x = solver._solve(factor, b)
         assert x.tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+
+
+def _windowed_solve_cases():
+    """(label, matrix) pairs the windowed solve must solve with getrs's bytes:
+    slab matrices at h = 0.25 (full p = 2's LU pivots on 42 of its 480 rows;
+    trefftz p = 2 on 43 cells gives n % 64 = n % 4 = 2), every slab of a
+    hanging two-material mesh with mixed degrees, and random dense and
+    banded matrices with heavy pivoting, around the 64 block and with odd n."""
+    bc = BoundaryCondition.pec()
+    for family, p, n_x in ((TREFFTZ, 3, 40), (FULL, 2, 40), (TREFFTZ, 2, 43)):
+        mesh = uniform_mesh(SpaceTimeDomain(0.0, 0.25 * n_x, 0.5), UNIT, n_x, 2)
+        yield f"{family} p={p}", assemble_slab(mesh, 1, BasisSpec(family, p), FluxParams(), bc).A
+    mesh = _hanging_two_material_mesh()
+    spec = BasisSpec(FULL, {i: 1 + i % 3 for i in range(mesh.n_elements)})
+    for j in range(mesh.n_slabs):
+        yield f"hanging slab {j}", assemble_slab(mesh, j, spec, FluxParams(), bc).A
+    rng = np.random.default_rng(11)
+    for n in (1, 63, 64, 65, 257, 301):
+        A = rng.standard_normal((n, n))
+        yield f"dense n={n}", A
+        i, j = np.indices(A.shape)
+        yield f"banded n={n}", np.where(abs(i - j) <= 9, A, 0.0) * np.where(i == j, 1e-3, 1.0)
+
+
+def _windowed_solve_mismatches():
+    """Labels of the cases where the windowed solve's bytes differ from lu_solve's."""
+    rng = np.random.default_rng(12)
+    bad = []
+    for label, A in _windowed_solve_cases():
+        factor = solver._factor(np.array(A, order="F"))  # A stays: the LU overwrites a copy
+        reference = solver.linalg.lu_factor(A)
+        for b in (rng.standard_normal(len(A)), rng.uniform(1.0, 2.0, len(A))):
+            if factor[3](b).tobytes() != solver.linalg.lu_solve(reference, b).tobytes():
+                bad.append(label)
+    return bad
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_windowed_solve_is_lu_solve_bit_for_bit(threads):
+    # the windowed solve repeats OpenBLAS's getrs: its 64-column dtrsv blocks
+    # and its gemvs' scalar row tails. A BLAS that blocks otherwise fails here
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_solver; print(test_solver._windowed_solve_mismatches())"],
+        cwd=here, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", f"windowed solve differs from getrs on {run.stdout}"
+
+
+def test_windowed_solve_rejects_a_load_of_another_shape():
+    # a bare b[perm] would drop the entries of a longer b
+    A = np.random.default_rng(13).standard_normal((70, 70)) + 70.0 * np.eye(70)
+    factor = solver._factor(np.asfortranarray(A))
+    for shape in ((71,), (69,), (70, 1), ()):
+        with pytest.raises(DimensionMismatch):
+            factor[3](np.ones(shape))
+    for b in (np.ones(71), np.ones((69, 2))):  # one load, then several for getrs
+        with pytest.raises(DimensionMismatch):
+            solver._solve(factor, b)
+
+
+def test_windowed_solve_splits_a_long_gemv_on_the_row_tail_grid(monkeypatch):
+    # OpenBLAS threads a gemv of 64 columns from about 7,200 rows and splits
+    # its rows without regard to the scalar tail; the chunks of _ROWS rows,
+    # here 8, keep every tail where getrs's gemv has it
+    monkeypatch.setattr(solver, "_ROWS", 8)
+    rng = np.random.default_rng(16)
+    for n in (257, 301):
+        A = rng.standard_normal((n, n))
+        factor = solver._factor(np.array(A, order="F"))
+        windowed = factor[3]
+        assert max(rows for (routine, _), rows in zip(windowed.calls, windowed.ints[3:])
+                   if routine is solver._dgemv) == 8
+        b = rng.standard_normal(n)
+        assert windowed(b).tobytes() == solver.linalg.lu_solve(solver.linalg.lu_factor(A), b).tobytes()
+
+
+def test_only_a_load_holding_a_negative_zero_takes_getrs():
+    # a gemv on a zero block can turn a -0.0 into +0.0 (here on some of the
+    # last rows, where n % 4 == 1 puts getrs's scalar gemv tail); the windowed
+    # solve skips that gemv, so a load holding a -0.0 goes to getrs. +0.0
+    # entries, as slab 0's load of a trefftz march holds, stay windowed
+    n = 257
+    A = np.random.default_rng(0).standard_normal((n, n))
+    i, j = np.indices(A.shape)
+    A = np.where(abs(i - j) <= 9, A, 0.0)
+    factor, reference = solver._factor(np.array(A, order="F")), solver.linalg.lu_factor(A)
+    b = np.full(n, -0.0)
+    assert factor[3](b).tobytes() != solver.linalg.lu_solve(reference, b).tobytes()
+    assert solver._solve(factor, b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+    for b in (np.zeros(n), np.where(np.arange(n) % 2 == 0, -np.arange(n) - 1.0, 0.0)):
+        assert factor[3](b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+
+
+@pytest.mark.parametrize("where, slab", [("data", 0), ("wall", 2)])
+def test_march_names_the_first_slab_whose_coefficients_are_not_finite(where, slab):
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 10.0, 2.0), UNIT, 10, 4)
+    pulse = GaussianPulse(3.0, 1.0)
+    data, bc = InitialData(pulse, pulse), BoundaryCondition.pec()
+    if where == "data":
+        data = InitialData(lambda x: np.where(x > 5.0, np.nan, pulse(x)), pulse)
+    else:
+        bc = BoundaryCondition.robin(g_l=lambda t: np.where(t > 1.0, np.nan, 0.0))
+    with pytest.raises(NonFiniteSolution, match=f"slab {slab} "):
+        march(mesh, BasisSpec(TREFFTZ, 2), FluxParams(), bc, data)
 
 
 @pytest.mark.parametrize("family, degree, n_x, per_element", [
