@@ -12,7 +12,8 @@ matrix A_j couples unknowns within slab j, the coupling matrix R_j
 carries the upwind trace of slab j - 1 to the right-hand side, so time
 stepping is A_j f_j = R_j f_{j-1} + b_j. The operator A_j, R_j depends
 only on the mesh, the basis, the flux and the kind of wall, and
-assemble_slab is its one assembly; the data (initial fields, wall data,
+assemble_slab is its one assembly (R_j through assemble_coupling, which
+the march also calls alone); the data (initial fields, wall data,
 source) enter only through b_j, and load_plan is its one assembly. A
 plan evaluates its wall and source tables once and serves every slab
 laid out as its own. A is dense; R_j is kept as its interface blocks
@@ -323,8 +324,9 @@ def _slab_frame(mesh, slab, spec):
 
 def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     """Load of slab `slab`, as a function j -> b_j that serves every slab j
-    laid out as it is (same partition, height and degrees: every slab of a
-    mesh with identical_slabs).
+    laid out as it is (same partition, height and degrees, and the same
+    largest degree of slab and predecessor: every slab of its class in the
+    march, solver._slab_classes).
 
     b_j integrates the wall data, the volume source and, for j = 0, the
     initial data on slab 0's lower edges; load(0) raises MismatchedDomain
@@ -389,32 +391,14 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     return load
 
 
-def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
-    """Assemble the operator A, R of one time slab.
-
-    For slab > 0 the coupling R is built against the previous slab's
-    basis traces on the interface, one block per interface piece
-    (Coupling); the previous coefficients multiply R at solve time. The
-    operator depends only on the mesh, the basis, the flux and the kind
-    of wall; the data enter through load_plan's b. A is allocated in
-    Fortran order, as zeros((n, n), order="F"), so the march can factor
-    it in place.
-    """
+def assemble_coupling(mesh, slab, spec):
+    """The coupling R of one time slab to the one before it: one block per
+    interface piece against the previous slab's basis traces (Coupling),
+    (n, 0) for slab 0. The previous coefficients multiply R at solve time."""
     ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
     n_face = face_nodes(p_max)
     n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
-    A = zeros((n, n), order="F")
     coupling = []
-
-    # upper-edge energy pairing: the upwind term when the next slab tests
-    # against this one, the final-time term on the last slab
-    xq, wq = map_to_segment(n_face, mesh.x0[ids], mesh.x1[ids])
-    for basis, g in signature_groups(mesh, spec, ids):
-        f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
-        _add_blocks(A, offsets[g], offsets[g],
-                    _pair_mass(f, f, wq[g][:, None], basis.eps, basis.mu))
-
-    # coupling to the previous slab across interface pieces
     if slab > 0:
         hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
         pieces = slice(mesh.hor_starts[slab - 1], mesh.hor_starts[slab])
@@ -429,6 +413,30 @@ def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
                                     wq[g][:, None], basis_a.eps, basis_a.mu)
                 coupling.append((offsets[above[g] - ids.start],
                                  prev_offsets[below[g] - prev_ids.start], blocks))
+    return Coupling((n, n_prev), coupling)
+
+
+def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
+    """Assemble the operator A, R of one time slab, R by assemble_coupling.
+
+    The operator depends only on the mesh, the basis, the flux and the
+    kind of wall; the data enter through load_plan's b. A is allocated in
+    Fortran order, as zeros((n, n), order="F"), so the march can factor
+    it in place.
+    """
+    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
+    n_face = face_nodes(p_max)
+    n = int(offsets[-1])
+    A = zeros((n, n), order="F")
+
+    # upper-edge energy pairing: the upwind term when the next slab tests
+    # against this one, the final-time term on the last slab
+    xq, wq = map_to_segment(n_face, mesh.x0[ids], mesh.x1[ids])
+    for basis, g in signature_groups(mesh, spec, ids):
+        f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
+        _add_blocks(A, offsets[g], offsets[g],
+                    _pair_mass(f, f, wq[g][:, None], basis.eps, basis.mu))
+    R = assemble_coupling(mesh, slab, spec)
 
     # vertical internal faces: centred flux with jump penalties; the side
     # traces depend on the signature alone
@@ -464,7 +472,7 @@ def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
             _add_blocks(A, offsets[g], offsets[g],
                         np.broadcast_to(_volume_block(basis, n_face), (len(g), basis.n, basis.n)))
 
-    return SlabSystem(A=A, R=Coupling((n, n_prev), coupling), n_dofs=n, n_prev=n_prev)
+    return SlabSystem(A=A, R=R, n_dofs=n, n_prev=R.shape[1])
 
 
 @dataclass

@@ -7,6 +7,7 @@ numerical pipeline fails.
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -110,14 +111,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_manifest(cfg, outdir):
+def _write_manifest(cfg, path):
     header = (
         f"trefftzdg {__version__} manifest: rerun with "
         "`trefftzdg run manifest.cfg`",
         f"python {sys.version.split()[0]}, numpy {np.__version__}, "
         f"scipy {scipy.__version__}",
     )
-    path = os.path.join(outdir, "manifest.cfg")
     with open(path, "w") as fh:
         fh.write(cfg.to_text(header_lines=header))
     return path
@@ -227,25 +227,33 @@ def _experiment_rows(cfg, name):
     return reports
 
 
-def _run_tabular(cfg, outdir, name):
-    reports = _experiment_rows(cfg, name)
-    csv_path = os.path.join(outdir, cfg.text("output.csv"))
-    _write_csv(csv_path, CSV_HEADER, [r.row() for r in reports])
-    print(f"wrote {csv_path} ({len(reports)} rows)")
+def _output_paths(cfg, outdir, kind):
+    """The files a run of `kind` writes into outdir, by role: the kind's own
+    (output.csv for the tabular kinds), output.svg when set and plotted, and
+    the manifest. Every writer takes its path from here."""
+    names = {"spectrum": {"eigenvalues": "eigenvalues.csv", "summary": "spectrum.csv"},
+             "energy": {"energy": "energy.csv", "budget": "budget.csv"}}.get(
+                 kind, {"csv": cfg.text("output.csv")})
+    names.update(svg=cfg.text("output.svg") if kind == "energy" or kind in _SWEPT else "",
+                 manifest="manifest.cfg")
+    return {role: os.path.join(outdir, name) for role, name in names.items() if name}
 
-    svg_name = cfg.text("output.svg")
-    swept = _SWEPT.get(cfg.text("experiment.kind"))
-    if svg_name and swept and len(reports) > 1:
-        x_label, coordinate = swept
+
+def _run_tabular(cfg, paths, name):
+    reports = _experiment_rows(cfg, name)
+    _write_csv(paths["csv"], CSV_HEADER, [r.row() for r in reports])
+    print(f"wrote {paths['csv']} ({len(reports)} rows)")
+
+    if "svg" in paths and len(reports) > 1:
+        x_label, coordinate = _SWEPT[cfg.text("experiment.kind")]
         ys = [r.eps_q for r in reports]
         if all(math.isfinite(y) and y > 0 for y in ys):
-            path = os.path.join(outdir, svg_name)
-            write_svg(path, [(name, [coordinate(r) for r in reports], ys)], x_label,
+            write_svg(paths["svg"], [(name, [coordinate(r) for r in reports], ys)], x_label,
                       "relative L2 error", log_y=True)
-            print(f"wrote {path}")
+            print(f"wrote {paths['svg']}")
 
 
-def _run_spectrum(cfg, outdir, name):
+def _run_spectrum(cfg, paths, name):
     mesh = build_mesh(cfg)
     flux = build_flux(cfg)
     bc = build_bc(cfg)
@@ -263,37 +271,33 @@ def _run_spectrum(cfg, outdir, name):
                              repr(float(spct.cond))])
         print(f"p={p}: n={update.shape[0]} "
               f"spectral_radius={spct.spectral_radius:.15g} cond={spct.cond:.6g}")
-    _write_csv(os.path.join(outdir, "eigenvalues.csv"),
-               ["experiment", "p", "index", "re", "im", "modulus"], eig_rows)
-    _write_csv(os.path.join(outdir, "spectrum.csv"),
-               ["experiment", "p", "n_dofs", "spectral_radius", "cond"],
+    _write_csv(paths["eigenvalues"], ["experiment", "p", "index", "re", "im", "modulus"],
+               eig_rows)
+    _write_csv(paths["summary"], ["experiment", "p", "n_dofs", "spectral_radius", "cond"],
                summary_rows)
-    print(f"wrote {os.path.join(outdir, 'eigenvalues.csv')} and spectrum.csv")
+    print(f"wrote {paths['eigenvalues']} and {os.path.basename(paths['summary'])}")
 
 
-def _run_energy(cfg, outdir, name):
+def _run_energy(cfg, paths, name):
     sol, data = _solve_once(cfg)
     budget = energy_budget(sol, data)
     times, energies = energy_trajectory(sol)
     rows = [[name, repr(0.0), repr(float(budget.initial_energy))]]
     rows += [[name, repr(float(t)), repr(float(e))]
              for t, e in zip(times, energies)]
-    _write_csv(os.path.join(outdir, "energy.csv"),
-               ["experiment", "t", "energy"], rows)
+    _write_csv(paths["energy"], ["experiment", "t", "energy"], rows)
     budget_rows = [[term, repr(float(value))]
                    for term, value in budget.as_dict().items()]
-    _write_csv(os.path.join(outdir, "budget.csv"), ["term", "value"], budget_rows)
+    _write_csv(paths["budget"], ["term", "value"], budget_rows)
     print(f"initial energy {budget.initial_energy:.15g}, "
           f"final energy {budget.final_energy:.15g}, "
           f"identity residual {budget.residual:.3e}")
 
-    svg_name = cfg.text("output.svg")
-    if svg_name:
+    if "svg" in paths:
         xs = [0.0] + list(times)
         ys = [budget.initial_energy] + list(energies)
-        write_svg(os.path.join(outdir, svg_name), [(name, xs, ys)],
-                  "t", "energy", log_y=False)
-    print(f"wrote {os.path.join(outdir, 'energy.csv')} and budget.csv")
+        write_svg(paths["svg"], [(name, xs, ys)], "t", "energy", log_y=False)
+    print(f"wrote {paths['energy']} and {os.path.basename(paths['budget'])}")
 
 
 def main(argv=None):
@@ -325,13 +329,17 @@ def main(argv=None):
         os.makedirs(outdir, exist_ok=True)
         name = cfg.text("experiment.name") or cfg.text("experiment.kind")
         kind = cfg.text("experiment.kind")
+        paths = _output_paths(cfg, outdir, kind)
+        for path in paths.values():             # fail before any solve
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if kind == "spectrum":
-            _run_spectrum(cfg, outdir, name)
+            _run_spectrum(cfg, paths, name)
         elif kind == "energy":
-            _run_energy(cfg, outdir, name)
+            _run_energy(cfg, paths, name)
         else:
-            _run_tabular(cfg, outdir, name)
-        _write_manifest(cfg, outdir)
+            _run_tabular(cfg, paths, name)
+        _write_manifest(cfg, paths["manifest"])
     except (ConfigParse, OSError) as exc:    # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ slab, left to right: x0, x1, t0, t1, eps, mu and slab hold one entry per
 element (hx = x1 - x0, ht is the slab's height, and xc, tc the centre),
 and slab j owns the index range slab_starts[j]:slab_starts[j + 1]
 (elem_grid[j]), so its partition is x0 of that range followed by the last
-x1. signature numbers each element's (hx, ht, eps, mu) class, computed
-once when the mesh is built. Faces live in one FaceTable per FaceKind, in
+x1. signature numbers each element's (hx, ht, eps, mu) class and
+slab_class each slab's (height, partition) class, both computed once when
+the mesh is built. Faces live in one FaceTable per FaceKind, in
 mesh order: pos, lo, hi and the two adjacent element ids. hor_starts and
 ver_starts are the per-interface and per-slab offsets into the
 HOR_INTERNAL and VER_INTERNAL tables; the lateral tables hold one row per
@@ -239,6 +240,7 @@ class Mesh:
     hor_starts: np.ndarray          # first HOR_INTERNAL row of each interface, then the count
     ver_starts: np.ndarray          # first VER_INTERNAL row of each slab, then the count
     signature: np.ndarray = field(init=False)   # class of each element's (hx, ht, eps, mu)
+    slab_class: np.ndarray = field(init=False)  # class of each slab's (height, partition)
 
     def __post_init__(self):
         # the cached properties below rely on the mesh staying as built
@@ -260,6 +262,15 @@ class Mesh:
             signature = np.empty(len(order), dtype=int)
             signature[order] = np.concatenate([[0], np.cumsum(fresh)])
         object.__setattr__(self, "signature", _read_only(signature))
+        # slab classes in order of first appearance, equal exactly where the
+        # height and the partition (the slab's x0, then its last x1) are;
+        # + 0.0 turns a -0.0 into 0.0, which it equals
+        classes, bounds, x0 = {}, self.slab_starts.tolist(), self.x0 + 0.0
+        slabs = zip(self.slab_heights.tolist(), self.x1[self.slab_starts[1:] - 1].tolist(),
+                    bounds[:-1], bounds[1:])
+        slab_class = [classes.setdefault((h, last, x0[a:b].tobytes()), len(classes))
+                      for h, last, a, b in slabs]
+        object.__setattr__(self, "slab_class", _read_only(np.array(slab_class)))
 
     @property
     def n_slabs(self):
@@ -288,15 +299,6 @@ class Mesh:
         """Element heights: each slab's height as given, so identical slabs
         share it bit for bit, where t1 - t0 rounds differently per slab."""
         return _read_only(self.slab_heights[self.slab])
-
-    @cached_property
-    def identical_slabs(self):
-        """True when every slab shares height and spatial partition exactly."""
-        counts = np.diff(self.slab_starts)
-        if np.any(counts != counts[0]) or np.any(self.slab_heights != self.slab_heights[0]):
-            return False
-        rows = np.column_stack([self.x0, self.x1]).reshape(self.n_slabs, -1)
-        return bool(np.all(rows == rows[0]))
 
     @cached_property
     def hx_max(self):

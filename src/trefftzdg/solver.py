@@ -17,14 +17,16 @@ does each row's arithmetic independently of its row count, except on
 its last m % 4 rows. Several right-hand sides (update_matrix) go to
 getrs itself.
 The slab operator (A_j, R_j, assemble_slab) does not depend on the data;
-the data enter only through the load b_j (load_plan). When all slabs
-share height and partition the operators are bit-identical by
-construction: the assembly works in element-local offsets, and every
-element's ht is its slab's height as given (Mesh.ht), not a difference
-of slab times that rounds differently from slab to slab. So one slab's
-A, factored in place, and its R serve every slab, one load plan gives
-every b_j, and the march holds one n x n array, the LU: R stays its
-interface blocks (assembly.Coupling), and R_j c_{j-1} is their product.
+the data enter only through the load b_j (load_plan). A_j and the load
+plan depend only on slab j's class (_slab_classes), and R_j on the classes
+of slabs j - 1 and j, bit for bit: the assembly works in element-local
+offsets, and every element's ht is its slab's height as given (Mesh.ht).
+So the march builds one load plan and one LU, in place of A, per class and
+one R per pair of neighbouring classes, each at its first slab. It keeps
+at most two classes' LUs at once, rebuilding a class it dropped when the
+class recurs, and frees each R after its last slab. R stays its interface
+blocks (assembly.Coupling), and R_j c_{j-1} is their product, so at most
+two n x n arrays are held.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups,
@@ -45,7 +47,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import cython_blas
 
-from .assembly import assemble_slab, global_layout, load_plan
+from .assembly import assemble_coupling, assemble_slab, global_layout, load_plan
 from .basis import signature_groups
 from .errors import (
     DimensionMismatch,
@@ -188,8 +190,8 @@ class _SlabLU:
 
     def __call__(self, b):
         """x with A x = b, for a load b of shape (n,) or (n, k); another
-        length raises DimensionMismatch."""
-        if b.shape[:1] != self.perm.shape:
+        shape raises DimensionMismatch."""
+        if b.ndim > 2 or b.shape[:1] != self.perm.shape:
             raise DimensionMismatch(f"load has shape {b.shape}, the LU solves {self.perm.shape}")
         if b.ndim == 1 and not np.signbit(b[b == 0]).any():
             return self.windowed(b)
@@ -221,13 +223,13 @@ def _mapped_zeros(shape, order):
     allocations are. Where the system can (Linux's MAP_POPULATE), the
     mapping's pages are faulted in by the one call that maps them.
 
-    The march's shared slab matrix takes it. From the malloc heap, that one
-    n x n array left a hole of its size after each march, which the work
-    run between marches split, so that a later march grew the heap by one
-    more n x n block, resident from then on, or did not, depending on what
-    had run before: march_pec's peak RSS read 144 MB in place of 117 MB in
-    some processes of its benchmark loop (one 28 MB slab matrix more). A
-    mapping has its own costs: its pages are faulted in on every march (the
+    The march's slab matrices take it, one per slab class. From the malloc
+    heap, an n x n array left a hole of its size after each march, which
+    the work run between marches split, so that a later march grew the
+    heap by one more n x n block, resident from then on, or did not,
+    depending on what had run before: march_pec's peak RSS read 144 MB in
+    place of 117 MB in some processes of its benchmark loop (one 28 MB slab
+    matrix more). A mapping has its own costs: its pages are faulted in on every march (the
     march_pec march takes 1.08 times as long as with a heap matrix, 1.16
     times without MAP_POPULATE), and the matrix no longer shares heap space
     with what runs after the march, so audit_default's peak RSS (n = 480,
@@ -319,54 +321,75 @@ class SolutionField:
         return self.evaluate(x, t, t_side=t_side, x_side=x_side)
 
 
+def _slab_classes(mesh, spec):
+    """Each slab's class, numbered in order of first appearance: its
+    Mesh.slab_class, its degree row, and the largest degree of it and its
+    predecessor, which sets its face rule (assembly._slab_frame)."""
+    degrees, bounds = spec.degrees(range(mesh.n_elements)), mesh.slab_starts.tolist()
+    p_max = np.maximum.reduceat(degrees, bounds[:-1]).tolist()
+    classes = {}
+    return [classes.setdefault((c, degrees[a:b].tobytes(), max(p, q)), len(classes))
+            for c, a, b, p, q in zip(mesh.slab_class.tolist(), bounds, bounds[1:], p_max,
+                                     [0] + p_max)]
+
+
 def march(mesh, spec, flux, bc, initial_data, source=None):
     """Solve the space-time system slab by slab.
 
     Returns a SolutionField. Slab j solves A_j c_j = R_j c_{j-1} + b_j,
     with the operator from assemble_slab and the load from a load_plan.
-    On identical slabs with a uniform degree the operator is the same bit
-    for bit on every slab (A_0 = A_j, R_1 = R_j), so slab 1's operator and
-    load plan (slab 0's on a one-slab mesh) are built once: its A, factored
-    in place, and its R serve every slab. R is kept as its interface
-    blocks, so one n x n array, the LU, is held, in a memory mapping of
-    its own when it is large (_mapped_zeros). Otherwise each slab
-    assembles and factors its own operator and builds its own plan, after
-    slab j - 1's LU and R are freed, so that each A reuses the heap block
-    of the one before. Raises NonFiniteSolution at the first slab whose
-    coefficients are not all finite.
+    The slabs of a class (_slab_classes) share one load plan and one A,
+    assembled at the class's first slab, in a memory mapping of its own
+    when it is large (_mapped_zeros), and factored in place. Before it
+    assembles a class, the march drops every other class but the one that
+    recurs first, so at most two LUs live at once; a dropped class that
+    recurs is assembled again, bit for bit. The slabs behind a pair of
+    classes share one R, from an assembly or from assemble_coupling, freed
+    after the pair's last slab. Raises NonFiniteSolution at the first slab
+    whose coefficients are not all finite.
     """
     sol = SolutionField(mesh, spec, flux, bc, np.empty(global_layout(mesh, spec)[1]))
     coeffs = sol.coefficients
-    shared = mesh.identical_slabs and spec.uniform
-    for j in range(mesh.n_slabs):
-        if j == 0 or not shared:
-            k = min(1, mesh.n_slabs - 1) if shared else j
-            system = lu = None                  # free slab j - 1's LU and R first
-            load = load_plan(mesh, k, spec, flux, bc, initial_data, source)
-            system = assemble_slab(mesh, k, spec, flux, bc,
-                                   _mapped_zeros if shared else np.zeros)
-            lu = _SlabLU(system.A, f"slab {k} matrix")
-        b = system.R @ coeffs[j - 1] + load(j) if j else load(0)
+    classes = _slab_classes(mesh, spec)
+    pairs = [None, *zip(classes, classes[1:])]
+    last = {pair: j for j, pair in enumerate(pairs)}
+    held, coupling = {}, {}                     # class: (load plan, LU); pair: R
+    for j, (c, pair) in enumerate(zip(classes, pairs)):
+        if c not in held:
+            # keep of the others only the one that recurs first, so that at
+            # most two LUs live at once; a class dropped early is rebuilt
+            recur = {k: classes.index(k, j) for k in held if k in classes[j:]}
+            held = {k: held[k] for k in sorted(recur, key=recur.get)[:1]}
+            system = load = lu = None           # free the dropped LUs first
+            load = load_plan(mesh, j, spec, flux, bc, initial_data, source)
+            system = assemble_slab(mesh, j, spec, flux, bc, _mapped_zeros)
+            held[c], coupling[pair] = (load, _SlabLU(system.A, f"slab {j} matrix")), system.R
+        elif pair not in coupling:
+            coupling[pair] = assemble_coupling(mesh, j, spec)
+        load, lu = held[c]
+        b = coupling[pair] @ coeffs[j - 1] + load(j) if j else load(0)
         coeffs[j][:] = lu(b)
         if not np.isfinite(coeffs[j]).all():
             raise NonFiniteSolution(
                 f"slab {j} coefficients are not finite: its data or load hold a NaN or an "
                 "infinity, or the solve overflowed"
             )
+        coupling = {key: R for key, R in coupling.items() if last[key] > j}
     return sol
 
 
 def update_matrix(mesh, spec, flux, bc):
     """Dense one-slab update operator U = A^{-1} R.
 
-    Requires at least two identical slabs and a boundary condition
-    whose structure does not depend on time-varying data.
+    Requires at least two slabs, all of one class (_slab_classes: the same
+    height, partition and degrees), and a boundary condition whose
+    structure does not depend on time-varying data.
     """
     if mesh.n_slabs < 2:
         raise InhomogeneousSlabs("update operator needs at least two slabs")
-    if not mesh.identical_slabs:
+    if max(_slab_classes(mesh, spec)):
         raise InhomogeneousSlabs(
-            "update operator requires identical slab heights and partitions"
+            "update operator requires identical slab heights, partitions and degrees"
         )
     if not bc.homogeneous:
         raise UnsupportedBC(

@@ -51,8 +51,8 @@ def test_workload_hooks_install_record_and_close(monkeypatch):
     # evaluate's tables are built inside eval_local, under its own span
     evaluate = names.index("solver.evaluate")
     assert any(span.name == "basis.eval" and span.parent == evaluate for span in tracer.spans)
-    # identical slabs: slab 1's operator, assembled once through
-    # solver.assemble_slab, serves every slab
+    # identical slabs are one slab class: its operator, assembled once at
+    # slab 0 through solver.assemble_slab, serves every slab
     assert names.count("assembly.slab") == 1
 
 

@@ -212,19 +212,31 @@ def test_bad_output_names_exit_one_before_writing(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
-@pytest.mark.parametrize("blocked", ["out-under-a-file", "csv-is-a-directory"])
-def test_unwritable_outputs_exit_one_with_one_error_line(tmp_path, capsys, blocked):
+@pytest.mark.parametrize("command, blocked", [
+    pytest.param("run", "out-under-a-file", id="out-under-a-file"),
+    pytest.param("run", "results.csv", id="csv-is-a-directory"),
+    pytest.param("run", "manifest.cfg", id="manifest-is-a-directory"),
+    pytest.param("sweep-h", "plot.svg", id="svg-is-a-directory"),
+    pytest.param("energy", "plot.svg", id="energy-svg-is-a-directory"),
+    pytest.param("spectrum", "eigenvalues.csv", id="eigenvalues-is-a-directory"),
+])
+def test_unwritable_outputs_exit_one_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                         command, blocked):
+    # an output that is a directory fails the run before any solve
+    solves = []
+    monkeypatch.setattr(cli, "march", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "update_matrix", lambda *args: solves.append(args))
     cfg = _write_cfg(tmp_path)
     if blocked == "out-under-a-file":
         (tmp_path / "file").write_text("")
         out = path = tmp_path / "file" / "out"
     else:
-        out, path = tmp_path / "out", tmp_path / "out" / "results.csv"
+        out, path = tmp_path / "out", tmp_path / "out" / blocked
         path.mkdir(parents=True)
-    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    assert cli.main([command, cfg, "--set", "output.svg=plot.svg", "--out", str(out)]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and line.endswith(f"{str(path)!r}")
-    assert not (out / "manifest.cfg").exists()
+    assert not (out / "manifest.cfg").is_file() and solves == []
 
 
 def test_cli_overrides_beat_file_values(tmp_path):

@@ -111,7 +111,7 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
     domain, materials, heights, parts = case
     mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum([heights[0]] * n_slabs)),
                       materials, [heights[0]] * n_slabs, parts[0])
-    assert mesh.identical_slabs
+    assert mesh.slab_class.max() == 0
     spec, flux = BasisSpec(family, p), FluxParams()
     systems = [assemble_slab(mesh, j, spec, flux, bc) for j in range(n_slabs)]
     for system in systems[1:]:
@@ -123,17 +123,33 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
                                           for wall in ("pec", "robin", "dirichlet")]
                          + [(FULL, "robin+source")])
 @settings(max_examples=15, deadline=None)
-@given(random_meshes(), st.integers(1, 5), st.integers(0, 3))
-def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n_slabs, p):
-    # on identical slabs the march factors slab 1's A once, multiplies by its
-    # R and computes every load from slab 1's load plan; every slab must still
-    # get exactly the coefficients of its own operator's LU and R and its own
-    # plan's b
+@given(random_meshes(), st.integers(1, 5), st.integers(0, 3),
+       st.sampled_from(["identical", "heights", "partitions", "degrees", "interleaved"]))
+def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n_slabs, p,
+                                                           layout):
+    # the march factors each slab class's A once, at its first slab, computes
+    # the class's loads from that slab's load plan and takes one R per pair
+    # of neighbouring classes. The slabs are identical, or repeat the pattern
+    # a, a, b of two heights, two (hanging-node) partitions or two degree
+    # rows, so that one class follows two others. Row b has the larger
+    # maximum, which sets the face rule of the slab after it. Or five slabs
+    # take three heights in turn, a, b, c, a, b, so that the march drops b
+    # to keep two LUs and assembles it again at slab 4. Every slab must
+    # still get exactly the coefficients of its own operator's LU and R and
+    # its own plan's b
     domain, materials, heights, parts = case
-    heights = [heights[0]] * n_slabs
+    pattern = [(0, 0, -1)[j % 3] for j in range(n_slabs)]
+    if layout == "interleaved":
+        pattern, heights = [j % 3 for j in range(5)], [heights[0] * s for s in (1.0, 1.5, 2.0)]
+    heights = [heights[k if layout in ("heights", "interleaved") else 0] for k in pattern]
+    parts = [parts[k if layout == "partitions" else 0] for k in pattern]
     mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum(heights)), materials,
-                      heights, [parts[0]] * n_slabs)
-    assert mesh.identical_slabs
+                      heights, parts)
+    degree = p
+    if layout == "degrees":     # row a is p, p + 1, p, ...; row b p + 2, p + 1, p + 2, ...
+        b = mesh.slab % 3 == 2
+        local = np.arange(mesh.n_elements) - mesh.slab_starts[mesh.slab]
+        degree = dict(enumerate((p + (local + b) % 2 + b).tolist()))
     t_final = mesh.domain.t_final
     bc = BoundaryCondition.pec()
     if wall.startswith("robin"):
@@ -145,7 +161,7 @@ def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n
     source = None
     if wall.endswith("source"):
         source = lambda x, t: np.cos(x / domain.length) * np.exp(-t / t_final)
-    spec, flux = BasisSpec(family, p), FluxParams()
+    spec, flux = BasisSpec(family, degree), FluxParams()
     pulse = GaussianPulse(domain.x_l + 0.4 * domain.length, 0.2 * domain.length)
     data = InitialData(pulse, pulse)
 

@@ -54,7 +54,7 @@ def test_uniform_mesh_counts_sixty_by_sixty():
     assert len(mesh.face_tables[FaceKind.TOP].pos) == 60
     assert len(mesh.face_tables[FaceKind.LEFT].pos) == 60
     assert len(mesh.face_tables[FaceKind.RIGHT].pos) == 60
-    assert mesh.identical_slabs
+    assert mesh.slab_class.max() == 0
     assert mesh.hx_max == 1.0
 
 
@@ -242,6 +242,18 @@ def test_vectorized_point_location_matches_element_at():
         mesh.elements_at(np.array([0.5, 0.5]), np.array([0.5, -0.1]))
 
 
+def test_slab_classes_follow_heights_and_partitions_by_value():
+    # numbered in order of first appearance; a partition starting at -0.0
+    # is the one starting at 0.0
+    zero, minus = np.array([0.0, 1.0, 2.0]), np.array([-0.0, 1.0, 2.0])
+    other = np.array([0.0, 0.5, 2.0])
+    mesh = build_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, [0.5, 0.5, 0.5, 0.25, 0.25],
+                      [zero, minus, other, zero, minus])
+    assert mesh.slab_class.tolist() == [0, 0, 1, 2, 2] and mesh.slab_class.max() > 0
+    mesh = build_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, [0.5, 0.5], [zero, minus])
+    assert mesh.slab_class.max() == 0
+
+
 def test_mesh_arrays_are_read_only():
     domain = SpaceTimeDomain(0.0, 2.0, 1.5)
     parts = [np.array([0.0, 0.6, 1.0, 2.0]), np.array([0.0, 1.0, 1.3, 2.0]),
@@ -250,6 +262,7 @@ def test_mesh_arrays_are_read_only():
     arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab,
               mesh.hx, mesh.ht, mesh.xc, mesh.tc, mesh.slab_starts, mesh.hor_starts,
               mesh.ver_starts, mesh.slab_heights, mesh.slab_times, mesh.signature,
+              mesh.slab_class,
               *(a for table in mesh.face_tables.values() for a in table)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -309,8 +322,12 @@ def test_random_meshes_are_consistent(case):
     assert np.array_equal(mesh.ht, np.asarray(heights)[mesh.slab])
     # point location at the element centres finds every element
     assert np.array_equal(mesh.elements_at(mesh.xc, mesh.tc), np.arange(mesh.n_elements))
-    assert mesh.identical_slabs == (len(set(heights)) == 1
-                                    and all(np.array_equal(p, parts[0]) for p in parts))
+    assert (mesh.slab_class.max() == 0) == (len(set(heights)) == 1
+                                           and all(np.array_equal(p, parts[0]) for p in parts))
+    # slab classes: equal exactly where height and partition are, numbered
+    # in order of first appearance
+    layouts = [(h, tuple(p)) for h, p in zip(heights, parts)]
+    assert mesh.slab_class.tolist() == [list(dict.fromkeys(layouts)).index(l) for l in layouts]
 
 
 def _mask_loop(mesh, x, t, t_side=None, x_side=None):
