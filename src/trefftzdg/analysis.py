@@ -457,6 +457,8 @@ def fit_rates(xs, errors, mode="h"):
 
     mode 'h': slope of log(error) against log(h) (positive = converging).
     mode 'p': slope of log(error) against p (negative = converging).
+    A sample that is not finite raises MismatchedDomain, an error (or h in
+    mode 'h') that is not positive NonpositiveError.
     """
     xs = np.asarray(xs, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -464,10 +466,12 @@ def fit_rates(xs, errors, mode="h"):
         raise MismatchedDomain(f"{xs.shape} sample points vs {errors.shape} errors")
     if xs.size < 3:
         raise InsufficientSamples(f"rate fit needs at least 3 samples, got {xs.size}")
-    if np.any(errors <= 0):
-        raise NonpositiveError("rate fit requires strictly positive errors")
     if mode not in ("h", "p"):
         raise MismatchedDomain(f"unknown fit mode {mode!r}")
+    if not (np.isfinite(xs).all() and np.isfinite(errors).all()):
+        raise MismatchedDomain(f"rate fit samples must be finite, got {xs} and {errors}")
+    if not ((errors > 0).all() and (mode == "p" or (xs > 0).all())):
+        raise NonpositiveError("rate fit requires strictly positive errors (and h, in mode 'h')")
 
     excluded = []
     coarse = int(np.argmax(xs)) if mode == "h" else int(np.argmin(xs))

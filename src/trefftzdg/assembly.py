@@ -14,9 +14,10 @@ stepping is A_j f_j = R_j f_{j-1} + b_j. The operator A_j, R_j depends
 only on the mesh, the basis, the flux and the kind of wall, and
 assemble_slab is its one assembly (R_j through assemble_coupling, which
 the march also calls alone); the data (initial fields, wall data,
-source) enter only through b_j, and load_plan is its one assembly. A
-plan evaluates its wall and source tables once and serves every slab
-laid out as its own. A is dense; R_j is kept as its interface blocks
+source) enter only through b_j, and load_plan is its one assembly. A_j
+and b_j read slab j alone, their rules set by its own largest degree;
+only R_j reads two slabs. A plan evaluates its wall and source tables
+once and serves every slab laid out as its own. A is dense; R_j is kept as its interface blocks
 (Coupling), whose product R_j f_{j-1} the march takes block by block,
 and is materialised only through np.asarray(R_j). assemble_global stacks
 the slab operators and loads, and the slab march is forward substitution
@@ -35,7 +36,11 @@ them in the order a face-by-face loop adds them, so A, R and b do not
 depend on the batching.
 """
 
+import ctypes
+import math
+import mmap
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +75,7 @@ class FluxParams:
     per_face_scaling: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise MismatchedDomain(
                 f"flux penalties must be non-negative, got alpha={self.alpha}, beta={self.beta}"
             )
@@ -307,26 +312,21 @@ def _volume_block(basis, n_quad):
 
 
 def _slab_frame(mesh, slab, spec):
-    """Element ids, largest degree and slab-local first dofs of a slab and its predecessor.
+    """Element ids, largest degree and slab-local first dofs of one slab.
 
     offsets[i - ids.start] is the first dof of element i counted from the
-    slab's first element, and offsets[-1] the slab's size; prev_offsets
-    holds the same for the predecessor, None for slab 0.
+    slab's first element, and offsets[-1] the slab's size.
     """
     ids = mesh.elem_grid[slab]
-    prev_ids = mesh.elem_grid[slab - 1] if slab > 0 else range(ids.start, ids.start)
-    degrees = spec.degrees(range(prev_ids.start, ids.stop))
-    starts = np.cumsum(np.append(0, space_dim(spec.family, degrees)))
-    offsets = starts[len(prev_ids):] - starts[len(prev_ids)]
-    prev_offsets = starts[:len(prev_ids) + 1] if prev_ids else None
-    return ids, prev_ids, int(degrees.max()), offsets, prev_offsets
+    degrees = spec.degrees(ids)
+    return ids, int(degrees.max()), np.cumsum(np.append(0, space_dim(spec.family, degrees)))
 
 
 def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
     """Load of slab `slab`, as a function j -> b_j that serves every slab j
-    laid out as it is (same partition, height and degrees, and the same
-    largest degree of slab and predecessor: every slab of its class in the
-    march, solver._slab_classes).
+    laid out as it is (same height, partition and degrees: every slab of
+    its class in the march, solver._slab_classes). Its data rule is set by
+    the slab's own largest degree.
 
     b_j integrates the wall data, the volume source and, for j = 0, the
     initial data on slab 0's lower edges; load(0) raises MismatchedDomain
@@ -345,7 +345,7 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
             "transport-polynomial spaces solve the homogeneous system; "
             "a volume source requires the full family"
         )
-    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
+    ids, p_max, offsets = _slab_frame(mesh, slab, spec)
     n_data = data_nodes(p_max)
     walls = []
     if not bc.homogeneous:
@@ -394,40 +394,81 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
 def assemble_coupling(mesh, slab, spec):
     """The coupling R of one time slab to the one before it: one block per
     interface piece against the previous slab's basis traces (Coupling),
-    (n, 0) for slab 0. The previous coefficients multiply R at solve time."""
-    ids, prev_ids, p_max, offsets, prev_offsets = _slab_frame(mesh, slab, spec)
-    n_face = face_nodes(p_max)
-    n, n_prev = int(offsets[-1]), int(prev_offsets[-1]) if prev_ids else 0
+    (n, 0) for slab 0. The face rule is set by the largest degree of both
+    slabs. The previous coefficients multiply R at solve time."""
+    ids, p_max, offsets = _slab_frame(mesh, slab, spec)
+    if slab == 0:
+        return Coupling((int(offsets[-1]), 0), [])
+    prev_ids, p_prev, prev_offsets = _slab_frame(mesh, slab - 1, spec)
+    n_face = face_nodes(max(p_max, p_prev))
+    hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
+    pieces = slice(mesh.hor_starts[slab - 1], mesh.hor_starts[slab])
+    below, above = hor.elements[pieces].T
+    xq, wq = map_to_segment(n_face, hor.lo[pieces], hor.hi[pieces])
     coupling = []
-    if slab > 0:
-        hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
-        pieces = slice(mesh.hor_starts[slab - 1], mesh.hor_starts[slab])
-        below, above = hor.elements[pieces].T
-        xq, wq = map_to_segment(n_face, hor.lo[pieces], hor.hi[pieces])
-        for basis_b, gb in signature_groups(mesh, spec, below):
-            f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
-            for basis_a, ga in signature_groups(mesh, spec, above[gb]):
-                g = gb[ga]
-                f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
-                blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
-                                    wq[g][:, None], basis_a.eps, basis_a.mu)
-                coupling.append((offsets[above[g] - ids.start],
-                                 prev_offsets[below[g] - prev_ids.start], blocks))
-    return Coupling((n, n_prev), coupling)
+    for basis_b, gb in signature_groups(mesh, spec, below):
+        f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
+        for basis_a, ga in signature_groups(mesh, spec, above[gb]):
+            g = gb[ga]
+            f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
+            blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
+                                wq[g][:, None], basis_a.eps, basis_a.mu)
+            coupling.append((offsets[above[g] - ids.start],
+                             prev_offsets[below[g] - prev_ids.start], blocks))
+    return Coupling((int(offsets[-1]), int(prev_offsets[-1])), coupling)
 
 
-def assemble_slab(mesh, slab, spec, flux, bc, zeros=np.zeros):
+#: numpy's tracemalloc domain, under which _mapped_zeros reports its mappings
+_NUMPY_TRACE_DOMAIN = 389047
+_track = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
+    ("PyTraceMalloc_Track", ctypes.pythonapi))
+_untrack = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
+    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
+#: smallest array _mapped_zeros maps, in bytes; smaller ones come from the heap
+_MAPPED_BYTES = 2**23
+
+
+def _mapped_zeros(shape, order):
+    """np.zeros(shape, order=order) of float64 which, from _MAPPED_BYTES on,
+    has its own anonymous memory mapping, unmapped as soon as the array and
+    its views are freed, and counted by tracemalloc as numpy's own
+    allocations are; where the system can (Linux's MAP_POPULATE), the one
+    call that maps it faults its pages in. assemble_slab allocates A with it.
+
+    From the malloc heap, an n x n A left a hole that the work between
+    marches split, so a later march grew the heap by one more n x n block
+    or did not, depending on what had run before (march_pec's peak RSS read
+    144 MB in place of 117 MB in some processes of its benchmark loop). A
+    mapping faults its pages in on every march (1.08 times the march_pec
+    march) and shares no heap space with later work (audit_default's peak
+    RSS, n = 480, rose by 2 MB with it); hence the heap below _MAPPED_BYTES.
+    """
+    size = 8 * math.prod(shape)
+    if size < _MAPPED_BYTES:
+        return np.zeros(shape, order=order)
+    if hasattr(mmap, "MAP_POPULATE"):
+        mapping = mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
+    else:
+        mapping = mmap.mmap(-1, size)
+    array = np.ndarray(shape, order=order, buffer=mapping)
+    _track(_NUMPY_TRACE_DOMAIN, array.ctypes.data, size)
+    weakref.finalize(mapping, _untrack, _NUMPY_TRACE_DOMAIN, array.ctypes.data)
+    return array
+
+
+def assemble_slab(mesh, slab, spec, flux, bc):
     """Assemble the operator A, R of one time slab, R by assemble_coupling.
 
     The operator depends only on the mesh, the basis, the flux and the
-    kind of wall; the data enter through load_plan's b. A is allocated in
-    Fortran order, as zeros((n, n), order="F"), so the march can factor
-    it in place.
+    kind of wall; the data enter through load_plan's b. A pairs slab j's
+    own functions only, so it reads slab j alone, its face rule set by
+    the slab's own largest degree. A is allocated by _mapped_zeros in
+    Fortran order, so the march can factor it in place.
     """
-    ids, _, p_max, offsets, _ = _slab_frame(mesh, slab, spec)
+    ids, p_max, offsets = _slab_frame(mesh, slab, spec)
     n_face = face_nodes(p_max)
     n = int(offsets[-1])
-    A = zeros((n, n), order="F")
+    A = _mapped_zeros((n, n), "F")
 
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab

@@ -25,6 +25,7 @@ signature, reading the mesh's per-element classes (Mesh.signature).
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,20 @@ def _degree_pairs(p):
     return [(jx, d - jx) for d in range(p + 1) for jx in range(d + 1)]
 
 
+def _degree(p):
+    """p as an int; MismatchedDomain unless it is a non-negative integer."""
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer)) or p < 0:
+        raise MismatchedDomain(f"degree must be a non-negative integer, got {p!r}")
+    return int(p)
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Family plus per-element polynomial degree.
 
     degree is either a single non-negative int (uniform) or a mapping
-    from element index to int.
+    from element index to int, numpy integers stored as int; any other
+    value (a float, a bool) raises MismatchedDomain.
     """
 
     family: str
@@ -101,15 +110,11 @@ class BasisSpec:
             raise MismatchedDomain(
                 f"unknown basis family {self.family!r}, expected one of {FAMILIES}"
             )
-        if isinstance(self.degree, int):
-            if self.degree < 0:
-                raise MismatchedDomain(f"degree must be non-negative, got {self.degree}")
-        else:
+        if isinstance(self.degree, Mapping):
             # converted once: per-element lookups must not copy the mapping
-            object.__setattr__(self, "_degrees", dict(self.degree))
-            bad = [p for p in self._degrees.values() if p < 0]
-            if bad:
-                raise MismatchedDomain(f"degrees must be non-negative, got {bad}")
+            object.__setattr__(self, "_degrees", {i: _degree(p) for i, p in self.degree.items()})
+        else:
+            object.__setattr__(self, "degree", _degree(self.degree))
 
     @property
     def uniform(self):
@@ -119,7 +124,7 @@ class BasisSpec:
         if isinstance(self.degree, int):
             return self.degree
         try:
-            return int(self._degrees[element_index])
+            return self._degrees[element_index]
         except KeyError:
             raise MismatchedDomain(f"no degree given for element {element_index}") from None
 
@@ -130,9 +135,7 @@ class BasisSpec:
         return np.array([self.degree_for(i) for i in ids], dtype=int)
 
     def max_degree(self):
-        if isinstance(self.degree, int):
-            return self.degree
-        return max(self._degrees.values())
+        return self.degree if self.uniform else max(self._degrees.values())
 
     def dim_for(self, element_index):
         return space_dim(self.family, self.degree_for(element_index))
@@ -143,13 +146,11 @@ class ElementBasis:
     and materials eps, mu: all that eval_local depends on."""
 
     def __init__(self, family, p, hx, ht, eps, mu):
-        if p < 0:
-            raise MismatchedDomain(f"degree must be non-negative, got {p}")
         if family not in FAMILIES:
             raise MismatchedDomain(f"unknown basis family {family!r}")
         self.family = family
-        self.p = p
-        self.n = space_dim(family, p)
+        self.p = _degree(p)
+        self.n = space_dim(family, self.p)
         self.hx, self.ht, self.eps, self.mu = hx, ht, eps, mu
 
     def eval_local(self, dx, dt):

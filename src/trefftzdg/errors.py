@@ -89,7 +89,7 @@ class InsufficientSamples(TrefftzDGError):
 
 
 class NonpositiveError(TrefftzDGError):
-    """Rate fit input contains a non-positive error value."""
+    """Rate fit input contains a non-positive error value (or h, in an h fit)."""
 
 
 # config / cli

@@ -89,9 +89,9 @@ class MaterialLayout:
                 f"{len(self.breakpoints) + 1} material values, got "
                 f"eps: {len(self.eps)}, mu: {len(self.mu)}"
             )
-        if any(e <= 0 for e in self.eps) or any(m <= 0 for m in self.mu):
+        if not all(v > 0 for v in self.eps + self.mu):
             raise NegativeExtent("eps and mu must be positive")
-        if any(b1 <= b0 for b0, b1 in zip(self.breakpoints, self.breakpoints[1:])):
+        if not all(b1 > b0 for b0, b1 in zip(self.breakpoints, self.breakpoints[1:])):
             raise MismatchedDomain("material breakpoints must be strictly increasing")
 
     @classmethod
@@ -146,7 +146,7 @@ def _validate_partition(partition, domain, materials, slab_index):
     p = np.asarray(partition, dtype=float)
     if p.size < 2:
         raise EmptyPartition(f"slab {slab_index}: partition needs at least two breakpoints")
-    if np.any(np.diff(p) <= 0):
+    if not np.all(np.diff(p) > 0):
         raise EmptyPartition(f"slab {slab_index}: partition must be strictly increasing")
     tol = BREAKPOINT_RTOL * domain.length
     if abs(p[0] - domain.x_l) > tol or abs(p[-1] - domain.x_r) > tol:
@@ -321,7 +321,7 @@ class Mesh:
         t = np.asarray(t, dtype=float)
         times = self.slab_times
         tol = 1e-12 * max(self.domain.t_final, 1.0)
-        outside = (t < times[0] - tol) | (t > times[-1] + tol)
+        outside = ~((t >= times[0] - tol) & (t <= times[-1] + tol))
         if outside.any():
             raise MismatchedDomain(f"time {t[outside][0]} outside [0, {times[-1]}]")
         j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, self.n_slabs - 1)
@@ -340,7 +340,7 @@ class Mesh:
         check_side(x_side, X_SIDES)
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         tol_x = 1e-12 * max(self.domain.length, 1.0)
-        outside = (x < self.domain.x_l - tol_x) | (x > self.domain.x_r + tol_x)
+        outside = ~((x >= self.domain.x_l - tol_x) & (x <= self.domain.x_r + tol_x))
         if outside.any():
             raise MismatchedDomain(
                 f"x = {x[outside][0]} outside [{self.domain.x_l}, {self.domain.x_r}]")
@@ -371,7 +371,7 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
     heights = [float(h) for h in np.atleast_1d(np.asarray(slab_heights, dtype=float))]
     if len(heights) == 0:
         raise EmptyPartition("need at least one slab")
-    if any(h <= 0 for h in heights):
+    if not all(h > 0 for h in heights):
         raise NegativeExtent(f"slab heights must be positive, got {heights}")
     total = sum(heights)
     if abs(total - domain.t_final) > BREAKPOINT_RTOL * domain.t_final:

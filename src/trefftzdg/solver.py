@@ -18,15 +18,16 @@ its last m % 4 rows. Several right-hand sides (update_matrix) go to
 getrs itself.
 The slab operator (A_j, R_j, assemble_slab) does not depend on the data;
 the data enter only through the load b_j (load_plan). A_j and the load
-plan depend only on slab j's class (_slab_classes), and R_j on the classes
-of slabs j - 1 and j, bit for bit: the assembly works in element-local
-offsets, and every element's ht is its slab's height as given (Mesh.ht).
-So the march builds one load plan and one LU, in place of A, per class and
-one R per pair of neighbouring classes, each at its first slab. It keeps
-at most two classes' LUs at once, rebuilding a class it dropped when the
-class recurs, and frees each R after its last slab. R stays its interface
-blocks (assembly.Coupling), and R_j c_{j-1} is their product, so at most
-two n x n arrays are held.
+plan read slab j alone, so they depend only on its class (_slab_classes:
+height, partition and degrees); R_j, the one term that reads two slabs,
+depends on the classes of slabs j - 1 and j. Both hold bit for bit: the
+assembly works in element-local offsets, and every element's ht is its
+slab's height as given (Mesh.ht). So the march builds one load plan and
+one LU, in place of A, per class and one R per pair of neighbouring
+classes, each at its first slab. It keeps at most two classes' LUs at
+once, rebuilding a class it dropped when the class recurs, and frees each
+R after its last slab. R stays its interface blocks (assembly.Coupling),
+and R_j c_{j-1} is their product, so at most two n x n arrays are held.
 
 SolutionField.traces evaluates a field at offsets from element centres
 with one basis table per element signature (basis.signature_groups,
@@ -38,9 +39,6 @@ through it.
 """
 
 import ctypes
-import math
-import mmap
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,48 +204,6 @@ class _SlabLU:
         return self.work.copy()
 
 
-#: numpy's tracemalloc domain, under which _mapped_zeros reports its mappings
-_NUMPY_TRACE_DOMAIN = 389047
-_track = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
-    ("PyTraceMalloc_Track", ctypes.pythonapi))
-_untrack = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
-    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
-#: smallest array _mapped_zeros maps, in bytes; smaller ones come from the heap
-_MAPPED_BYTES = 2**23
-
-
-def _mapped_zeros(shape, order):
-    """np.zeros(shape, order=order) of float64 which, from _MAPPED_BYTES on,
-    has its own anonymous memory mapping, unmapped as soon as the array and
-    its views are freed, and counted by tracemalloc as numpy's own
-    allocations are. Where the system can (Linux's MAP_POPULATE), the
-    mapping's pages are faulted in by the one call that maps them.
-
-    The march's slab matrices take it, one per slab class. From the malloc
-    heap, an n x n array left a hole of its size after each march, which
-    the work run between marches split, so that a later march grew the
-    heap by one more n x n block, resident from then on, or did not,
-    depending on what had run before: march_pec's peak RSS read 144 MB in
-    place of 117 MB in some processes of its benchmark loop (one 28 MB slab
-    matrix more). A mapping has its own costs: its pages are faulted in on every march (the
-    march_pec march takes 1.08 times as long as with a heap matrix, 1.16
-    times without MAP_POPULATE), and the matrix no longer shares heap space
-    with what runs after the march, so audit_default's peak RSS (n = 480,
-    1.8 MB) rose by 2 MB with it. Hence the heap below _MAPPED_BYTES.
-    """
-    size = 8 * math.prod(shape)
-    if size < _MAPPED_BYTES:
-        return np.zeros(shape, order=order)
-    if hasattr(mmap, "MAP_POPULATE"):
-        mapping = mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
-    else:
-        mapping = mmap.mmap(-1, size)
-    array = np.ndarray(shape, order=order, buffer=mapping)
-    _track(_NUMPY_TRACE_DOMAIN, array.ctypes.data, size)
-    weakref.finalize(mapping, _untrack, _NUMPY_TRACE_DOMAIN, array.ctypes.data)
-    return array
-
-
 #: functions x points per eval_local call: bounds its E and H tables at 0.25 MB each
 _CHUNK = 1 << 15
 
@@ -323,14 +279,12 @@ class SolutionField:
 
 def _slab_classes(mesh, spec):
     """Each slab's class, numbered in order of first appearance: its
-    Mesh.slab_class, its degree row, and the largest degree of it and its
-    predecessor, which sets its face rule (assembly._slab_frame)."""
+    Mesh.slab_class (height and partition) joined with its degree row, all
+    that A_j and slab j's load plan read (assembly._slab_frame)."""
     degrees, bounds = spec.degrees(range(mesh.n_elements)), mesh.slab_starts.tolist()
-    p_max = np.maximum.reduceat(degrees, bounds[:-1]).tolist()
     classes = {}
-    return [classes.setdefault((c, degrees[a:b].tobytes(), max(p, q)), len(classes))
-            for c, a, b, p, q in zip(mesh.slab_class.tolist(), bounds, bounds[1:], p_max,
-                                     [0] + p_max)]
+    return [classes.setdefault((c, degrees[a:b].tobytes()), len(classes))
+            for c, a, b in zip(mesh.slab_class.tolist(), bounds, bounds[1:])]
 
 
 def march(mesh, spec, flux, bc, initial_data, source=None):
@@ -339,8 +293,7 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
     Returns a SolutionField. Slab j solves A_j c_j = R_j c_{j-1} + b_j,
     with the operator from assemble_slab and the load from a load_plan.
     The slabs of a class (_slab_classes) share one load plan and one A,
-    assembled at the class's first slab, in a memory mapping of its own
-    when it is large (_mapped_zeros), and factored in place. Before it
+    assembled at the class's first slab and factored in place. Before it
     assembles a class, the march drops every other class but the one that
     recurs first, so at most two LUs live at once; a dropped class that
     recurs is assembled again, bit for bit. The slabs behind a pair of
@@ -362,7 +315,7 @@ def march(mesh, spec, flux, bc, initial_data, source=None):
             held = {k: held[k] for k in sorted(recur, key=recur.get)[:1]}
             system = load = lu = None           # free the dropped LUs first
             load = load_plan(mesh, j, spec, flux, bc, initial_data, source)
-            system = assemble_slab(mesh, j, spec, flux, bc, _mapped_zeros)
+            system = assemble_slab(mesh, j, spec, flux, bc)
             held[c], coupling[pair] = (load, _SlabLU(system.A, f"slab {j} matrix")), system.R
         elif pair not in coupling:
             coupling[pair] = assemble_coupling(mesh, j, spec)
@@ -392,9 +345,7 @@ def update_matrix(mesh, spec, flux, bc):
             "update operator requires identical slab heights, partitions and degrees"
         )
     if not bc.homogeneous:
-        raise UnsupportedBC(
-            "update operator is defined for data-free boundary conditions"
-        )
+        raise UnsupportedBC("update operator is defined for data-free boundary conditions")
     system = assemble_slab(mesh, 1, spec, flux, bc)
     return _SlabLU(system.A)(np.asarray(system.R))
 

@@ -405,7 +405,7 @@ def test_rate_fit_drops_preasymptotic_coarse_sample():
     assert fit.rate == pytest.approx(3.0, abs=1e-12)
 
 
-def test_rate_fit_validation():
+def test_rate_fit_validation(capfd):
     with pytest.raises(InsufficientSamples):
         fit_rates([1.0, 0.5], [0.1, 0.01])
     with pytest.raises(NonpositiveError):
@@ -414,6 +414,26 @@ def test_rate_fit_validation():
         fit_rates([1.0, 0.5, 0.25], [0.1, 0.01])
     with pytest.raises(MismatchedDomain):
         fit_rates([1.0, 0.5, 0.25], [0.1, 0.01, 0.001], mode="hp")
+    # bad numbers by name, before the least-squares fit fails inside LAPACK
+    for xs, errors, mode, error in (
+            ([0.0, 1.0, 2.0], [0.1, 0.01, 0.001], "h", NonpositiveError),
+            ([1.0, np.nan, 0.25], [0.1, 0.01, 0.001], "h", MismatchedDomain),
+            ([1.0, 2.0, np.inf], [0.1, 0.01, 0.001], "p", MismatchedDomain),
+            ([1.0, 0.5, 0.25], [0.1, np.nan, 0.001], "h", MismatchedDomain)):
+        with pytest.raises(error):
+            fit_rates(xs, errors, mode=mode)
+    assert capfd.readouterr().err == ""
+
+
+def test_evaluation_and_energy_reject_a_nan_point():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), MaterialLayout.constant(), 2, 2)
+    data = InitialData(GaussianPulse(1.0, 0.3), GaussianPulse(1.0, 0.3))
+    sol = march(mesh, BasisSpec(TREFFTZ, 1), FluxParams(), BoundaryCondition.pec(), data)
+    for x, t in ((np.nan, 0.5), (0.5, np.nan)):
+        with pytest.raises(MismatchedDomain):
+            sol.evaluate(x, t)
+    with pytest.raises(MismatchedDomain):
+        discrete_energy(sol, np.nan)
 
 
 def test_error_norm_routes_agree():

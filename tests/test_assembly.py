@@ -106,6 +106,23 @@ def test_slab_operator_and_load_plan_are_translation_invariant(scaling):
         assert not np.array_equal(loads[2], loads[3])
 
 
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
+def test_slab_operator_reads_its_own_slab_alone(family):
+    # A_j pairs slab j's own functions, so its rule is set by slab j's
+    # degrees alone: after a row of larger degree A_j is A_j after an equal
+    # row, bit for bit (degree rows a, a, b, a on identical slabs)
+    layered = MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6))
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), layered, 4, 4)
+    spec = BasisSpec(family, {i: 1 + i % 2 + 2 * (i // 4 == 2) for i in range(16)})
+    flux = FluxParams(alpha=0.3, beta=0.6)
+    bc = BoundaryCondition.robin(g_l=lambda t: np.exp(-(t - 1.0) ** 2),
+                                 g_r=lambda t: 0.2 * np.sin(3.0 * t))
+    after_a, after_b = (assemble_slab(mesh, j, spec, flux, bc) for j in (1, 3))
+    assert after_a.A.tobytes() == after_b.A.tobytes()
+    plans = [load_plan(mesh, j, spec, flux, bc) for j in (1, 3)]
+    assert plans[0](3).tobytes() == plans[1](3).tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_trefftz_slab_matrix_couples_u_from_the_left_and_w_from_the_right(p):
     # alpha = beta = 1/2 with unit materials is the upwind flux: inside the
@@ -234,6 +251,9 @@ def test_quadratic_form_checks_vector_lengths():
 def test_flux_parameter_validation():
     with pytest.raises(MismatchedDomain):
         FluxParams(alpha=-0.1)
+    for bad in ({"alpha": np.nan}, {"beta": np.nan}, {"delta": np.nan}):
+        with pytest.raises(MismatchedDomain):
+            FluxParams(**bad)
     with pytest.raises(MismatchedDomain):
         FluxParams(delta=0.0)
     with pytest.raises(MismatchedDomain):

@@ -176,6 +176,15 @@ def test_spec_validation_and_per_element_degrees():
         BasisSpec("fourier", 2)
     with pytest.raises(MismatchedDomain):
         BasisSpec(TREFFTZ, -1)
+    # a degree is a non-negative integer: no float, bool or other value
+    for bad in (2.0, {0: 1.5}, True, {0: False}, "2", None, {0: -1}):
+        with pytest.raises(MismatchedDomain):
+            BasisSpec(TREFFTZ, bad)
+    # numpy integers are stored as int
+    uniform = BasisSpec(TREFFTZ, np.int64(2))
+    assert uniform.uniform and type(uniform.degree) is int and uniform.max_degree() == 2
+    mixed = BasisSpec(TREFFTZ, {0: np.int32(1), 1: np.int64(3)})
+    assert [type(p) for p in (mixed.degree_for(0), mixed.max_degree())] == [int, int]
     mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.0),
                         MaterialLayout.constant(), 2, 1)
     spec = BasisSpec(TREFFTZ, {0: 1, 1: 3})

@@ -133,6 +133,14 @@ def test_invalid_meshes_raise():
         build_mesh(domain, UNIT, [0.5, -0.1, 0.6], [np.array([0.0, 1.0])] * 3)
     with pytest.raises(MismatchedDomain):
         build_mesh(domain, UNIT, [0.4, 0.4], [np.array([0.0, 1.0])] * 2)
+    # a NaN fails every range check
+    with pytest.raises(EmptyPartition):
+        build_mesh(domain, UNIT, [1.0], [np.array([0.0, np.nan, 1.0])])
+    with pytest.raises(NegativeExtent):
+        build_mesh(domain, UNIT, [0.5, np.nan, 0.5], [np.array([0.0, 1.0])] * 3)
+    for eps, mu in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(NegativeExtent):
+            MaterialLayout((), (eps,), (mu,))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -195,6 +203,16 @@ def test_elements_at_rejects_an_unknown_side():
         mesh.elements_at(1.0, 0.5, x_side="lft")
     with pytest.raises(MismatchedDomain, match=r"\('below', 'above'\).*'belo'"):
         mesh.elements_at(1.0, 1.0, t_side="belo")
+
+
+def test_point_location_rejects_a_nan_coordinate():
+    mesh = uniform_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, 2, 2)
+    with pytest.raises(MismatchedDomain, match="time nan outside"):
+        mesh.slab_of_time(np.array([0.5, np.nan]))
+    with pytest.raises(MismatchedDomain, match="x = nan outside"):
+        mesh.elements_at(np.nan, 0.5)
+    with pytest.raises(MismatchedDomain, match="time nan outside"):
+        mesh.elements_at(0.5, np.nan)
 
 
 def test_spacing_constructor_rounds_to_integer_counts():

@@ -36,7 +36,7 @@ from trefftzdg import (
     uniform_mesh,
     update_matrix,
 )
-from trefftzdg import solver
+from trefftzdg import assembly, solver
 from trefftzdg.errors import (
     DimensionMismatch, InhomogeneousSlabs, MismatchedDomain, NonFiniteSolution,
     SingularSlabMatrix, UnsupportedBC,
@@ -168,6 +168,11 @@ def test_march_assembles_the_slab_operator_once_on_identical_slabs(monkeypatch, 
     # heights a, a, b, a, a, b: classes 0, 0, 1, 0, 0, 1, and one R per pair
     mesh = _alternating_mesh(4, [0.4, 0.4, 0.6], 6)
     assert builds(mesh, BasisSpec(TREFFTZ, 2)) == ([0, 2], [1, 3])
+    # degree rows a, a, b, a, a, b on identical slabs, b the larger: A_j reads
+    # slab j alone, so a row after b is of a's class
+    mesh = _alternating_mesh(4, [0.5], 6)
+    spec = BasisSpec(TREFFTZ, {i: 2 + i % 2 + 2 * (i // 4 % 3 == 2) for i in range(24)})
+    assert builds(mesh, spec) == ([0, 2], [1, 3])
     # heights a, b, c, a, b, c: at most two classes' LUs are kept, so c's
     # assembly drops b (recurring after a), which slab 4 assembles again
     mesh = _alternating_mesh(4, [0.3, 0.4, 0.5], 6)
@@ -210,13 +215,13 @@ def test_shared_slab_matrix_has_its_own_mapping_counted_by_tracemalloc(monkeypat
     # its own, which tracemalloc counts (so the memory test above still sees
     # a shared LU) until the last view of it is freed, and which is then
     # unmapped; below, it is np.zeros
-    small = solver._mapped_zeros((2, 2**20 // 8), "F")
+    small = assembly._mapped_zeros((2, 2**20 // 8), "F")
     assert small.base is None and small.flags.f_contiguous and not small.any()
-    monkeypatch.setattr(solver, "_MAPPED_BYTES", 8 * 300 * 200)
+    monkeypatch.setattr(assembly, "_MAPPED_BYTES", 8 * 300 * 200)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        A = solver._mapped_zeros((300, 200), "F")
+        A = assembly._mapped_zeros((300, 200), "F")
         held = tracemalloc.get_traced_memory()[0] - start
         assert A.flags.f_contiguous and A.dtype == np.float64 and not A.any()
         view, mapping = A[:, 1:], weakref.ref(A.base)
@@ -229,9 +234,10 @@ def test_shared_slab_matrix_has_its_own_mapping_counted_by_tracemalloc(monkeypat
     assert mapping() is None
     assert 8 * 300 * 200 <= held < 8 * 300 * 200 + 4096 and freed < 4096
 
-    # the march gives it every class's slab matrix: one on identical slabs,
-    # two where the degree rows of the two slabs differ
-    monkeypatch.setattr(solver, "_MAPPED_BYTES", 0)
+    # assemble_slab allocates every slab matrix with it, so the march holds
+    # one per class: one on identical slabs, two where the degree rows of the
+    # two slabs differ
+    monkeypatch.setattr(assembly, "_MAPPED_BYTES", 0)
     bases = []
     slab_lu = solver._SlabLU
     monkeypatch.setattr(solver, "_SlabLU", lambda A, what: bases.append(A.base) or slab_lu(A, what))
