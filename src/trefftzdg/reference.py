@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_values
 from .errors import MismatchedDomain, NegativeExtent, NonconstantMaterial
-from .quadrature import map_to_segment, tensor_rule
+from .quadrature import legendre_values, map_to_segment, tensor_rule
 
 PEC = "pec"
 DIRICHLET = "dirichlet"

@@ -20,6 +20,7 @@ from trefftzdg.config import (
     build_spec,
     experiment_points,
     parse_config_text,
+    point_config,
     validate,
 )
 from trefftzdg.errors import ConfigParse, NonconformingMaterial
@@ -170,11 +171,12 @@ def test_breakpoint_diagnostics_agree_with_the_mesh(overrides, spacings, missed)
     cfg = ExperimentConfig.defaults()
     cfg.values.update(overrides)
     for h in spacings:
+        point = point_config(cfg, {"mesh.h_x": h, "mesh.h_t": h})
         if missed:
             with pytest.raises(NonconformingMaterial):
-                build_mesh(cfg, h_x=h, h_t=h)
+                build_mesh(point)
         else:
-            assert build_mesh(cfg, h_x=h, h_t=h).n_elements == 60 * 60
+            assert build_mesh(point).n_elements == 60 * 60
 
 
 def test_sweep_lists_are_checked():
@@ -209,6 +211,17 @@ def test_values_a_sweep_replaces_are_not_checked(overrides):
     _check(lambda: cfg)
 
 
+def test_a_failure_that_reads_no_swept_value_is_reported_once():
+    # build_spec fails on basis.family before it reads the swept degree
+    cfg = ExperimentConfig.defaults().override(["experiment.kind=sweep_p", "basis.family=1,2"])
+    assert len(experiment_points(cfg)) == 6
+    assert validate(cfg) == ["basis.family: basis.family must be a string, got [1, 2]"]
+    # an unknown family is found once the degree is read: one line per degree
+    cfg.override(["basis.family=spectral", "experiment.p_values=1,2"])
+    assert [line.split(":")[0] for line in validate(cfg)] == [
+        "experiment.p_values = 1, basis.family", "experiment.p_values = 2, basis.family"]
+
+
 def test_unknown_initial_data_kind_is_rejected():
     cfg = ExperimentConfig.defaults().override(["ic.kind=sine"])
     with pytest.raises(ConfigParse, match="ic.kind"):
@@ -221,12 +234,19 @@ def test_experiment_points_name_each_solve():
     cfg = ExperimentConfig.defaults()
     assert experiment_points(cfg) == [({}, "")]
     cfg.override(["experiment.kind=sweep_h", "experiment.h_values=2,1"])
-    assert experiment_points(cfg) == [({"h": 2.0}, "experiment.h_values = 2.0"),
-                                      ({"h": 1.0}, "experiment.h_values = 1.0")]
+    assert experiment_points(cfg) == [
+        ({"mesh.h_x": 2.0, "mesh.h_t": 2.0}, "experiment.h_values = 2.0"),
+        ({"mesh.h_x": 1.0, "mesh.h_t": 1.0}, "experiment.h_values = 1.0")]
+    cfg.override(["experiment.kind=sweep_p", "experiment.p_values=1"])
+    assert experiment_points(cfg) == [({"basis.degree": 1}, "experiment.p_values = 1")]
     cfg.override(["experiment.kind=sweep_flux", "experiment.alpha_values=0.5",
                   "experiment.beta_values=0,1"])
-    assert [args for args, _ in experiment_points(cfg)] == [
-        {"alpha": 0.5, "beta": 0.0}, {"alpha": 0.5, "beta": 1.0}]
+    assert [replaced for replaced, _ in experiment_points(cfg)] == [
+        {"flux.alpha": 0.5, "flux.beta": 0.0}, {"flux.alpha": 0.5, "flux.beta": 1.0}]
+    # a point's config is the config with the values it replaces, and no other change
+    point = point_config(cfg, {"flux.alpha": 0.5, "flux.beta": 1.0})
+    assert point.values == {**cfg.values, "flux.alpha": 0.5, "flux.beta": 1.0}
+    assert cfg.values["flux.beta"] == 0.5
     cfg.override(["experiment.kind=scan"])
     with pytest.raises(ConfigParse, match="experiment.kind"):
         experiment_points(cfg)
@@ -241,8 +261,8 @@ def test_builders_assemble_the_problem():
     assert len(mesh.elem_grid[0]) == 8
     spec = build_spec(cfg)
     assert spec.family == TREFFTZ and spec.degree == 3
-    assert build_spec(cfg, degree=1).degree == 1
-    flux = build_flux(cfg, alpha=0.25)
+    assert build_spec(point_config(cfg, {"basis.degree": 1})).degree == 1
+    flux = build_flux(point_config(cfg, {"flux.alpha": 0.25}))
     assert flux.alpha == 0.25 and flux.beta == 0.5
     assert build_bc(cfg).kind == "pec"
     cfg.values["bc.kind"] = "robin"
@@ -288,36 +308,23 @@ _KEYS = st.sampled_from(sorted(DEFAULTS) + ["mesh.h", "bogus", ""])
 
 def _build_all(cfg):
     """Every builder the configured experiment calls, on a config that
-    validated clean, with the values the CLI gives it: a sweep's list
-    stands in for the config value it sweeps. A mesh is built only where
+    validated clean, at every point it solves. A mesh is built only where
     it stays small, since a valid config may ask for any resolution."""
-    build_materials(cfg)
-    domain = build_domain(cfg)
-    kind = cfg.text("experiment.kind")
-    if kind == "sweep_h":
-        spacings = [(h, h) for h in cfg.numbers("experiment.h_values")]
-    else:
-        spacings = [(cfg.number("mesh.h_x"), cfg.number("mesh.h_t"))]
-    for h_x, h_t in spacings:
-        n_x, n_t = max(1.0, domain.length / h_x), max(1.0, domain.t_final / h_t)
-        # past MAX_CELLS numpy cannot size the arrays; below it only memory can run out
-        assert n_x <= MAX_CELLS and n_t <= MAX_CELLS
-        if n_x * n_t <= 2000:
-            build_mesh(cfg, h_x=h_x, h_t=h_t)
-    if kind in ("sweep_p", "spectrum"):
-        for p in cfg.integers("experiment.p_values"):
-            build_spec(cfg, degree=p)
-    else:
-        build_spec(cfg)
-    if kind == "sweep_flux":
-        for a in cfg.numbers("experiment.alpha_values"):
-            for b in cfg.numbers("experiment.beta_values"):
-                build_flux(cfg, alpha=a, beta=b)
-    else:
-        build_flux(cfg)
     build_bc(cfg)
     build_initial_data(cfg)
     build_profile(cfg)
+    for replaced, _ in experiment_points(cfg):
+        point = point_config(cfg, replaced)
+        build_materials(point)
+        domain = build_domain(point)
+        n_x = max(1.0, domain.length / point.number("mesh.h_x"))
+        n_t = max(1.0, domain.t_final / point.number("mesh.h_t"))
+        # past MAX_CELLS numpy cannot size the arrays; below it only memory can run out
+        assert n_x <= MAX_CELLS and n_t <= MAX_CELLS
+        if n_x * n_t <= 2000:
+            build_mesh(point)
+        build_spec(point)
+        build_flux(point)
 
 
 def _check(make_cfg):

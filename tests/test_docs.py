@@ -1,5 +1,6 @@
 """The README's library example runs as written and prints what it documents,
-and its config defaults are the ones the package applies."""
+its config defaults are the ones the package applies, and its diagnostics
+are the ones validate prints."""
 
 import re
 from pathlib import Path
@@ -31,3 +32,14 @@ def test_readme_defaults_block_is_config_defaults():
     assert sorted(values) == sorted(config.DEFAULTS)
     for key, value in values.items():
         assert config._canonical(key, value) == config.DEFAULTS[key], key
+
+
+def test_readme_diagnostics_block_is_what_validate_prints():
+    text = README.read_text()
+    section = text[text.index("Each diagnostic\nnames the config keys"):]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    # the sweep the paragraph states: h = 2, 1, delta = 2, a breakpoint at 10.5
+    cfg = config.ExperimentConfig.defaults().override([
+        "experiment.kind=sweep_h", "experiment.h_values=2,1", "flux.delta=2",
+        "materials.breakpoints=10.5", "materials.eps=1,2", "materials.mu=1,1"])
+    assert block.splitlines() == config.validate(cfg)

@@ -138,9 +138,12 @@ def test_invalid_meshes_raise():
         build_mesh(domain, UNIT, [1.0], [np.array([0.0, np.nan, 1.0])])
     with pytest.raises(NegativeExtent):
         build_mesh(domain, UNIT, [0.5, np.nan, 0.5], [np.array([0.0, 1.0])] * 3)
-    for eps, mu in ((np.nan, 1.0), (1.0, np.nan)):
+    for eps, mu in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
         with pytest.raises(NegativeExtent):
             MaterialLayout((), (eps,), (mu,))
+    for breakpoint in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MismatchedDomain, match="finite"):
+            MaterialLayout((breakpoint,), (1.0, 2.0), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad, error", [
