@@ -79,6 +79,9 @@ class FluxParams:
             raise MismatchedDomain(
                 f"flux penalties must be non-negative, got alpha={self.alpha}, beta={self.beta}"
             )
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise MismatchedDomain(
+                f"flux penalties must be finite, got alpha={self.alpha}, beta={self.beta}")
         if self.alpha == 0 or self.beta == 0:
             warnings.warn(
                 "alpha = 0 or beta = 0 is outside the coercivity analysis",
@@ -184,17 +187,18 @@ class Coupling:
     def __init__(self, shape, parts):
         self.shape = shape
         self.parts = parts
+        # the placement, built once: each part's gather from x, every part's target rows
+        self.gathers = [cols[:, None] + np.arange(blocks.shape[2]) for _, cols, blocks in parts]
+        targets = [(rows[:, None] + np.arange(blocks.shape[1])).ravel()
+                   for rows, _, blocks in parts]
+        self.targets = np.concatenate(targets) if targets else None
 
     def __matmul__(self, x):
-        targets, products = [], []
-        for rows, cols, blocks in self.parts:
-            _, nr, nc = blocks.shape
-            targets.append((rows[:, None] + np.arange(nr)).ravel())
-            products.append(np.matmul(blocks, x[cols[:, None] + np.arange(nc)][:, :, None]).ravel())
-        if not targets:
+        if not self.parts:
             return np.zeros(self.shape[0])
-        return np.bincount(np.concatenate(targets), np.concatenate(products),
-                           minlength=self.shape[0])
+        products = [np.matmul(blocks, x[gather][:, :, None]).ravel()
+                    for (_, _, blocks), gather in zip(self.parts, self.gathers)]
+        return np.bincount(self.targets, np.concatenate(products), minlength=self.shape[0])
 
     def __array__(self, dtype=None, copy=None):
         R = np.zeros(self.shape, dtype=dtype)

@@ -61,6 +61,8 @@ class SpaceTimeDomain:
             )
         if not self.t_final > 0:
             raise NegativeExtent(f"final time {self.t_final} must be positive")
+        if not all(map(math.isfinite, (self.x_l, self.x_r, self.t_final))):
+            raise NegativeExtent(f"{self} must be finite")
 
     @property
     def length(self):

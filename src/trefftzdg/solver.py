@@ -5,17 +5,18 @@ matrices A_j on the diagonal and couplings -R_j below it (see
 assembly.assemble_global), so the march is forward substitution on it:
 one dense LU factorization per distinct slab matrix, computed in place
 of A, and a forward sweep of one-vector solves with it (_SlabLU holds
-both). Each gives the bytes of the LAPACK getrs that
-scipy.linalg.lu_solve calls, but reads only the LU's nonzero windows: A
-couples an element only to its neighbours, so A and its LU are banded,
-and getrs's dense sweep over all n^2 entries was most of the march. The
-identity rests on three facts about OpenBLAS's getrs with one
-right-hand side: it is laswp, then a dtrsv with L and one with U; each
-dtrsv works in 64-column blocks (_BLOCK), an axpy chain inside a block
-and one gemv after it on every row below (for U, above); and that gemv
-does each row's arithmetic independently of its row count, except on
-its last m % 4 rows. Several right-hand sides (update_matrix) go to
-getrs itself.
+both). A vector load's solve gives the bytes of the LAPACK getrs that
+scipy.linalg.lu_solve calls on b + 0.0, but reads only the LU's nonzero
+windows: A couples an element only to its neighbours, so A and its LU
+are banded, and getrs's dense sweep over all n^2 entries was most of the
+march. The identity rests on three facts about OpenBLAS's getrs with
+one right-hand side: it is laswp, then a dtrsv with L and one with U;
+each dtrsv works in 64-column blocks (_BLOCK), an axpy chain inside a
+block and one gemv after it on every row below (for U, above); and that
+gemv does each row's arithmetic independently of its row count, except
+on its last m % 4 rows. The + 0.0 only turns a -0.0 into +0.0, and no
+march load holds a -0.0. A matrix load (update_matrix) goes to getrs
+itself.
 The slab operator (A_j, R_j, assemble_slab) does not depend on the data;
 the data enter only through the load b_j (load_plan). A_j and the load
 plan read slab j alone, so they depend only on its class (_slab_classes:
@@ -94,22 +95,25 @@ _SCALARS = np.array([-1.0, 1.0])  # dgemv's alpha and beta
 
 class _SlabLU:
     """LU factors of a slab matrix A, computed in place, and the solve with
-    them that gives the bytes of the LAPACK getrs that scipy.linalg.lu_solve
-    calls: a Fortran-ordered A (as assemble_slab allocates it) is
+    them: a Fortran-ordered A (as assemble_slab allocates it) is
     overwritten, so the caller must own A. Raises SingularSlabMatrix, naming
     `what`, when a pivot is tiny against the largest or an entry of the LU is
     not finite.
 
-    A vector load goes through the windowed sweep (windowed), which reads
-    only the blocks of the LU that hold nonzeros. OpenBLAS's getrs with one
-    right-hand side runs laswp on b, then a blocked dtrsv with L (unit
-    diagonal) and one with U. Each dtrsv takes _BLOCK columns at a time, L's
-    from the top and U's from the bottom (at n - 64k): inside a block the
-    solve is a chain of axpy updates, and after it one gemv updates every
-    row below the block (for U, above it). That gemv does the same
-    arithmetic on a row whatever its row count, except on its last m % 4
-    rows, which take a scalar path. So the sweep
-    - applies laswp's interchanges as one permutation, computed once;
+    A vector load b gets the bytes of scipy.linalg.lu_solve (LAPACK getrs)
+    on b + 0.0 from a windowed sweep, which reads only the blocks of the LU
+    that hold nonzeros; a matrix load (several right-hand sides) goes to
+    getrs itself. OpenBLAS's getrs with one right-hand side runs laswp on b,
+    then a blocked dtrsv with L (unit diagonal) and one with U. Each dtrsv
+    takes _BLOCK columns at a time, L's from the top and U's from the bottom
+    (at n - 64k): inside a block the solve is a chain of axpy updates, and
+    after it one gemv updates every row below the block (for U, above it).
+    That gemv does the same arithmetic on a row whatever its row count,
+    except on its last m % 4 rows, which take a scalar path. So the sweep
+    - applies laswp's interchanges as one permutation, computed once, to
+      b + 0.0: a gemv on a zero block, which the sweep skips, can turn a
+      running -0.0 into +0.0, and only b can start one (an exact
+      cancellation gives +0.0, and -0.0 + t is -0.0 only for t = -0.0);
     - runs dtrsv on diagonal windows of _WINDOW rows on the same grid (for U,
       single blocks when n % 4 != 0, where a window's inner gemv would put
       no scalar tail on rows that getrs's gemv does);
@@ -120,12 +124,6 @@ class _SlabLU:
     their arguments are computed here, once per factorization, from one pass
     over the LU's columns in blocks. A sweep writes into one work vector, so
     one solve runs at a time.
-
-    Several right-hand sides go through getrs itself. So does a load holding
-    a -0.0: a gemv that getrs runs on a zero block can turn a running -0.0
-    into +0.0, which the sweep, skipping that gemv, would keep. Only b can
-    start one (an exact cancellation gives +0.0, and -0.0 + t is -0.0 only
-    for t = -0.0), so +0.0 entries are harmless.
     """
 
     def __init__(self, A, what="slab matrix"):
@@ -188,17 +186,13 @@ class _SlabLU:
 
     def __call__(self, b):
         """x with A x = b, for a load b of shape (n,) or (n, k); another
-        shape raises DimensionMismatch."""
+        shape raises DimensionMismatch. A vector load gets the bytes of
+        lu_solve on b + 0.0 from the windowed sweep, a matrix load goes to getrs."""
         if b.ndim > 2 or b.shape[:1] != self.perm.shape:
             raise DimensionMismatch(f"load has shape {b.shape}, the LU solves {self.perm.shape}")
-        if b.ndim == 1 and not np.signbit(b[b == 0]).any():
-            return self.windowed(b)
-        return linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
-
-    def windowed(self, b):
-        """The windowed sweep on a load b of shape (n,), unchecked: getrs's
-        bytes unless b holds a -0.0."""
-        self.work[:] = b[self.perm]
+        if b.ndim == 2:
+            return linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
+        self.work[:] = b[self.perm] + 0.0
         for routine, args in self.calls:
             routine(*args)
         return self.work.copy()

@@ -45,6 +45,7 @@ from trefftzdg import (
     apply_bilinear_global,
     best_approximation_error,
     build_mesh,
+    dg_error,
     dg_norm,
     element_basis,
     energy_budget,
@@ -307,3 +308,22 @@ def test_c12_absorbing_boundary_lets_the_packet_leave():
                     PEC, DATA)
     eps_pec = l2_relative_error(pec_sol, PROFILE)
     assert eps_robin <= 2.0 * eps_pec, f"{eps_robin:.3e} !<= 2x {eps_pec:.3e}"
+
+
+def test_c13_trefftz_beats_the_full_space_of_equal_size():
+    # the abstract's claim: the Trefftz space converges faster than the
+    # non-Trefftz version of the scheme. trefftz p = 2 and full p = 1 both
+    # have 6 functions per element; on the wall-compatible pulse the full
+    # space's error is 5.9, 31.0 and 118.2 times trefftz's in L2 and 3.6,
+    # 9.5 and 23.5 times in the DG norm at h = 2, 1 and 0.5
+    ratios = []
+    for h in (2.0, 1.0, 0.5):
+        mesh = mesh_from_spacing(DOMAIN, UNIT, h, h)
+        trefftz, full = (march(mesh, BasisSpec(family, p), HALF, PEC, WALL_DATA)
+                         for family, p in ((TREFFTZ, 2), (FULL, 1)))
+        assert trefftz.flat.size == full.flat.size
+        errors = [(l2_relative_error(sol, WALL_PROFILE), dg_error(sol, WALL_PROFILE))
+                  for sol in (trefftz, full)]
+        ratios.append([f / t for t, f in zip(*errors)])
+    for coarse, fine in zip(ratios, ratios[1:]):
+        assert all(1.0 < c < f for c, f in zip(coarse, fine)), ratios

@@ -254,6 +254,10 @@ def test_flux_parameter_validation():
     for bad in ({"alpha": np.nan}, {"beta": np.nan}, {"delta": np.nan}):
         with pytest.raises(MismatchedDomain):
             FluxParams(**bad)
+    # an infinite penalty used to reach the march as a "pivot ratio nan / nan"
+    for bad in ({"alpha": np.inf}, {"beta": np.inf}):
+        with pytest.raises(MismatchedDomain, match="must be finite"):
+            FluxParams(**bad)
     with pytest.raises(MismatchedDomain):
         FluxParams(delta=0.0)
     with pytest.raises(MismatchedDomain):

@@ -1,13 +1,18 @@
 """The README's library example runs as written and prints what it documents,
-its config defaults are the ones the package applies, and its diagnostics
-are the ones validate prints."""
+its config defaults are the ones the package applies, its diagnostics are
+the ones validate prints, and the code and tests it names exist."""
 
+import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import trefftzdg
 from trefftzdg import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def _library_block():
@@ -43,3 +48,50 @@ def test_readme_diagnostics_block_is_what_validate_prints():
         "experiment.kind=sweep_h", "experiment.h_values=2,1", "flux.delta=2",
         "materials.breakpoints=10.5", "materials.eps=1,2", "materials.mu=1,1"])
     assert block.splitlines() == config.validate(cfg)
+
+
+def _resolves(name, modules, classes):
+    """Whether a dotted name that starts with a module or public class of
+    trefftzdg names something there: each part an attribute of the one
+    before, or a dataclass field. A module's name may stand for an object
+    of its class of that name, as mesh.signature for a Mesh's."""
+    head, *parts = name.split(".")
+    owners = [modules.get(head), classes.get(head), classes.get(head.capitalize())]
+    for owner in filter(None, owners):
+        for part in parts:
+            fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+            if not hasattr(owner, part) and part not in {f.name for f in fields}:
+                break
+            owner = getattr(owner, part, None)
+        else:
+            return True
+    return False
+
+
+def test_readme_names_only_code_and_tests_that_exist():
+    # the backticked names that start with a trefftzdg module or public class
+    # (a call's arguments dropped), and every test_* name; config keys and
+    # file names are not code
+    modules = {m.name: importlib.import_module(f"trefftzdg.{m.name}")
+               for m in pkgutil.iter_modules(trefftzdg.__path__)}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__.startswith("trefftzdg.")
+               and not name.startswith("_")}
+    tests = "".join(path.read_text() for path in TESTS.glob("test_*.py"))
+    names = {match.group(1) for match in (
+        re.fullmatch(r"(\w+(?:\.\w+)*)(\(.*\))?", token)
+        for token in re.findall(r"`([^`\n]+)`", README.read_text())) if match}
+    checked, missing = 0, []
+    for name in sorted(names - set(config.DEFAULTS)):
+        head, suffix = name.split(".")[0], name.rpartition(".")[2]
+        if head.startswith("test_"):
+            found = (TESTS / f"{name}.py").exists() or re.search(rf"^def {name}[(_]", tests, re.M)
+        elif suffix in ("py", "md", "csv", "cfg", "svg") or (
+                head not in modules and head not in classes):
+            continue
+        else:
+            found = _resolves(name, modules, classes)
+        checked += 1
+        if not found:
+            missing.append(name)
+    assert checked >= 40 and not missing, missing

@@ -34,6 +34,12 @@ def test_domain_validation():
         SpaceTimeDomain(1.0, 1.0, 5.0)
     with pytest.raises(NegativeExtent):
         SpaceTimeDomain(0.0, 1.0, 0.0)
+    # an infinite bound passed the ordering checks: t_final = inf let
+    # build_mesh accept heights summing to 2 (inf > inf is False), x_r = inf
+    # gave an infinite partition tolerance
+    for bounds in ((0.0, 2.0, np.inf), (0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0)):
+        with pytest.raises(NegativeExtent, match="must be finite"):
+            SpaceTimeDomain(*bounds)
 
 
 def test_material_lookup():

@@ -450,7 +450,7 @@ def test_traces_are_each_elements_own_contraction_bit_for_bit(monkeypatch, point
 
 
 def test_solve_is_lu_solve_bit_for_bit():
-    # the march's getrs call gives lu_solve's bytes, for one load and for R
+    # a vector load (the sweep) and a matrix load (getrs, as for R) give lu_solve's bytes
     rng = np.random.default_rng(7)
     A = rng.standard_normal((9, 9)) + 9.0 * np.eye(9)
     slab_lu = solver._SlabLU(np.asfortranarray(A))
@@ -490,7 +490,7 @@ def _windowed_solve_mismatches():
         slab_lu = solver._SlabLU(np.array(A, order="F"))  # A stays: the LU overwrites a copy
         reference = solver.linalg.lu_factor(A)
         for b in (rng.standard_normal(len(A)), rng.uniform(1.0, 2.0, len(A))):
-            if slab_lu.windowed(b).tobytes() != solver.linalg.lu_solve(reference, b).tobytes():
+            if slab_lu(b).tobytes() != solver.linalg.lu_solve(reference, b).tobytes():
                 bad.append(label)
     return bad
 
@@ -538,24 +538,25 @@ def test_windowed_solve_splits_a_long_gemv_on_the_row_tail_grid(monkeypatch):
                    if routine is solver._dgemv) == 8
         b = rng.standard_normal(n)
         reference = solver.linalg.lu_factor(A)
-        assert slab_lu.windowed(b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+        assert slab_lu(b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
 
 
-def test_only_a_load_holding_a_negative_zero_takes_getrs():
+def test_a_vector_load_is_solved_as_lu_solve_on_b_plus_zero():
     # a gemv on a zero block can turn a -0.0 into +0.0 (here on some of the
     # last rows, where n % 4 == 1 puts getrs's scalar gemv tail); the windowed
-    # solve skips that gemv, so a load holding a -0.0 goes to getrs. +0.0
-    # entries, as slab 0's load of a trefftz march holds, stay windowed
+    # sweep skips that gemv, so it starts from b + 0.0, which has no -0.0.
+    # Its bytes are then getrs's on b + 0.0, its values getrs's on b
     n = 257
     A = np.random.default_rng(0).standard_normal((n, n))
     i, j = np.indices(A.shape)
     A = np.where(abs(i - j) <= 9, A, 0.0)
     slab_lu, reference = solver._SlabLU(np.array(A, order="F")), solver.linalg.lu_factor(A)
-    b = np.full(n, -0.0)
-    assert slab_lu.windowed(b).tobytes() != solver.linalg.lu_solve(reference, b).tobytes()
-    assert slab_lu(b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
-    for b in (np.zeros(n), np.where(np.arange(n) % 2 == 0, -np.arange(n) - 1.0, 0.0)):
-        assert slab_lu.windowed(b).tobytes() == solver.linalg.lu_solve(reference, b).tobytes()
+    k = np.arange(n)
+    for b in (np.full(n, -0.0), np.where(k % 2 == 0, -0.0, 0.0),
+              np.where(k % 2 == 0, -k - 1.0, -0.0)):
+        x = slab_lu(b)
+        assert x.tobytes() == solver.linalg.lu_solve(reference, b + 0.0).tobytes()
+        assert np.array_equal(x, solver.linalg.lu_solve(reference, b))
 
 
 @pytest.mark.parametrize("hanging", [False, True], ids=["uniform", "hanging"])
@@ -563,8 +564,9 @@ def test_only_a_load_holding_a_negative_zero_takes_getrs():
 def test_every_slab_of_a_march_takes_the_windowed_sweep(monkeypatch, case, hanging):
     # every entry of a march load is a sum that starts from +0.0 (np.zeros,
     # matmul, and np.bincount for R c), and +0.0 + -0.0 is +0.0, so no load
-    # holds a -0.0 and none goes to getrs: not with wall data of both signs,
-    # a source, or initial data of -0.0
+    # holds a -0.0: not with wall data of both signs, a source, or initial
+    # data of -0.0. The sweep's + 0.0 then changes nothing, and every slab
+    # gets getrs's bytes on its own load
     mesh = (_hanging_two_material_mesh() if hanging
             else uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), UNIT, 4, 3))
     spec, bc, source = BasisSpec(TREFFTZ, 2), BoundaryCondition.pec(), None
@@ -580,12 +582,18 @@ def test_every_slab_of_a_march_takes_the_windowed_sweep(monkeypatch, case, hangi
     elif case == "negative-zero":
         data = InitialData(Constant(-0.0), Constant(-0.0))
 
-    def getrs(*args, **kwargs):
-        raise AssertionError("a march load went to getrs")
+    solve, loads = solver._SlabLU.__call__, []
 
-    monkeypatch.setattr(solver.linalg, "lu_solve", getrs)
+    def recorded(slab_lu, b):
+        x = solve(slab_lu, b)
+        assert not np.signbit(b[b == 0]).any(), "a march load holds a -0.0"
+        assert x.tobytes() == solver.linalg.lu_solve((slab_lu.lu, slab_lu.piv), b).tobytes()
+        loads.append(b)
+        return x
+
+    monkeypatch.setattr(solver._SlabLU, "__call__", recorded)
     sol = march(mesh, spec, FluxParams(alpha=0.3, beta=0.6), bc, data, source=source)
-    assert np.isfinite(sol.flat).all()
+    assert len(loads) == mesh.n_slabs and np.isfinite(sol.flat).all()
 
 
 @pytest.mark.parametrize("where, slab", [("data", 0), ("wall", 2)])
