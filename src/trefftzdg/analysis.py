@@ -1,15 +1,19 @@
 """Error norms, energy accounting, and convergence-rate fits.
 
-l2_relative_error sums one basis table per signature, slab by slab. A
-CharacteristicProfile reference is read along its characteristics: with
-c ht = s hx, a slab's coordinates x -+ ct are the previous slab's shifted
-by +-s rows, so u0 and w0 are copied from the previous slab wherever a
-coordinate repeats bit for bit and evaluated only on the rest (the new
-edge row, binade crossings, meshes whose rows do not line up). The rest
-of a block of slabs is gathered into one u0 and one w0 call, so the
-profile is evaluated once per block, not twice per slab. The error is
-bit for bit the one of evaluating every point. Any other reference
-(ZeroField, an object with evaluate alone) is evaluated point by point.
+l2_relative_error and project_to_space are the one place that shares
+basis tables between elements, one per distinct element row (hx, ht,
+eps, mu, p; _row_tables): their volume-rule offsets are the same across
+a row, and l2's reuse of profile values is keyed on the table. l2 sums
+the tables slab by slab. A CharacteristicProfile reference is read along
+its characteristics: with c ht = s hx, a slab's coordinates x -+ ct are
+the previous slab's shifted by +-s rows, so u0 and w0 are copied from
+the previous slab wherever a coordinate repeats bit for bit and
+evaluated only on the rest (the new edge row, binade crossings, meshes
+whose rows do not line up). The rest of a block of slabs is gathered
+into one u0 and one w0 call, so the profile is evaluated once per block,
+not twice per slab. The error is bit for bit the one of evaluating every
+point. Any other reference (ZeroField, an object with evaluate alone)
+is evaluated point by point.
 
 The mesh-dependent DG norm collects the dissipative skeleton terms:
 half-weighted time jumps and initial/final traces, penalty-weighted
@@ -20,8 +24,8 @@ a strong consistency check of solver, assembly, and quadrature at
 once.
 
 dg_error, dg_norm, energy_budget and the discrete energies share one
-batched trace evaluator: per face kind and side, one basis evaluation
-per element signature on all the points. A closed-form reference (one
+batched trace evaluator: per face kind and side, one per-row basis
+evaluation per degree on all the points. A closed-form reference (one
 with evaluate alone) is continuous, so it is evaluated once per face
 kind and serves both sides; a discrete one (a SolutionField, with
 trace) is traced from each side. It
@@ -37,7 +41,7 @@ import numpy as np
 from scipy import linalg
 
 from .assembly import global_layout
-from .basis import BasisSpec, embedding_indices, signature_groups
+from .basis import BasisSpec, degree_groups, element_basis, embedding_indices
 from .errors import (
     AmbiguousTrace,
     InsufficientSamples,
@@ -109,14 +113,35 @@ def _transported(values, at, previous, shift, shape):
 
 
 class _Table(NamedTuple):
-    """What the elements of one signature share in l2_relative_error."""
+    """What the elements ids of one distinct row share: the basis fields at
+    the volume rule's offsets dx, dt, and its weights W."""
 
-    basis: object
+    ids: np.ndarray
     fields: dict
     dx: np.ndarray
     dt: np.ndarray
     W: np.ndarray
-    shift: int
+
+
+def _row_tables(mesh, spec, n):
+    """One _Table per distinct element row (hx, ht, eps, mu, p), in order of
+    first appearance, on the n x n volume rule: Mesh.signature's classes,
+    joined with the degree where degrees differ, one per-row call per degree.
+    The rule repeats across a row's elements, so they share its table."""
+    codes = mesh.signature
+    if not spec.uniform:
+        degrees = spec.degrees(range(mesh.n_elements))
+        codes = codes * (degrees.max() + 1) + degrees
+    order = np.argsort(codes, kind="stable")
+    rows = sorted(np.split(order, np.flatnonzero(np.diff(codes[order])) + 1), key=lambda r: r[0])
+    first = np.array([r[0] for r in rows])
+    tables = [None] * len(rows)
+    for g in degree_groups(spec, first):
+        dx, dt, W = local_tensor_rule(n, mesh.hx[first[g]][:, None], mesh.ht[first[g]][:, None])
+        f = element_basis(mesh, spec, first[g]).stacked(dx, dt)
+        for r, k in enumerate(g):
+            tables[k] = _Table(rows[k], {"E": f["E"][r], "H": f["H"][r]}, dx[r], dt[r], W[r])
+    return tables
 
 
 def _along_characteristics(profile, mesh, pieces, tables):
@@ -124,19 +149,19 @@ def _along_characteristics(profile, mesh, pieces, tables):
 
     Pass 1 computes a piece's coordinates z_u = x - ct and z_w = x + ct as
     evaluate does and keeps only the fresh ones (_fresh) against the last
-    piece of its signature, z_u shifted by +s rows and z_w by -s. Once a
+    piece of its table, z_u shifted by +s rows and z_w by -s. Once a
     block of pieces holds _BLOCK_POINTS fresh points of either profile, or
     the pieces run out, u0 and w0 are each called once on the block's
     fresh coordinates. Pass 2 rebuilds each piece's values from its
-    signature's last ones and the fresh ones (_transported). The last
-    coordinates and values of each signature carry across blocks.
+    table's last ones and the fresh ones (_transported). The last
+    coordinates and values of each table carry across blocks.
     """
+    shifts = [round(profile.wave_speed * mesh.ht[t.ids[0]] / mesh.hx[t.ids[0]]) for t in tables]
     last_x = [(None, None)] * len(tables)
     last_z = [(None, None)] * len(tables)
     last_v = [(None, None)] * len(tables)
     block, sizes = [], (0, 0)
     for i, (ids, k) in enumerate(pieces):
-        shift = tables[k].shift
         # X repeats the last piece's wherever the element centres do bit for bit
         xc = mesh.xc[ids]
         key, X = xc.tobytes(), last_x[k][1]
@@ -145,7 +170,7 @@ def _along_characteristics(profile, mesh, pieces, tables):
         last_x[k] = key, X
         T = mesh.tc[ids][:, None] + tables[k].dt[None, :]
         z = profile.characteristics(X, T, out=(np.empty(X.shape), T))
-        at = (_fresh(z[0], last_z[k][0], shift), _fresh(z[1], last_z[k][1], -shift))
+        at = (_fresh(z[0], last_z[k][0], shifts[k]), _fresh(z[1], last_z[k][1], -shifts[k]))
         last_z[k] = z
         fresh = [zi.reshape(-1) if a is None else zi.reshape(-1)[a] for zi, a in zip(z, at)]
         block.append((ids, k, at, fresh))
@@ -157,7 +182,7 @@ def _along_characteristics(profile, mesh, pieces, tables):
                   for j, f in enumerate((profile.u0, profile.w0))]
         start = [0, 0]
         for ids, k, at, fresh in block:
-            shift, shape = tables[k].shift, (len(ids), len(tables[k].dx))
+            shift, shape = shifts[k], (len(ids), len(tables[k].dx))
             v = []
             for j, sign in enumerate((1, -1)):
                 stop = start[j] + len(fresh[j])
@@ -175,7 +200,7 @@ def l2_relative_error(sol, reference):
     sqrt of the integral of the squared field mismatch over the whole
     cylinder divided by the squared reference norm. A CharacteristicProfile
     is read along its characteristics, with s = round(c ht / hx) per
-    signature (_along_characteristics): u0 and w0 are evaluated once per
+    distinct row (_along_characteristics): u0 and w0 are evaluated once per
     block of slabs, on the coordinates that the previous slab did not
     already read. Any other reference is evaluated point by point. Both
     give the same bits.
@@ -183,15 +208,12 @@ def l2_relative_error(sol, reference):
     mesh, spec = sol.mesh, sol.spec
     n = error_nodes(_max_degree(sol))
     profiled = isinstance(reference, CharacteristicProfile)
-    # one basis table per signature, summed slab by slab in order of first
-    # appearance: the order the sums are fixed in
-    tables, pieces = [], []
-    for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
-        dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
-        shift = round(reference.wave_speed * basis.ht / basis.hx) if profiled else 0
-        cuts = np.flatnonzero(np.diff(mesh.slab[ids])) + 1
-        pieces += [(slab_ids, len(tables)) for slab_ids in np.split(ids, cuts)]
-        tables.append(_Table(basis, basis.eval_local(dx, dt), dx, dt, W, shift))
+    # one basis table per distinct row, summed slab by slab in order of
+    # first appearance: the order the sums are fixed in
+    tables, pieces = _row_tables(mesh, spec, n), []
+    for k, table in enumerate(tables):
+        cuts = np.flatnonzero(np.diff(mesh.slab[table.ids])) + 1
+        pieces += [(slab_ids, k) for slab_ids in np.split(table.ids, cuts)]
     pieces.sort(key=lambda piece: piece[0][0])
     if profiled:
         references = _along_characteristics(reference, mesh, pieces, tables)
@@ -202,8 +224,8 @@ def l2_relative_error(sol, reference):
     num = 0.0
     den = 0.0
     for (ids, k), (Er, Hr) in zip(pieces, references):
-        basis, fields, W = tables[k].basis, tables[k].fields, tables[k].W
-        C = sol.flat[sol.starts[ids][:, None] + np.arange(basis.n)]
+        fields, W = tables[k].fields, tables[k].W
+        C = sol.flat[sol.starts[ids][:, None] + np.arange(len(fields["E"]))]
         E = C @ fields["E"]
         H = C @ fields["H"]
         # W (dE^2 + dH^2), then W (Er^2 + Hr^2), in E and H, which this loop
@@ -252,11 +274,10 @@ class _Faces:
 class _Skeleton:
     """Batched traces of one discrete field on element edges.
 
-    The traces come from SolutionField.traces: pieces whose elements share
-    the signature (hx, ht, eps, mu, p) share one eval_local call on their
-    stacked points, and a stacked matrix product contracts each piece's
-    traces. Each piece sees the operations it would see alone, so sums
-    repeat a face-by-face loop bit for bit.
+    The traces come from SolutionField.traces: one per-row eval_local call
+    per degree on the stacked points, and a stacked matrix product that
+    contracts each piece's own traces. Each piece sees the operations it
+    would see alone, so sums repeat a face-by-face loop bit for bit.
     """
 
     def __init__(self, sol, flux=None):
@@ -499,14 +520,12 @@ def project_to_space(mesh, spec, reference):
     n = error_nodes(int(spec.degrees(range(mesh.n_elements)).max()))
     starts, total = global_layout(mesh, spec)
     flat = np.zeros(total)
-    for basis, ids in signature_groups(mesh, spec, range(mesh.n_elements)):
-        dx, dt, W = local_tensor_rule(n, basis.hx, basis.ht)
-        f = basis.eval_local(dx, dt)
+    for ids, f, dx, dt, W in _row_tables(mesh, spec, n):
         gram = (f["E"] * W) @ f["E"].T + (f["H"] * W) @ f["H"].T
         for i in ids:
             Er, Hr = reference.evaluate(mesh.xc[i] + dx, mesh.tc[i] + dt)
             rhs = f["E"] @ (W * Er) + f["H"] @ (W * Hr)
-            flat[starts[i]:starts[i] + basis.n] = linalg.solve(gram, rhs, assume_a="pos")
+            flat[starts[i]:starts[i] + len(gram)] = linalg.solve(gram, rhs, assume_a="pos")
     return field_from_coefficients(mesh, spec, flat)
 
 

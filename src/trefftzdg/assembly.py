@@ -26,14 +26,13 @@ on that stacked system.
 Both read the mesh's face tables with the Gauss points of
 quadrature.map_to_segment, the walls through mesh.FACE_SIDES as the DG
 norm does, and evaluate the basis at offsets from mesh.xc, mesh.tc.
-A basis depends only on its element's signature (hx, ht, eps, mu, p),
-so each term evaluates it once per signature: on the stacked Gauss
-points of the elements' own edges (upper edges, interface pieces,
-initial data, source), or once for the whole group where the offsets
-from the centre depend on the signature alone (vertical sides, walls,
-volume). Stacked matrix products give the blocks, and index arrays place
-them in the order a face-by-face loop adds them, so A, R and b do not
-depend on the batching.
+Each term evaluates the basis once per degree (per degree pair across
+a face) through one per-row basis (element_basis of an id array), at
+each element's own offsets: the Gauss points of its edges, its sides or
+its volume. Each row's table has the bytes of that element's own, so
+stacked matrix products give each block as that element alone would,
+and index arrays place them in the order a face-by-face loop adds them:
+A, R and b do not depend on the batching.
 """
 
 import ctypes
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FULL, TREFFTZ, element_basis, signature_groups, space_dim
+from .basis import FULL, TREFFTZ, degree_groups, element_basis, space_dim
 from .errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
 from .mesh import FACE_SIDES, FaceKind
 from .quadrature import data_nodes, face_nodes, local_tensor_rule, map_to_segment
@@ -170,18 +169,17 @@ class Coupling:
     Slab j sees slab j - 1 only through the upwind traces on their common
     interface, so R_j is one block per interface piece: the energy-pairing
     mass of the element above against the element below. parts holds one
-    (rows, cols, blocks) triple per signature pair, rows and cols the first
-    dofs of those elements in their slabs. R @ x multiplies block by block
-    with one stacked matmul per part, and one np.bincount adds the products
-    into their rows in part order, from +0.0. On identical partitions each
+    (rows, cols, blocks) triple per pair of degrees (below, above), pieces
+    in mesh order, rows and cols the first dofs of those elements in their
+    slabs. R @ x multiplies block by block with one stacked matmul per part,
+    and one np.bincount adds the products into their rows in part order,
+    from +0.0: in face order under one degree. On identical partitions each
     row has one block, so its product is the dense row's gemv without its
-    exact zero products. With OpenBLAS that repeats the dense R @ x bit for bit
-    on the benchmark's spaces (trefftz p = 3, full p = 2 up to n = 720);
-    where the dense kernel groups a row's sum differently (other block
-    widths, wider slabs) the two differ by rounding only. On hanging
-    interfaces a row sums one block per element below it, in part order.
-    np.asarray(R) places the blocks into an (n, n_prev) array, for the
-    readers that need R dense (update_matrix, assemble_global).
+    exact zero products. With OpenBLAS that repeats the dense R @ x bit for
+    bit on the benchmark's spaces (trefftz p = 3, full p = 2 up to n = 720);
+    elsewhere (other block widths, wider slabs, hanging interfaces) the two
+    differ by rounding only. np.asarray(R) places the blocks into an
+    (n, n_prev) array, for update_matrix and assemble_global.
     """
 
     def __init__(self, shape, parts):
@@ -231,12 +229,13 @@ def global_layout(mesh, spec):
     return ends - dims, int(ends[-1])
 
 
-def _edge_stack(mesh, basis, ids, xq, sign):
-    """E and H of the elements ids, which share basis, at the points xq (one row
-    per element) of their upper (sign +1) or lower (sign -1) edges, as
-    ElementBasis.stacked's (k, n, m) stacks."""
+def _edge_stack(mesh, spec, ids, xq, sign):
+    """The per-row basis of the elements ids, which share a degree, and their
+    E and H at the points xq (one row per element) of their upper (sign +1)
+    or lower (sign -1) edges, as ElementBasis.stacked's (k, n, m) stacks."""
+    basis = element_basis(mesh, spec, ids)
     dx = xq - mesh.xc[ids][:, None]
-    return basis.stacked(dx, np.full(dx.shape, sign * 0.5 * basis.ht))
+    return basis, basis.stacked(dx, np.full(dx.shape, sign * 0.5 * basis.ht))
 
 
 def _add_blocks(M, rows, cols, blocks):
@@ -248,17 +247,17 @@ def _add_blocks(M, rows, cols, blocks):
 def _pair_mass(f_row, f_col, w, eps, mu):
     """Energy-pairing mass blocks int (eps E_col E_row + mu H_col H_row) of stacked fields."""
     E_c, H_c = f_col["E"].transpose(0, 2, 1), f_col["H"].transpose(0, 2, 1)
-    return (f_row["E"] * (eps * w)) @ E_c + (f_row["H"] * (mu * w)) @ H_c
+    return (f_row["E"] * (eps * w)[:, None]) @ E_c + (f_row["H"] * (mu * w)[:, None]) @ H_c
 
 
 def _vertical_block(f_row, f_col, w, sgn_row, sgn_col, alpha, beta):
-    """Centred-flux plus penalty coupling across vertical faces, one block per
-    entry of the (k, 1, 1) penalty arrays alpha and beta."""
-    E_r, H_r = f_row["E"], f_row["H"]
-    E_c, H_c = f_col["E"], f_col["H"]
-    blk = 0.5 * sgn_row * ((H_r * w) @ E_c.T + (E_r * w) @ H_c.T)
-    blk = blk + alpha * sgn_row * sgn_col * (E_r * w) @ E_c.T
-    blk += beta * sgn_row * sgn_col * (H_r * w) @ H_c.T
+    """Centred-flux plus penalty coupling across vertical faces of stacked
+    fields, one block per entry of the (k, 1, 1) penalty arrays alpha and beta."""
+    E_r, H_r, w = f_row["E"], f_row["H"], w[:, None]
+    E_c, H_c = f_col["E"].transpose(0, 2, 1), f_col["H"].transpose(0, 2, 1)
+    blk = 0.5 * sgn_row * ((H_r * w) @ E_c + (E_r * w) @ H_c)
+    blk += alpha * sgn_row * sgn_col * (E_r * w) @ E_c
+    blk += beta * sgn_row * sgn_col * (H_r * w) @ H_c
     return blk
 
 
@@ -287,6 +286,16 @@ def _lateral_load(fields, side, bc, alpha, delta, eps, mu):
     return data, -side * delta / np.sqrt(eps) * H + (1.0 - delta) / np.sqrt(mu) * E
 
 
+def _side_stack(mesh, spec, ids, side, n):
+    """The per-row basis of the elements ids, which share a degree, their E
+    and H at the n Gauss points of their left (side -1) or right (side +1)
+    sides as ElementBasis.stacked's (k, n, m) stacks, and the points'
+    offsets dt from the centre time and weights, (k, m) each."""
+    basis = element_basis(mesh, spec, ids)
+    dt, wq = map_to_segment(n, -0.5 * mesh.ht[ids], 0.5 * mesh.ht[ids])
+    return basis, basis.stacked(np.full(dt.shape, side * 0.5 * basis.hx), dt), dt, wq
+
+
 def _walls(mesh, slab, spec, flux, n):
     """Per lateral wall of the slab, left then right: its side (-1, +1), the
     wall element's position in the slab and its basis, the basis fields at
@@ -294,24 +303,26 @@ def _walls(mesh, slab, spec, flux, n):
     time and weights, and alpha on the wall."""
     for kind in (FaceKind.LEFT, FaceKind.RIGHT):
         [(column, side, _)] = FACE_SIDES[kind][1]
-        walls = mesh.face_tables[kind].elements
-        i = int(walls[slab, column])
-        basis = element_basis(mesh, spec, i)
-        dt, wq = map_to_segment(n, -0.5 * basis.ht, 0.5 * basis.ht)
-        fields = basis.eval_local(np.full_like(dt, side * 0.5 * basis.hx), dt)
-        alpha = flux.penalties(mesh, walls[slab:slab + 1])[0][0]
-        yield side, i - mesh.slab_starts[slab], basis, fields, dt, wq, alpha
+        walls = mesh.face_tables[kind].elements[slab:slab + 1]
+        basis, f, dt, wq = _side_stack(mesh, spec, walls[:, column], side, n)
+        alpha = flux.penalties(mesh, walls)[0][0]
+        yield (side, walls[0, column] - mesh.slab_starts[slab], basis,
+               {name: v[0] for name, v in f.items()}, dt[0], wq[0], alpha)
 
 
-def _volume_block(basis, n_quad):
-    """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i)."""
-    dx, dt, W = local_tensor_rule(n_quad, basis.hx, basis.ht)
-    f = basis.eval_local(dx, dt)
-    d = basis.eval_derivatives(dx, dt)
-    blk = (d["Hx"] * W) @ f["E"].T
-    blk += basis.mu * (d["Ht"] * W) @ f["H"].T
-    blk += (d["Ex"] * W) @ f["H"].T
-    blk += basis.eps * (d["Et"] * W) @ f["E"].T
+def _volume_block(mesh, spec, ids, n_quad):
+    """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i),
+    one block per element ids, which share a degree."""
+    basis = element_basis(mesh, spec, ids)
+    dx, dt, W = local_tensor_rule(n_quad, mesh.hx[ids][:, None], mesh.ht[ids][:, None])
+    f = basis.stacked(dx, dt)
+    E, H = f["E"].transpose(0, 2, 1), f["H"].transpose(0, 2, 1)
+    d = {name: v.transpose(1, 0, 2) * W[:, None]
+         for name, v in basis.eval_derivatives(dx, dt).items()}
+    blk = d["Hx"] @ E
+    blk += mesh.mu[ids][:, None, None] * d["Ht"] @ H
+    blk += d["Ex"] @ H
+    blk += mesh.eps[ids][:, None, None] * d["Et"] @ E
     return -blk
 
 
@@ -357,14 +368,15 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
             term = _lateral_load(f, side, bc, alpha, flux.delta, basis.eps, basis.mu)
             if term is not None:
                 walls.append((slice(offsets[k], offsets[k] + basis.n), dt, wq, *term))
-    # volume source: offsets shared by a signature, the source at each
-    # element's own points
+    # volume source: each element's own offsets, the source at its own points
     volume = []
     if source is not None:
-        for basis, g in signature_groups(mesh, spec, ids):
-            dx, dt, W = local_tensor_rule(n_data, basis.hx, basis.ht)
+        for g in degree_groups(spec, ids):
+            el = ids.start + g
+            basis = element_basis(mesh, spec, el)
+            dx, dt, W = local_tensor_rule(n_data, mesh.hx[el][:, None], mesh.ht[el][:, None])
             volume.append((g, offsets[g][:, None] + np.arange(basis.n), dx, dt, W,
-                           basis.eval_local(dx, dt)["E"]))
+                           basis.stacked(dx, dt)["E"]))
 
     def load(j):
         b = np.zeros(int(offsets[-1]))
@@ -385,8 +397,8 @@ def load_plan(mesh, slab, spec, flux, bc, initial_data=None, source=None):
             xq, wq = map_to_segment(n_data, mesh.x0[ids0], mesh.x1[ids0])
             e0 = np.broadcast_to(np.asarray(initial_data.e0(xq), dtype=float), xq.shape)
             h0 = np.broadcast_to(np.asarray(initial_data.h0(xq), dtype=float), xq.shape)
-            for basis, g in signature_groups(mesh, spec, ids0):
-                f = _edge_stack(mesh, basis, ids0.start + g, xq[g], -1)
+            for g in degree_groups(spec, ids0):
+                basis, f = _edge_stack(mesh, spec, ids0.start + g, xq[g], -1)
                 b[offsets[g][:, None] + np.arange(basis.n)] += (
                     np.matmul(f["E"], (wq[g] * basis.eps * e0[g])[:, :, None])
                     + np.matmul(f["H"], (wq[g] * basis.mu * h0[g])[:, :, None]))[:, :, 0]
@@ -410,15 +422,11 @@ def assemble_coupling(mesh, slab, spec):
     below, above = hor.elements[pieces].T
     xq, wq = map_to_segment(n_face, hor.lo[pieces], hor.hi[pieces])
     coupling = []
-    for basis_b, gb in signature_groups(mesh, spec, below):
-        f_lo = _edge_stack(mesh, basis_b, below[gb], xq[gb], +1)
-        for basis_a, ga in signature_groups(mesh, spec, above[gb]):
-            g = gb[ga]
-            f_up = _edge_stack(mesh, basis_a, above[g], xq[g], -1)
-            blocks = _pair_mass(f_up, {k: v[ga] for k, v in f_lo.items()},
-                                wq[g][:, None], basis_a.eps, basis_a.mu)
-            coupling.append((offsets[above[g] - ids.start],
-                             prev_offsets[below[g] - prev_ids.start], blocks))
+    for g in degree_groups(spec, hor.elements[pieces]):
+        basis, f_up = _edge_stack(mesh, spec, above[g], xq[g], -1)
+        _, f_lo = _edge_stack(mesh, spec, below[g], xq[g], +1)
+        coupling.append((offsets[above[g] - ids.start], prev_offsets[below[g] - prev_ids.start],
+                         _pair_mass(f_up, f_lo, wq[g], basis.eps, basis.mu)))
     return Coupling((int(offsets[-1]), int(prev_offsets[-1])), coupling)
 
 
@@ -477,25 +485,21 @@ def assemble_slab(mesh, slab, spec, flux, bc):
     # upper-edge energy pairing: the upwind term when the next slab tests
     # against this one, the final-time term on the last slab
     xq, wq = map_to_segment(n_face, mesh.x0[ids], mesh.x1[ids])
-    for basis, g in signature_groups(mesh, spec, ids):
-        f = _edge_stack(mesh, basis, ids.start + g, xq[g], +1)
-        _add_blocks(A, offsets[g], offsets[g],
-                    _pair_mass(f, f, wq[g][:, None], basis.eps, basis.mu))
+    for g in degree_groups(spec, ids):
+        basis, f = _edge_stack(mesh, spec, ids.start + g, xq[g], +1)
+        _add_blocks(A, offsets[g], offsets[g], _pair_mass(f, f, wq[g], basis.eps, basis.mu))
     R = assemble_coupling(mesh, slab, spec)
 
-    # vertical internal faces: centred flux with jump penalties; the side
-    # traces depend on the signature alone
+    # vertical internal faces: centred flux with jump penalties
     pairs = mesh.face_tables[FaceKind.VER_INTERNAL].elements[
         mesh.ver_starts[slab]:mesh.ver_starts[slab + 1]]
     alpha, beta = flux.penalties(mesh, pairs)
     groups = []
-    for basis_l, gl in signature_groups(mesh, spec, pairs[:, 0]):
-        dt, wq = map_to_segment(n_face, -0.5 * basis_l.ht, 0.5 * basis_l.ht)
-        f_l = basis_l.eval_local(np.full_like(dt, 0.5 * basis_l.hx), dt)
-        for basis_r, gr in signature_groups(mesh, spec, pairs[gl, 1]):
-            f_r = basis_r.eval_local(np.full_like(dt, -0.5 * basis_r.hx), dt)
-            # per sign: the side's traces and its column in pairs
-            groups.append((gl[gr], {+1: (f_l, 0), -1: (f_r, 1)}, wq))
+    for g in degree_groups(spec, pairs):
+        # per sign: the side's traces and its column in pairs; the weights
+        (_, f_l, _, wq), (_, f_r, _, _) = (_side_stack(mesh, spec, pairs[g, column], sign, n_face)
+                                           for sign, column in ((+1, 0), (-1, 1)))
+        groups.append((g, {+1: (f_l, 0), -1: (f_r, 1)}, wq))
     # a face-by-face loop adds face i - 1's right-right block to element i's
     # diagonal block before face i's left-left block
     for sgn_r, sgn_c in ((-1, -1), (+1, +1), (+1, -1), (-1, +1)):
@@ -513,9 +517,8 @@ def assemble_slab(mesh, slab, spec, flux, bc):
 
     # first-order volume terms, full polynomial family only
     if spec.family == FULL:
-        for basis, g in signature_groups(mesh, spec, ids):
-            _add_blocks(A, offsets[g], offsets[g],
-                        np.broadcast_to(_volume_block(basis, n_face), (len(g), basis.n, basis.n)))
+        for g in degree_groups(spec, ids):
+            _add_blocks(A, offsets[g], offsets[g], _volume_block(mesh, spec, ids.start + g, n_face))
 
     return SlabSystem(A=A, R=R, n_dofs=n, n_prev=R.shape[1])
 

@@ -14,14 +14,12 @@ Basis functions evaluate at offsets from the element centre. eval_local
 gives the two fields (v_E, v_H) from the Legendre values alone, each
 written once into one C-contiguous (k, n, m) table for k rows of m
 offsets and returned as an (n, k, m) view; stacked hands on those
-tables themselves, one per field. eval_derivatives gives the four
-first derivatives (dx v_E, dt v_E, dx v_H, dt v_H), which only the full
-family's volume terms and pde_residual read. A basis is set by the
-family, the degree p and the element's signature: width hx, height ht
-and materials eps, mu.
-element_basis builds element i's basis from the mesh arrays;
-signature_groups builds one basis per group of elements that share a
-signature, reading the mesh's per-element classes (Mesh.signature).
+tables themselves. eval_derivatives gives the four first derivatives
+(dx v_E, dt v_E, dx v_H, dt v_H) in the same layout. A basis is set by
+the family, the degree p and the element's hx, ht, eps and mu, and is
+elementwise in them: element_basis builds element i's basis, or for ids
+of one degree (degree_groups splits ids by degree) one per-row basis of
+(k, 1) columns, whose row r has element ids[r]'s own bytes.
 """
 
 import math
@@ -117,7 +115,7 @@ class BasisSpec:
         """Degrees of the elements ids, as an int array."""
         if isinstance(self.degree, int):
             return np.full(len(ids), self.degree)
-        return np.array([self.degree_for(i) for i in ids], dtype=int)
+        return np.array([self.degree_for(i) for i in np.asarray(ids).tolist()], dtype=int)
 
     def max_degree(self):
         return self.degree if self.uniform else max(self._degrees.values())
@@ -128,13 +126,11 @@ class BasisSpec:
 
 class ElementBasis:
     """Basis of one family and degree on an element of width hx, height ht
-    and materials eps, mu: all that eval_local depends on."""
+    and materials eps, mu (all that eval_local depends on), or as (k, 1)
+    columns on k elements, evaluated at (k, m) offsets."""
 
     def __init__(self, family, p, hx, ht, eps, mu):
-        if family not in FAMILIES:
-            raise MismatchedDomain(f"unknown basis family {family!r}")
-        self.family = family
-        self.p = _degree(p)
+        self.family, self.p = family, _degree(p)
         self.n = space_dim(family, self.p)
         self.hx, self.ht, self.eps, self.mu = hx, ht, eps, mu
 
@@ -150,10 +146,8 @@ class ElementBasis:
         computed from offsets derived purely from (hx, ht) are translation
         invariant, which lets the solver reuse slab matrices bit-for-bit.
         """
-        dx, dt = self._offsets(dx, dt)
-        shape = dx.shape
-        rows, m = math.prod(shape[:-1]), (shape[-1] if shape else 1)
-        dx, dt = dx.reshape(rows, m), dt.reshape(rows, m)
+        dx, dt, shape = self._rows(dx, dt)
+        rows, m = dx.shape
         # the Legendre values V of shape (p + 1, 2, rows, m) in the two scaled
         # variables: (x - c t, x + c t), or (x, t)
         xi = np.empty((2, rows, m))
@@ -167,9 +161,9 @@ class ElementBasis:
             E, H = np.empty((2, rows, self.n, m))
             q = self.p + 1
             E.reshape(rows, 2, q, m)[...] = V.transpose(2, 1, 0, 3)
-            np.multiply(E, sm, out=H)
+            np.multiply(E, sm[..., None], out=H)
             np.negative(H[:, q:], out=H[:, q:])     # -sm * V rounds as -(sm * V)
-            E *= se
+            E *= se[..., None]
         else:
             np.multiply(2.0, dx, out=xi[0])
             np.multiply(2.0, dt, out=xi[1])
@@ -194,34 +188,41 @@ class ElementBasis:
     def eval_derivatives(self, dx, dt):
         """dx v_E, dt v_E, dx v_H and dt v_H ("Ex", "Et", "Hx", "Ht") at offsets
         from the element centre, laid out as eval_local's fields."""
-        dx, dt = self._offsets(dx, dt)
+        dx, dt, shape = self._rows(dx, dt)
         if self.family == TREFFTZ:
             c, scale, se, sm = self._characteristic()
             _, Dm = legendre_table(self.p, (dx - c * dt) / scale)
             _, Dp = legendre_table(self.p, (dx + c * dt) / scale)
-            return {"Ex": np.concatenate([se * Dm, se * Dp]) / scale,
-                    "Et": np.concatenate([-c * se * Dm, c * se * Dp]) / scale,
-                    "Hx": np.concatenate([sm * Dm, -sm * Dp]) / scale,
-                    "Ht": np.concatenate([-c * sm * Dm, -c * sm * Dp]) / scale}
-        Vx, Dx = legendre_table(self.p, 2.0 * dx / self.hx)
-        Vt, Dt = legendre_table(self.p, 2.0 * dt / self.ht)
-        pairs = _degree_pairs(self.p)
-        Sx = np.empty((len(pairs),) + dx.shape)
-        St = np.empty_like(Sx)
-        for i, (jx, jt) in enumerate(pairs):
-            Sx[i] = (2.0 / self.hx) * Dx[jx] * Vt[jt]
-            St[i] = (2.0 / self.ht) * Vx[jx] * Dt[jt]
-        Z = np.zeros_like(Sx)
-        return {"Ex": np.concatenate([Sx, Z]), "Et": np.concatenate([St, Z]),
-                "Hx": np.concatenate([Z, Sx]), "Ht": np.concatenate([Z, St])}
+            fields = {"Ex": np.concatenate([se * Dm, se * Dp]) / scale,
+                      "Et": np.concatenate([-c * se * Dm, c * se * Dp]) / scale,
+                      "Hx": np.concatenate([sm * Dm, -sm * Dp]) / scale,
+                      "Ht": np.concatenate([-c * sm * Dm, -c * sm * Dp]) / scale}
+        else:
+            Vx, Dx = legendre_table(self.p, 2.0 * dx / self.hx)
+            Vt, Dt = legendre_table(self.p, 2.0 * dt / self.ht)
+            pairs = _degree_pairs(self.p)
+            Sx = np.empty((len(pairs),) + dx.shape)
+            St = np.empty_like(Sx)
+            for i, (jx, jt) in enumerate(pairs):
+                Sx[i] = (2.0 / self.hx) * Dx[jx] * Vt[jt]
+                St[i] = (2.0 / self.ht) * Vx[jx] * Dt[jt]
+            Z = np.zeros_like(Sx)
+            fields = {"Ex": np.concatenate([Sx, Z]), "Et": np.concatenate([St, Z]),
+                      "Hx": np.concatenate([Z, Sx]), "Ht": np.concatenate([Z, St])}
+        # each field as a view of its own (rows, n, m) table
+        return {name: np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(
+            (self.n,) + shape) for name, v in fields.items()}
 
     @staticmethod
-    def _offsets(dx, dt):
+    def _rows(dx, dt):
+        """The offsets as (rows, points) arrays, rows over their leading axes, and their shape."""
         dx = np.asarray(dx, dtype=float)
         dt = np.asarray(dt, dtype=float)
         if dx.shape != dt.shape:
             raise MismatchedDomain(f"dx shape {dx.shape} != dt shape {dt.shape}")
-        return dx, dt
+        shape = dx.shape
+        rows, m = math.prod(shape[:-1]), (shape[-1] if shape else 1)
+        return dx.reshape(rows, m), dt.reshape(rows, m), shape
 
     def _characteristic(self):
         """Trefftz family: wave speed c, the scale of the characteristic
@@ -230,35 +231,33 @@ class ElementBasis:
         return c, 0.5 * (self.hx + c * self.ht), 1.0 / np.sqrt(self.eps), 1.0 / np.sqrt(self.mu)
 
 
-def element_basis(mesh, spec, i):
-    """The basis of element i of the mesh under spec."""
-    return ElementBasis(spec.family, spec.degree_for(i), mesh.hx[i], mesh.ht[i],
-                        mesh.eps[i], mesh.mu[i])
+def element_basis(mesh, spec, ids):
+    """The basis of element ids (an int) of the mesh under spec, or for an
+    id array of one degree (else MismatchedDomain) one per-row basis of
+    (k, 1) columns of the mesh arrays; one that is constant on the mesh
+    (Mesh.constant) as its scalar, which evaluates alike and costs less."""
+    columns = (mesh.hx, mesh.ht, mesh.eps, mesh.mu)
+    if np.ndim(ids) == 0:
+        return ElementBasis(spec.family, spec.degree_for(ids), *(a[ids] for a in columns))
+    degrees = {spec.degree} if spec.uniform else set(spec.degrees(ids).tolist())
+    if len(degrees) != 1:
+        raise MismatchedDomain(f"one basis takes elements of one degree, got {sorted(degrees)}")
+    return ElementBasis(spec.family, degrees.pop(), *(a[0] if same else a[ids][:, None]
+                                                      for a, same in zip(columns, mesh.constant)))
 
 
-def signature_groups(mesh, spec, ids):
-    """The elements ids grouped by signature (hx, ht, eps, mu, p), one basis per group.
-
-    eval_local depends on the signature alone, so one ElementBasis serves
-    every element of a group. Returns (basis, positions) pairs, positions
-    indexing ids in ascending order; groups run in order of first appearance.
-    The (hx, ht, eps, mu) class comes from mesh.signature, computed once per
-    mesh; p joins it only when the degrees differ between elements.
-    """
-    ids = np.asarray(ids, dtype=int)
+def degree_groups(spec, ids):
+    """Positions of the elements ids grouped by degree (by degree pair for an
+    (n, 2) array of face elements), groups by ascending degree, each group
+    ascending; none for no ids."""
+    ids = np.asarray(ids)
     if not len(ids):
         return []
-    codes = mesh.signature[ids]
-    if not spec.uniform:
-        degrees = spec.degrees(ids)
-        codes = codes * (degrees.max() + 1) + degrees
-    if codes.min() == codes.max():
-        groups = [np.arange(len(ids))]
-    else:
-        order = np.argsort(codes, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
-        groups.sort(key=lambda group: group[0])
-    return [(element_basis(mesh, spec, ids[group[0]]), group) for group in groups]
+    if spec.uniform:
+        return [np.arange(len(ids))]
+    degrees = spec.degrees(ids.ravel()).reshape(len(ids), -1)
+    codes = degrees @ (degrees.max() + 1) ** np.arange(degrees.shape[1])[::-1]
+    return [np.flatnonzero(codes == code) for code in np.unique(codes)]
 
 
 def embedding_indices(family, p_from, p_to):
@@ -282,17 +281,18 @@ def embedding_indices(family, p_from, p_to):
 def pde_residual(basis, dx, dt):
     """Max Maxwell residual of each basis function at offsets from the element centre.
 
-    Computes, per function, the max over the points of |dx v_E + mu dt v_H|
-    and |dx v_H + eps dt v_E|. The points must lie in the closed element.
+    Computes, per function, the max over the points (dx's last axis) of
+    |dx v_E + mu dt v_H| and |dx v_H + eps dt v_E|, per row for (k, m)
+    offsets. The points must lie in the closed element.
     """
     dx = np.asarray(dx, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    outside = ((np.abs(dx) > 0.5 * basis.hx + 1e-12 * max(basis.hx, 1.0))
-               | (np.abs(dt) > 0.5 * basis.ht + 1e-12 * max(basis.ht, 1.0)))
+    outside = ((np.abs(dx) > 0.5 * basis.hx + 1e-12 * np.maximum(basis.hx, 1.0))
+               | (np.abs(dt) > 0.5 * basis.ht + 1e-12 * np.maximum(basis.ht, 1.0)))
     if outside.any():
         k = np.flatnonzero(outside)[0]
         raise PointOutsideElement(f"offset ({dx.flat[k]}, {dt.flat[k]}) outside the element")
     f = basis.eval_derivatives(dx, dt)
     r1 = np.abs(f["Ex"] + basis.mu * f["Ht"])
     r2 = np.abs(f["Hx"] + basis.eps * f["Et"])
-    return np.maximum(r1, r2).reshape(basis.n, -1).max(axis=1)
+    return np.maximum(r1, r2).reshape((basis.n,) + dx.shape[:-1] + (-1,)).max(axis=-1)

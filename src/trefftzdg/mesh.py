@@ -12,15 +12,16 @@ slab, left to right: x0, x1, t0, t1, eps, mu and slab hold one entry per
 element (hx = x1 - x0, ht is the slab's height, and xc, tc the centre),
 and slab j owns the index range slab_starts[j]:slab_starts[j + 1]
 (elem_grid[j]), so its partition is x0 of that range followed by the last
-x1. signature numbers each element's (hx, ht, eps, mu) class and
-slab_class each slab's (height, partition) class, both computed once when
-the mesh is built. Faces live in one FaceTable per FaceKind, in
-mesh order: pos, lo, hi and the two adjacent element ids. hor_starts and
-ver_starts are the per-interface and per-slab offsets into the
-HOR_INTERNAL and VER_INTERNAL tables; the lateral tables hold one row per
-slab, and FACE_SIDES says which side of each face its elements lie on. An
-element's row index is its only handle: its basis (basis.element_basis)
-is built from the row's hx, ht, eps and mu.
+x1. signature numbers each element's (hx, ht, eps, mu) class (the rows
+that analysis._row_tables shares tables by) and slab_class each slab's
+(height, partition) class, both computed once when the mesh is built.
+Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
+the two adjacent element ids. hor_starts and ver_starts are the
+per-interface and per-slab offsets into the HOR_INTERNAL and VER_INTERNAL
+tables; the lateral tables hold one row per slab, and FACE_SIDES says
+which side of each face its elements lie on. An element's row index is
+its only handle: its basis (basis.element_basis) is built from the row's
+hx, ht, eps and mu, or from columns of them.
 """
 
 import enum
@@ -259,7 +260,7 @@ class Mesh:
         # matrices. A uniform mesh skips the sort: its temporaries alone moved
         # march_robin_data's peak RSS by about 3 MB (heap layout, not use).
         columns = (self.hx, self.ht, self.eps, self.mu)
-        if all(column.min() == column.max() for column in columns):
+        if all(self.constant):
             signature = np.zeros(self.n_elements, dtype=int)
         else:
             order = np.lexsort(columns)
@@ -311,6 +312,11 @@ class Mesh:
     def hx_max(self):
         """Largest element width."""
         return float(self.hx.max())
+
+    @cached_property
+    def constant(self):
+        """Whether each of hx, ht, eps and mu takes one value on the whole mesh."""
+        return tuple(bool(a.min() == a.max()) for a in (self.hx, self.ht, self.eps, self.mu))
 
     @cached_property
     def elem_grid(self):

@@ -109,12 +109,13 @@ def local_tensor_rule(n, hx, ht):
     """n x n tensor Gauss rule on the hx x ht rectangle centred at the origin.
 
     Returns flattened offsets and weights (dx, dt, W), x-major as in
-    tensor_rule; they depend on the rectangle's size alone.
+    tensor_rule; they depend on the rectangle's size alone. (k, 1) columns
+    hx, ht give one row of each per entry.
     """
     xi, w = gauss_rule(n)
-    dx = np.repeat(0.5 * hx * xi, n)
+    dx = np.repeat(0.5 * hx * xi, n, axis=-1)
     dt = np.tile(0.5 * ht * xi, n)
-    W = np.repeat(0.5 * hx * w, n) * np.tile(0.5 * ht * w, n)
+    W = np.repeat(0.5 * hx * w, n, axis=-1) * np.tile(0.5 * ht * w, n)
     return dx, dt, W
 
 

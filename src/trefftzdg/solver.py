@@ -30,13 +30,10 @@ once, rebuilding a class it dropped when the class recurs, and frees each
 R after its last slab. R stays its interface blocks (assembly.Coupling),
 and R_j c_{j-1} is their product, so at most two n x n arrays are held.
 
-SolutionField.traces evaluates a field at offsets from element centres
-with one basis table per element signature (basis.signature_groups,
-which reads the classes the mesh computed once, Mesh.signature), in the
-(rows, functions, points) layout that ElementBasis.eval_local writes and
-each row's gemv reads; point evaluation (after one sort of the points by
-slab in Mesh.elements_at) and the skeleton terms of analysis both go
-through it.
+SolutionField.traces evaluates a field at offsets from element centres,
+one per-row basis (basis.element_basis) per degree, each row's gemv on
+its own table; point evaluation (after one sort of the points by slab in
+Mesh.elements_at) and the skeleton terms of analysis go through it.
 """
 
 import ctypes
@@ -47,7 +44,7 @@ from scipy import linalg
 from scipy.linalg import cython_blas
 
 from .assembly import assemble_coupling, assemble_slab, global_layout, load_plan
-from .basis import signature_groups
+from .basis import degree_groups, element_basis
 from .errors import (
     DimensionMismatch,
     EigensolverFailure,
@@ -232,17 +229,19 @@ class SolutionField:
     def traces(self, ids, dx, dt):
         """(E, H) at offsets dx, dt from the centres of the elements ids, one row per id.
 
-        One ElementBasis.stacked call per element signature on the stacked
-        rows, in chunks of about _CHUNK values per field, then one gemv per
+        Per degree, one per-row basis of the rows, its ElementBasis.stacked
+        called in chunks of about _CHUNK values per field, then one gemv per
         row: the BLAS call of c @ F for that element alone, since each row's
-        table in the stack is contiguous.
+        table in the stack is contiguous and has that element's own bytes.
         """
         E, H = np.empty(dx.shape), np.empty(dx.shape)
-        for basis, group in signature_groups(self.mesh, self.spec, ids):
-            size = max(1, _CHUNK // (basis.n * dx.shape[1]))
+        for group in degree_groups(self.spec, ids):
+            n = self.spec.dim_for(ids[group[0]])
+            size = max(1, _CHUNK // (n * dx.shape[1]))
             for rows in (group[i:i + size] for i in range(0, len(group), size)):
-                f = basis.stacked(dx[rows], dt[rows])
-                C = self.flat[self.starts[ids[rows]][:, None] + np.arange(basis.n)][:, None, :]
+                el = ids[rows]
+                f = element_basis(self.mesh, self.spec, el).stacked(dx[rows], dt[rows])
+                C = self.flat[self.starts[el][:, None] + np.arange(n)][:, None, :]
                 for out, name in ((E, "E"), (H, "H")):
                     out[rows] = np.matmul(C, f[name])[:, 0, :]
         return E, H

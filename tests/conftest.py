@@ -53,3 +53,19 @@ def locate(mesh, x, t, t_side=None, x_side=None):
     if x_side in ("left", None) and k > 0 and abs(x - p[k]) <= tol:
         k -= 1  # tie toward the smaller element index
     return int(mesh.slab_starts[j] + k)
+
+
+def perturbed_partitions(n_slabs=4, cells=24, h=0.25, amplitude=0.01):
+    """build_mesh's (domain, materials, heights, parts) for n_slabs slabs of
+    height h over cells cells of width h, node i of slab j's partition moved
+    by amplitude * sin(j + i) inside the domain: every slab its own
+    partition and nearly every element its own width. amplitude = 0 gives
+    the uniform twin."""
+    nodes = h * np.arange(cells + 1)
+    parts = []
+    for j in range(n_slabs):
+        part = nodes.copy()
+        part[1:-1] += amplitude * np.sin(j + np.arange(1, cells))
+        parts.append(part)
+    return (SpaceTimeDomain(0.0, nodes[-1], n_slabs * h), MaterialLayout.constant(),
+            [h] * n_slabs, parts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trefftzdg.analysis import _row_tables
 from trefftzdg.assembly import global_layout
 
 from trefftzdg.basis import (
@@ -15,18 +16,18 @@ from trefftzdg.basis import (
     TREFFTZ,
     BasisSpec,
     ElementBasis,
+    degree_groups,
     element_basis,
     embedding_indices,
     full_dim,
     legendre_table,
     pde_residual,
-    signature_groups,
     space_dim,
     trefftz_dim,
 )
 from trefftzdg.errors import MismatchedDomain, PointOutsideElement
 from trefftzdg.mesh import MaterialLayout, SpaceTimeDomain, build_mesh, uniform_mesh
-from trefftzdg.quadrature import tensor_rule
+from trefftzdg.quadrature import local_tensor_rule, tensor_rule
 
 from conftest import random_meshes
 
@@ -195,22 +196,39 @@ def test_spec_validation_and_per_element_degrees():
     assert element_basis(mesh, spec, 1).n == 8
 
 
-@settings(max_examples=50, deadline=None)
-@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 4), st.booleans())
-def test_a_signature_group_basis_is_every_member_basis(case, family, p, mixed):
-    # eval_local depends on the signature (hx, ht, eps, mu, p) alone, so the
-    # one basis of a group must evaluate as each member's own basis, bit for bit
+@settings(max_examples=60, deadline=None)
+@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_a_per_row_basis_is_every_element_basis(case, family, p, mixed, seed):
+    # eval_local is elementwise in (hx, ht, eps, mu), so one basis over a
+    # degree's elements, its data (rows, 1) columns, must give each row the
+    # tables and residuals of that element's own basis, bit for bit
     mesh = build_mesh(*case)
-    degree = {i: i % (p + 1) for i in range(mesh.n_elements)} if mixed else p
-    spec = BasisSpec(family, degree)
-    dx = np.array([-0.5, -0.2, 0.0, 0.1, 0.5, 1.3])
-    dt = np.array([0.0, 0.4, -0.5, 0.25, 0.5, -1.1])
     ids = np.arange(mesh.n_elements)
-    for basis, group in signature_groups(mesh, spec, ids):
-        want = basis.eval_local(dx, dt)
-        for i in ids[group]:
-            got = element_basis(mesh, spec, i).eval_local(dx, dt)
-            assert all(np.array_equal(got[k], want[k]) for k in want)
+    spec = BasisSpec(family, {i: i % (p + 1) for i in ids} if mixed else p)
+    groups = degree_groups(spec, ids)
+    assert sorted(np.concatenate(groups).tolist()) == ids.tolist()
+    if len(groups) > 1:
+        with pytest.raises(MismatchedDomain):
+            element_basis(mesh, spec, ids)
+    rng = np.random.default_rng(seed)
+    for g in groups:
+        basis = element_basis(mesh, spec, ids[g])
+        u = rng.uniform(-0.5, 0.5, (2, len(g), 6))
+        dx, dt = u[0] * mesh.hx[g][:, None], u[1] * mesh.ht[g][:, None]
+        got = {**basis.eval_local(dx, dt), **basis.eval_derivatives(dx, dt)}
+        stacked = basis.stacked(dx, dt)
+        residual = pde_residual(basis, dx, dt)
+        for r, i in enumerate(ids[g]):
+            own = element_basis(mesh, spec, i)
+            want = {**own.eval_local(dx[r], dt[r]), **own.eval_derivatives(dx[r], dt[r])}
+            assert set(got) == set(want)
+            for name in want:
+                assert got[name][:, r].tobytes() == want[name].tobytes(), name
+            own_stacked = own.stacked(dx[r:r + 1], dt[r:r + 1])
+            for name in ("E", "H"):
+                assert stacked[name][r].tobytes() == own_stacked[name][0].tobytes()
+            assert residual[:, r].tobytes() == pde_residual(own, dx[r], dt[r]).tobytes()
 
 
 def _six_fields(family, p, hx, ht, eps, mu, dx, dt):
@@ -309,8 +327,9 @@ def test_missing_element_degree_names_the_element():
 
 
 def _lexsort_groups(mesh, spec, ids):
-    """signature_groups' positions as one lexsort of the five float keys
-    (hx, ht, eps, mu, p) grouped them: the reference for the per-mesh classes."""
+    """Positions of ids grouped by one lexsort of the five float keys (hx, ht,
+    eps, mu, p), in order of first appearance: the reference for the per-mesh
+    classes."""
     keys = np.column_stack([mesh.hx[ids], mesh.ht[ids], mesh.eps[ids], mesh.mu[ids],
                             spec.degrees(ids)])
     order = np.lexsort(keys.T)
@@ -320,20 +339,20 @@ def _lexsort_groups(mesh, spec, ids):
 
 @settings(max_examples=60, deadline=None)
 @given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 3), st.booleans(), st.data())
-def test_signature_groups_are_the_five_key_lexsort_groups(case, family, p, mixed, data):
+def test_distinct_rows_are_the_five_key_lexsort_classes(case, family, p, mixed, data):
     # the per-mesh classes (Mesh.signature), with the degrees folded in when
-    # they differ, group a drawn id list and every element twice over, as
-    # the float keys do
+    # they differ, split the elements as the float keys do, and each row's
+    # table is its first element's own
     mesh = build_mesh(*case)
     n = mesh.n_elements
     degrees = data.draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
     spec = BasisSpec(family, dict(enumerate(degrees)) if mixed else p)
-    drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
-    for ids in (np.array(drawn, dtype=int), np.tile(np.arange(n), 2)):
-        got = signature_groups(mesh, spec, ids)
-        want = _lexsort_groups(mesh, spec, ids) if len(ids) else []
-        assert [group.tolist() for _, group in got] == [group.tolist() for group in want]
-        for basis, group in got:
-            first = element_basis(mesh, spec, ids[group[0]])
-            assert (basis.family, basis.p, basis.hx, basis.ht, basis.eps, basis.mu) == (
-                first.family, first.p, first.hx, first.ht, first.eps, first.mu)
+    tables = _row_tables(mesh, spec, 4)
+    assert [t.ids.tolist() for t in tables] == [
+        group.tolist() for group in _lexsort_groups(mesh, spec, np.arange(n))]
+    for table in tables:
+        i = table.ids[0]
+        rule = local_tensor_rule(4, mesh.hx[i], mesh.ht[i])
+        assert [a.tobytes() for a in (table.dx, table.dt, table.W)] == [a.tobytes() for a in rule]
+        want = element_basis(mesh, spec, i).eval_local(*rule[:2])
+        assert all(table.fields[k].tobytes() == want[k].tobytes() for k in want)

@@ -1,9 +1,11 @@
 """The README's library example runs as written and prints what it documents,
 its config defaults are the ones the package applies, its diagnostics are
-the ones validate prints, and the code and tests it names exist."""
+the ones validate prints, and the code and tests it names exist, as does
+the code the package's docstrings name."""
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -68,15 +70,21 @@ def _resolves(name, modules, classes):
     return False
 
 
-def test_readme_names_only_code_and_tests_that_exist():
-    # the backticked names that start with a trefftzdg module or public class
-    # (a call's arguments dropped), and every test_* name; config keys and
-    # file names are not code
+def _package():
+    """trefftzdg's modules and public classes, by name."""
     modules = {m.name: importlib.import_module(f"trefftzdg.{m.name}")
                for m in pkgutil.iter_modules(trefftzdg.__path__)}
     classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
                if isinstance(obj, type) and obj.__module__.startswith("trefftzdg.")
                and not name.startswith("_")}
+    return modules, classes
+
+
+def test_readme_names_only_code_and_tests_that_exist():
+    # the backticked names that start with a trefftzdg module or public class
+    # (a call's arguments dropped), and every test_* name; config keys and
+    # file names are not code
+    modules, classes = _package()
     tests = "".join(path.read_text() for path in TESTS.glob("test_*.py"))
     names = {match.group(1) for match in (
         re.fullmatch(r"(\w+(?:\.\w+)*)(\(.*\))?", token)
@@ -95,3 +103,35 @@ def test_readme_names_only_code_and_tests_that_exist():
         if not found:
             missing.append(name)
     assert checked >= 40 and not missing, missing
+
+
+def _docstrings(module):
+    """The docstrings of a module, its classes and functions, and theirs."""
+    docs, owners = [module.__doc__], [module]
+    while owners:
+        for obj in vars(owners.pop()).values():
+            obj = getattr(obj, "__func__", getattr(obj, "fget", obj))
+            if (inspect.isclass(obj) or inspect.isfunction(obj)) and (
+                    obj.__module__ == module.__name__):
+                docs.append(obj.__doc__)
+                if inspect.isclass(obj):
+                    owners.append(obj)
+    return [doc for doc in docs if doc]
+
+
+def test_docstrings_name_only_code_that_exists():
+    # every dotted name in the package's docstrings that starts with a
+    # trefftzdg module or public class; config keys and file names are not code
+    modules, classes = _package()
+    text = "\n".join(doc for module in modules.values() for doc in _docstrings(module))
+    names = set(re.findall(r"\b[A-Za-z_]\w*(?:\.\w+)+", text)) - set(config.DEFAULTS)
+    checked, missing = 0, []
+    for name in sorted(names):
+        head, suffix = name.split(".")[0], name.rpartition(".")[2]
+        if suffix in ("py", "md", "csv", "cfg", "svg") or (
+                head not in modules and head not in classes):
+            continue
+        checked += 1
+        if not _resolves(name, modules, classes):
+            missing.append(name)
+    assert checked >= 15 and not missing, missing

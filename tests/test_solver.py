@@ -10,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trefftzdg import (
+    FAMILIES,
     FULL,
     TREFFTZ,
     BasisSpec,
@@ -19,6 +22,7 @@ from trefftzdg import (
     CharacteristicProfile,
     Constant,
     ElementBasis,
+    FaceKind,
     FluxParams,
     GaussianPulse,
     InitialData,
@@ -27,7 +31,9 @@ from trefftzdg import (
     assemble_global,
     assemble_slab,
     build_mesh,
+    dg_error,
     element_basis,
+    energy_budget,
     global_coefficients,
     global_layout,
     l2_relative_error,
@@ -42,7 +48,7 @@ from trefftzdg.errors import (
     SingularSlabMatrix, UnsupportedBC,
 )
 
-from conftest import locate
+from conftest import locate, perturbed_partitions, random_meshes
 
 UNIT = MaterialLayout.constant()
 
@@ -632,8 +638,8 @@ def test_coupling_product_is_the_dense_product_bit_for_bit(family, degree, n_x, 
 
 
 def _coarsening_mesh():
-    # each upper element lies on two lower ones of its own signature, so one
-    # part of R targets its rows twice
+    # each upper element lies on two lower ones, so one part of R targets
+    # its rows twice
     return build_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, [0.5, 0.5],
                       [np.array([0.0, 0.5, 1.0, 1.5, 2.0]), np.array([0.0, 1.0, 2.0])])
 
@@ -687,3 +693,68 @@ def test_coupling_product_adds_its_parts_as_np_add_at_bit_for_bit(build, family)
                 np.add.at(y, rows[:, None] + np.arange(nr),
                           np.matmul(blocks, x[cols[:, None] + np.arange(nc)][:, :, None])[:, :, 0])
             assert (R @ x).tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_coupling_product_sums_each_row_in_face_order(case, family, p, mixed, seed):
+    # under one degree, R @ x adds each row's block products in the mesh
+    # order of the interface pieces, each product as __matmul__ takes it,
+    # from +0.0; with mixed degrees it is the dense product to rounding
+    mesh = build_mesh(*case)
+    spec = BasisSpec(family, {i: i % (p + 1) for i in range(mesh.n_elements)} if mixed else p)
+    starts, _ = global_layout(mesh, spec)
+    hor = mesh.face_tables[FaceKind.HOR_INTERNAL]
+    rng = np.random.default_rng(seed)
+    for slab in range(1, mesh.n_slabs):
+        R = assembly.assemble_coupling(mesh, slab, spec)
+        x = rng.standard_normal(R.shape[1])
+        if mixed:
+            dense = np.asarray(R)
+            assert np.all(np.abs(R @ x - dense @ x) <= 1e-14 * (np.abs(dense) @ np.abs(x)))
+            continue
+        blocks = {(r, c): b for rows, cols, part in R.parts for r, c, b in zip(rows, cols, part)}
+        first, first_prev = starts[mesh.slab_starts[slab]], starts[mesh.slab_starts[slab - 1]]
+        want = np.zeros(R.shape[0])
+        for below, above in hor.elements[mesh.hor_starts[slab - 1]:mesh.hor_starts[slab]]:
+            r, c = starts[above] - first, starts[below] - first_prev
+            nr, nc = blocks[r, c].shape
+            want[r:r + nr] += np.matmul(blocks[r, c][None], x[c:c + nc][None, :, None]).ravel()
+        assert (R @ x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family, p", [(TREFFTZ, 3), (FULL, 2)])
+def test_many_element_rows_cost_the_eval_local_calls_of_the_uniform_twin(monkeypatch, family, p):
+    # the basis is evaluated once per degree, however many distinct (hx, ht,
+    # eps, mu) rows the elements have: each step makes as many eval_local
+    # calls on the perturbed partitions as on their uniform twin
+    calls, eval_local = [], ElementBasis.eval_local
+
+    def counted(basis, dx, dt):
+        calls.append(None)
+        return eval_local(basis, dx, dt)
+
+    monkeypatch.setattr(ElementBasis, "eval_local", counted)
+    spec, flux, bc = BasisSpec(family, p), FluxParams(), BoundaryCondition.pec()
+    pulse = GaussianPulse(3.0, 0.5)
+    data = InitialData(pulse, pulse)
+    x, t = np.meshgrid(np.linspace(0.0, 6.0, 41), np.linspace(0.0, 1.0, 41))
+    counts, rows = [], []
+    for amplitude in (0.01, 0.0):
+        mesh = build_mesh(*perturbed_partitions(amplitude=amplitude))
+        rows.append(len(np.unique(np.column_stack([mesh.hx, mesh.ht]), axis=0)))
+        sol = march(mesh, spec, flux, bc, data)
+        reference = CharacteristicProfile.pec(mesh.domain, pulse, pulse)
+        steps = {"assemble_slab": lambda: assemble_slab(mesh, 2, spec, flux, bc),
+                 "dg_error": lambda: dg_error(sol, reference),
+                 "energy_budget": lambda: energy_budget(sol, data),
+                 "l2_relative_error": lambda: l2_relative_error(sol, reference),
+                 "evaluate": lambda: sol.evaluate(x, t)}
+        counts.append({})
+        for name, step in steps.items():
+            calls.clear()
+            step()
+            counts[-1][name] = len(calls)
+    assert rows[0] > 20 and rows[1] == 1
+    assert counts[0] == counts[1]
