@@ -125,15 +125,20 @@ class _Table(NamedTuple):
 
 def _row_tables(mesh, spec, n):
     """One _Table per distinct element row (hx, ht, eps, mu, p), in order of
-    first appearance, on the n x n volume rule: Mesh.signature's classes,
-    joined with the degree where degrees differ, one per-row call per degree.
-    The rule repeats across a row's elements, so they share its table."""
-    codes = mesh.signature
+    first appearance, on the n x n volume rule, one per-row call per degree.
+    Rows are equal exactly where every key is: one stable lexsort over the
+    columns that vary on the mesh (Mesh.constant), plus the degrees where
+    they differ, and no sort where none does. The rule repeats across a
+    row's elements, so they share its table."""
+    keys = [a for a, same in zip((mesh.hx, mesh.ht, mesh.eps, mesh.mu), mesh.constant)
+            if not same]
     if not spec.uniform:
-        degrees = spec.degrees(range(mesh.n_elements))
-        codes = codes * (degrees.max() + 1) + degrees
-    order = np.argsort(codes, kind="stable")
-    rows = sorted(np.split(order, np.flatnonzero(np.diff(codes[order])) + 1), key=lambda r: r[0])
+        keys.append(spec.degrees(range(mesh.n_elements)))
+    rows = [np.arange(mesh.n_elements)]
+    if keys:
+        order = np.lexsort(keys)
+        fresh = np.any([np.diff(key[order]) != 0 for key in keys], axis=0)
+        rows = sorted(np.split(order, np.flatnonzero(fresh) + 1), key=lambda r: r[0])
     first = np.array([r[0] for r in rows])
     tables = [None] * len(rows)
     for g in degree_groups(spec, first):

@@ -29,8 +29,9 @@ norm does, and evaluate the basis at offsets from mesh.xc, mesh.tc.
 Each term evaluates the basis once per degree (per degree pair across
 a face) through one per-row basis (element_basis of an id array), at
 each element's own offsets: the Gauss points of its edges, its sides or
-its volume. Each row's table has the bytes of that element's own, so
-stacked matrix products give each block as that element alone would,
+its volume, the last two one row for all where the basis has no per-row
+column (_basis_rows). Each row's table has the bytes of that element's
+own, so stacked matrix products give each block as that element alone would,
 and index arrays place them in the order a face-by-face loop adds them:
 A, R and b do not depend on the batching.
 """
@@ -239,7 +240,8 @@ def _edge_stack(mesh, spec, ids, xq, sign):
 
 
 def _add_blocks(M, rows, cols, blocks):
-    """M[rows[k]:rows[k] + nr, cols[k]:cols[k] + nc] += blocks[k]; the targets must be distinct."""
+    """M[rows[k]:rows[k] + nr, cols[k]:cols[k] + nc] += blocks[k], or blocks[0]
+    for one block shared by every k; the targets must be distinct."""
     _, nr, nc = blocks.shape
     M[rows[:, None, None] + np.arange(nr)[:, None], cols[:, None, None] + np.arange(nc)] += blocks
 
@@ -252,13 +254,14 @@ def _pair_mass(f_row, f_col, w, eps, mu):
 
 def _vertical_block(f_row, f_col, w, sgn_row, sgn_col, alpha, beta):
     """Centred-flux plus penalty coupling across vertical faces of stacked
-    fields, one block per entry of the (k, 1, 1) penalty arrays alpha and beta."""
+    fields, one block per entry of the (k, 1, 1) penalty arrays alpha and beta:
+    the centred term is one product for fields of one row, broadcast over the
+    faces, and the penalty terms one per face."""
     E_r, H_r, w = f_row["E"], f_row["H"], w[:, None]
     E_c, H_c = f_col["E"].transpose(0, 2, 1), f_col["H"].transpose(0, 2, 1)
     blk = 0.5 * sgn_row * ((H_r * w) @ E_c + (E_r * w) @ H_c)
-    blk += alpha * sgn_row * sgn_col * (E_r * w) @ E_c
-    blk += beta * sgn_row * sgn_col * (H_r * w) @ H_c
-    return blk
+    blk = blk + alpha * sgn_row * sgn_col * (E_r * w) @ E_c
+    return blk + beta * sgn_row * sgn_col * (H_r * w) @ H_c
 
 
 def _lateral_block(fields, w, side, bc, alpha, flux, eps, mu):
@@ -286,14 +289,24 @@ def _lateral_load(fields, side, bc, alpha, delta, eps, mu):
     return data, -side * delta / np.sqrt(eps) * H + (1.0 - delta) / np.sqrt(mu) * E
 
 
+def _basis_rows(basis, *arrays):
+    """The arrays, of one row or one per element, broadcast to (k, m): k rows
+    where a column of the per-row basis varies on the mesh, else one row
+    shared by its elements (element_basis passes such columns as scalars)."""
+    k = np.broadcast(basis.hx, basis.ht, basis.eps, basis.mu).size
+    return np.broadcast_arrays(*arrays, np.empty((k, 1)))[:-1]
+
+
 def _side_stack(mesh, spec, ids, side, n):
     """The per-row basis of the elements ids, which share a degree, their E
     and H at the n Gauss points of their left (side -1) or right (side +1)
     sides as ElementBasis.stacked's (k, n, m) stacks, and the points'
-    offsets dt from the centre time and weights, (k, m) each."""
+    offsets dt from the centre time and weights, (k, m) each, one row each
+    where the basis has no per-row column (_basis_rows)."""
     basis = element_basis(mesh, spec, ids)
-    dt, wq = map_to_segment(n, -0.5 * mesh.ht[ids], 0.5 * mesh.ht[ids])
-    return basis, basis.stacked(np.full(dt.shape, side * 0.5 * basis.hx), dt), dt, wq
+    dt, wq = map_to_segment(n, -0.5 * np.ravel(basis.ht), 0.5 * np.ravel(basis.ht))
+    dx, dt = _basis_rows(basis, side * 0.5 * basis.hx, dt)
+    return basis, basis.stacked(dx, dt), dt, wq
 
 
 def _walls(mesh, slab, spec, flux, n):
@@ -312,17 +325,18 @@ def _walls(mesh, slab, spec, flux, n):
 
 def _volume_block(mesh, spec, ids, n_quad):
     """- int_K (E_j dx H_i + mu H_j dt H_i + H_j dx E_i + eps E_j dt E_i),
-    one block per element ids, which share a degree."""
+    one block per element ids, which share a degree, or one block for all of
+    them where their basis has no per-row column (_basis_rows)."""
     basis = element_basis(mesh, spec, ids)
-    dx, dt, W = local_tensor_rule(n_quad, mesh.hx[ids][:, None], mesh.ht[ids][:, None])
+    dx, dt, W = _basis_rows(basis, *local_tensor_rule(n_quad, basis.hx, basis.ht))
     f = basis.stacked(dx, dt)
     E, H = f["E"].transpose(0, 2, 1), f["H"].transpose(0, 2, 1)
     d = {name: v.transpose(1, 0, 2) * W[:, None]
          for name, v in basis.eval_derivatives(dx, dt).items()}
     blk = d["Hx"] @ E
-    blk += mesh.mu[ids][:, None, None] * d["Ht"] @ H
+    blk += np.reshape(basis.mu, (-1, 1, 1)) * d["Ht"] @ H
     blk += d["Ex"] @ H
-    blk += mesh.eps[ids][:, None, None] * d["Et"] @ E
+    blk += np.reshape(basis.eps, (-1, 1, 1)) * d["Et"] @ E
     return -blk
 
 

@@ -12,22 +12,21 @@ slab, left to right: x0, x1, t0, t1, eps, mu and slab hold one entry per
 element (hx = x1 - x0, ht is the slab's height, and xc, tc the centre),
 and slab j owns the index range slab_starts[j]:slab_starts[j + 1]
 (elem_grid[j]), so its partition is x0 of that range followed by the last
-x1. signature numbers each element's (hx, ht, eps, mu) class (the rows
-that analysis._row_tables shares tables by) and slab_class each slab's
-(height, partition) class, both computed once when the mesh is built.
-Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
+x1. Faces live in one FaceTable per FaceKind, in mesh order: pos, lo, hi and
 the two adjacent element ids. hor_starts and ver_starts are the
 per-interface and per-slab offsets into the HOR_INTERNAL and VER_INTERNAL
 tables; the lateral tables hold one row per slab, and FACE_SIDES says
 which side of each face its elements lie on. An element's row index is
 its only handle: its basis (basis.element_basis) is built from the row's
-hx, ht, eps and mu, or from columns of them.
+hx, ht, eps and mu, or from columns of them. The mesh keys no class of
+elements or slabs: the layer that shares work across a class keys it
+(analysis._row_tables, solver._slab_classes).
 """
 
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -247,38 +246,12 @@ class Mesh:
     face_tables: dict               # FaceKind -> FaceTable
     hor_starts: np.ndarray          # first HOR_INTERNAL row of each interface, then the count
     ver_starts: np.ndarray          # first VER_INTERNAL row of each slab, then the count
-    signature: np.ndarray = field(init=False)   # class of each element's (hx, ht, eps, mu)
-    slab_class: np.ndarray = field(init=False)  # class of each slab's (height, partition)
 
     def __post_init__(self):
         # the cached properties below rely on the mesh staying as built
         for a in [*vars(self).values(), *chain.from_iterable(self.face_tables.values())]:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        # classes equal exactly where all four columns are: one lexsort and a
-        # diff of each sorted column, here, before a solve allocates its
-        # matrices. A uniform mesh skips the sort: its temporaries alone moved
-        # march_robin_data's peak RSS by about 3 MB (heap layout, not use).
-        columns = (self.hx, self.ht, self.eps, self.mu)
-        if all(self.constant):
-            signature = np.zeros(self.n_elements, dtype=int)
-        else:
-            order = np.lexsort(columns)
-            fresh = np.zeros(len(order) - 1, dtype=bool)
-            for column in columns:
-                fresh |= np.diff(column[order]) != 0
-            signature = np.empty(len(order), dtype=int)
-            signature[order] = np.concatenate([[0], np.cumsum(fresh)])
-        object.__setattr__(self, "signature", _read_only(signature))
-        # slab classes in order of first appearance, equal exactly where the
-        # height and the partition (the slab's x0, then its last x1) are;
-        # + 0.0 turns a -0.0 into 0.0, which it equals
-        classes, bounds, x0 = {}, self.slab_starts.tolist(), self.x0 + 0.0
-        slabs = zip(self.slab_heights.tolist(), self.x1[self.slab_starts[1:] - 1].tolist(),
-                    bounds[:-1], bounds[1:])
-        slab_class = [classes.setdefault((h, last, x0[a:b].tobytes()), len(classes))
-                      for h, last, a, b in slabs]
-        object.__setattr__(self, "slab_class", _read_only(np.array(slab_class)))
 
     @property
     def n_slabs(self):

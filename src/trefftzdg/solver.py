@@ -271,13 +271,17 @@ class SolutionField:
 
 
 def _slab_classes(mesh, spec):
-    """Each slab's class, numbered in order of first appearance: its
-    Mesh.slab_class (height and partition) joined with its degree row, all
-    that A_j and slab j's load plan read (assembly._slab_frame)."""
+    """Each slab's class, numbered in order of first appearance: equal exactly
+    where the height, the partition (the slab's x0, then its last x1) and the
+    degree row are, all that A_j and slab j's load plan read
+    (assembly._slab_frame). x0 + 0.0 turns a -0.0 into the 0.0 it equals."""
     degrees, bounds = spec.degrees(range(mesh.n_elements)), mesh.slab_starts.tolist()
+    x0 = mesh.x0 + 0.0
+    slabs = zip(mesh.slab_heights.tolist(), mesh.x1[mesh.slab_starts[1:] - 1].tolist(),
+                bounds, bounds[1:])
     classes = {}
-    return [classes.setdefault((c, degrees[a:b].tobytes()), len(classes))
-            for c, a, b in zip(mesh.slab_class.tolist(), bounds, bounds[1:])]
+    return [classes.setdefault((h, last, x0[a:b].tobytes(), degrees[a:b].tobytes()), len(classes))
+            for h, last, a, b in slabs]
 
 
 def march(mesh, spec, flux, bc, initial_data, source=None):

@@ -154,7 +154,7 @@ def test_relative_error_reads_a_profile_along_characteristics_bit_for_bit(case):
 @given(case=_profiled_fields())
 def test_relative_error_is_the_same_for_any_block_of_slabs(cap, case):
     # u0 and w0 are called once per block of slabs, whatever its size; each
-    # signature's last coordinates and values carry across the blocks
+    # row's last coordinates and values carry across the blocks
     sol, profile = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_BLOCK_POINTS", cap)

@@ -29,6 +29,7 @@ from trefftzdg import (
     solver,
     uniform_mesh,
 )
+from trefftzdg import analysis
 from trefftzdg.errors import DimensionMismatch, MismatchedDomain, TrefftzWithSource
 
 UNIT = MaterialLayout.constant()
@@ -121,6 +122,38 @@ def test_slab_operator_reads_its_own_slab_alone(family):
     assert after_a.A.tobytes() == after_b.A.tobytes()
     plans = [load_plan(mesh, j, spec, flux, bc) for j in (1, 3)]
     assert plans[0](3).tobytes() == plans[1](3).tobytes()
+
+
+@pytest.mark.parametrize("family", [TREFFTZ, FULL])
+@pytest.mark.parametrize("layered", [False, True], ids=["constant", "layered"])
+def test_scalar_columns_give_the_per_row_bytes(family, layered):
+    # element_basis passes a column that is constant on the mesh as its
+    # scalar, so a uniform mesh's side and volume rules are one row shared by
+    # its elements (broadcast to one row per element where eps and mu vary):
+    # with every column forced per-row the mesh gives the same bytes
+    materials = (MaterialLayout((1.0,), (1.0, 2.5), (1.0, 0.6)) if layered
+                 else MaterialLayout.constant(1.5, 0.8))
+    meshes = [uniform_mesh(SpaceTimeDomain(0.0, 2.0, 1.5), materials, 4, 3) for _ in range(2)]
+    meshes[1].__dict__["constant"] = (False,) * 4      # before its first use
+    spec, flux = BasisSpec(family, 2), FluxParams(alpha=0.3, beta=0.6)
+    data = InitialData(lambda x: np.sin(np.pi * x), lambda x: np.cos(x))
+    reference = CharacteristicProfile(1.0, 1.0, np.sin, np.cos)
+    robin = BoundaryCondition.robin(g_l=lambda t: np.exp(-(t - 1.0) ** 2),
+                                    g_r=lambda t: 0.2 * np.sin(3.0 * t))
+    for bc in (BoundaryCondition.pec(), robin):
+        outputs = [[], []]
+        for mesh, out in zip(meshes, outputs):
+            for j in range(mesh.n_slabs):
+                system = assemble_slab(mesh, j, spec, flux, bc)
+                out += [system.A, np.asarray(system.R),
+                        load_plan(mesh, j, spec, flux, bc, initial_data=data)(j)]
+            sol = march(mesh, spec, flux, bc, data)
+            out += [sol.flat, np.float64(analysis.dg_error(sol, reference, flux=flux))]
+            for table in analysis._row_tables(mesh, spec, 5):
+                out += [table.ids, table.fields["E"], table.fields["H"], table.dx, table.dt,
+                        table.W]
+        assert [a.tobytes() for a in outputs[0]] == [a.tobytes() for a in outputs[1]]
+    assert meshes[0].constant == (True, True, not layered, not layered)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

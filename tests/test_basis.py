@@ -340,8 +340,8 @@ def _lexsort_groups(mesh, spec, ids):
 @settings(max_examples=60, deadline=None)
 @given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 3), st.booleans(), st.data())
 def test_distinct_rows_are_the_five_key_lexsort_classes(case, family, p, mixed, data):
-    # the per-mesh classes (Mesh.signature), with the degrees folded in when
-    # they differ, split the elements as the float keys do, and each row's
+    # the rows (_row_tables' lexsort of the varying columns, with the degrees
+    # when they differ) split the elements as the float keys do, and each row's
     # table is its first element's own
     mesh = build_mesh(*case)
     n = mesh.n_elements

@@ -56,7 +56,7 @@ def _resolves(name, modules, classes):
     """Whether a dotted name that starts with a module or public class of
     trefftzdg names something there: each part an attribute of the one
     before, or a dataclass field. A module's name may stand for an object
-    of its class of that name, as mesh.signature for a Mesh's."""
+    of its class of that name, as mesh.constant for a Mesh's."""
     head, *parts = name.split(".")
     owners = [modules.get(head), classes.get(head), classes.get(head.capitalize())]
     for owner in filter(None, owners):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy import linalg
 
 from trefftzdg import (
@@ -11,21 +12,26 @@ from trefftzdg import (
     FULL,
     BasisSpec,
     BoundaryCondition,
+    CharacteristicProfile,
     FluxParams,
     GaussianPulse,
     InitialData,
+    MaterialLayout,
     SpaceTimeDomain,
     apply_bilinear_global,
     assemble_global,
     assemble_slab,
     build_mesh,
+    dg_error,
     dg_norm,
     energy_budget,
     field_from_coefficients,
     global_layout,
+    l2_relative_error,
     load_plan,
     march,
 )
+from trefftzdg.solver import _slab_classes
 
 from conftest import random_meshes
 
@@ -111,8 +117,8 @@ def test_identical_slabs_give_bit_identical_matrices(case, n_slabs, family, p, b
     domain, materials, heights, parts = case
     mesh = build_mesh(SpaceTimeDomain(domain.x_l, domain.x_r, sum([heights[0]] * n_slabs)),
                       materials, [heights[0]] * n_slabs, parts[0])
-    assert mesh.slab_class.max() == 0
     spec, flux = BasisSpec(family, p), FluxParams()
+    assert max(_slab_classes(mesh, spec)) == 0
     systems = [assemble_slab(mesh, j, spec, flux, bc) for j in range(n_slabs)]
     for system in systems[1:]:
         assert np.array_equal(system.A, systems[0].A)
@@ -173,3 +179,29 @@ def test_march_is_forward_substitution_on_each_slab_system(family, wall, case, n
         lu = linalg.lu_factor(system.A)
         x = linalg.lu_solve(lu, b if j == 0 else system.R @ x + b)
         assert np.array_equal(sol.coefficients[j], x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_meshes(), st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
+def test_marched_polynomial_solutions_are_exact(case, family, p, data):
+    # with one constant material, u0(x - ct) and w0(x + ct) of degree <= p lie
+    # in V_p on every element, hanging nodes included, and Robin walls given
+    # the exact incoming characteristic make them the discrete solution
+    domain, _, heights, parts = case
+    eps, mu = data.draw(st.floats(0.5, 4.0)), data.draw(st.floats(0.5, 4.0))
+    mesh = build_mesh(domain, MaterialLayout.constant(eps, mu), heights, parts)
+    coefficients = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
+    u0, w0 = (Polynomial([1.0, *data.draw(coefficients)], domain=[domain.x_l, domain.x_r])
+              for _ in range(2))
+    profile = CharacteristicProfile(eps, mu, u0, w0)
+    c, x_l, x_r = profile.wave_speed, domain.x_l, domain.x_r
+    initial = InitialData(lambda x: (u0(x) + w0(x)) / (2.0 * np.sqrt(eps)),
+                          lambda x: (u0(x) - w0(x)) / (2.0 * np.sqrt(mu)))
+    bc = BoundaryCondition.robin(g_l=lambda t: u0(x_l - c * t), g_r=lambda t: w0(x_r + c * t))
+    penalties = st.floats(0.05, 2.0)
+    flux = FluxParams(alpha=data.draw(penalties), beta=data.draw(penalties),
+                      delta=data.draw(st.floats(0.05, 0.95)),
+                      per_face_scaling=data.draw(st.booleans()))
+    sol = march(mesh, BasisSpec(family, p), flux, bc, initial)
+    assert l2_relative_error(sol, profile) <= 1e-10
+    assert dg_error(sol, profile, flux=flux) <= 1e-10 * dg_norm(sol, flux)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trefftzdg.basis import BasisSpec
 from trefftzdg.errors import (
     EmptyPartition,
     MismatchedDomain,
@@ -21,10 +22,13 @@ from trefftzdg.mesh import (
     uniform_mesh,
     union_interface,
 )
+from trefftzdg.solver import _slab_classes
 
 from conftest import locate, random_meshes
 
 UNIT = MaterialLayout.constant(1.0, 1.0)
+#: one uniform degree: the march's slab classes are then the height-and-partition classes
+SPEC = BasisSpec("trefftz", 1)
 
 
 def test_domain_validation():
@@ -60,7 +64,7 @@ def test_uniform_mesh_counts_sixty_by_sixty():
     assert len(mesh.face_tables[FaceKind.TOP].pos) == 60
     assert len(mesh.face_tables[FaceKind.LEFT].pos) == 60
     assert len(mesh.face_tables[FaceKind.RIGHT].pos) == 60
-    assert mesh.slab_class.max() == 0
+    assert max(_slab_classes(mesh, SPEC)) == 0
     assert mesh.hx_max == 1.0
 
 
@@ -276,9 +280,9 @@ def test_slab_classes_follow_heights_and_partitions_by_value():
     other = np.array([0.0, 0.5, 2.0])
     mesh = build_mesh(SpaceTimeDomain(0.0, 2.0, 2.0), UNIT, [0.5, 0.5, 0.5, 0.25, 0.25],
                       [zero, minus, other, zero, minus])
-    assert mesh.slab_class.tolist() == [0, 0, 1, 2, 2] and mesh.slab_class.max() > 0
+    assert _slab_classes(mesh, SPEC) == [0, 0, 1, 2, 2]
     mesh = build_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), UNIT, [0.5, 0.5], [zero, minus])
-    assert mesh.slab_class.max() == 0
+    assert _slab_classes(mesh, SPEC) == [0, 0]
 
 
 def test_mesh_arrays_are_read_only():
@@ -288,8 +292,7 @@ def test_mesh_arrays_are_read_only():
     mesh = build_mesh(domain, UNIT, [0.5, 0.4, 0.6], parts)
     arrays = [mesh.x0, mesh.x1, mesh.t0, mesh.t1, mesh.eps, mesh.mu, mesh.slab,
               mesh.hx, mesh.ht, mesh.xc, mesh.tc, mesh.slab_starts, mesh.hor_starts,
-              mesh.ver_starts, mesh.slab_heights, mesh.slab_times, mesh.signature,
-              mesh.slab_class,
+              mesh.ver_starts, mesh.slab_heights, mesh.slab_times,
               *(a for table in mesh.face_tables.values() for a in table)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -349,12 +352,13 @@ def test_random_meshes_are_consistent(case):
     assert np.array_equal(mesh.ht, np.asarray(heights)[mesh.slab])
     # point location at the element centres finds every element
     assert np.array_equal(mesh.elements_at(mesh.xc, mesh.tc), np.arange(mesh.n_elements))
-    assert (mesh.slab_class.max() == 0) == (len(set(heights)) == 1
-                                           and all(np.array_equal(p, parts[0]) for p in parts))
+    classes = _slab_classes(mesh, SPEC)
+    assert (max(classes) == 0) == (len(set(heights)) == 1
+                                   and all(np.array_equal(p, parts[0]) for p in parts))
     # slab classes: equal exactly where height and partition are, numbered
     # in order of first appearance
     layouts = [(h, tuple(p)) for h, p in zip(heights, parts)]
-    assert mesh.slab_class.tolist() == [list(dict.fromkeys(layouts)).index(l) for l in layouts]
+    assert classes == [list(dict.fromkeys(layouts)).index(l) for l in layouts]
 
 
 def _mask_loop(mesh, x, t, t_side=None, x_side=None):
